@@ -9,9 +9,12 @@ cross-check oracle only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
-from .errors import DegreeMismatch, LengthMismatch, WidthExceeded
+from .errors import DegreeMismatch, FormatError, LengthMismatch, WidthExceeded
 from .perm import GeneratorSet, Permutation, permute_string
+
+T = TypeVar("T")
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -47,9 +50,10 @@ def format_order(order: PriorityOrder) -> str:
     return " ".join(map(str, order.rank))
 
 
-def _check_bits(bits: str) -> None:
+def check_bits(bits: str, error: type[Exception] = FormatError) -> None:
+    """Raise ``error`` unless every character of bits is 0 or 1."""
     if bits.strip("01"):
-        raise ValueError(f"not a bitstring: {bits!r}")
+        raise error(f"not a bitstring: {bits!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +62,7 @@ class PrioritizedBitString:
     order: PriorityOrder
 
     def __post_init__(self):
-        _check_bits(self.bits)
+        check_bits(self.bits, ValueError)
         if len(self.bits) != self.order.degree:
             raise LengthMismatch(
                 f"{len(self.bits)} bits vs order degree {self.order.degree}"
@@ -105,8 +109,86 @@ def cost_integer(bits: str, order: PriorityOrder | None = None, max_width: int =
 
 def complement(bits: str) -> str:
     """Flip every bit; turns minimization into maximization."""
-    _check_bits(bits)
+    check_bits(bits, ValueError)
     return "".join("1" if b == "0" else "0" for b in bits)
+
+
+class RankSpace:
+    """Generators conjugated into rank space by a priority order.
+
+    A sequence indexed by position is held *in rank order*: entry r
+    belongs to the position inspected at importance level r+1, so a
+    string held this way is its sort key.  Acting by a generator g then
+    sets ``seq[r] = seq[h(r)]`` with h = rank^-1 . g . rank, and only on
+    the ranks that g moves.  ``moves[i]`` maps each rank moved by the
+    i-th generator to h(rank), in ascending rank order.
+
+    Acting by g changes a key first at its *decisive rank*: the smallest
+    moved rank r with ``key[r] != key[h(r)]``.  The move improves the key
+    iff ``key[r]`` is 1, and of two improving moves the one with the
+    smaller decisive rank gives the smaller key.  This holds for any
+    permutation, not only for involutions, and needs the characters of
+    the key to be 0 and 1 only.
+    """
+
+    __slots__ = ("rank", "rinv", "moves")
+
+    def __init__(self, order: PriorityOrder | None, gens: GeneratorSet):
+        n = gens.degree
+        if order is not None and order.degree != n:
+            raise LengthMismatch(f"{n} generator degree vs order degree {order.degree}")
+        self.rank = [p - 1 for p in order.rank] if order is not None else list(range(n))
+        self.rinv = [0] * n
+        for r, p in enumerate(self.rank):
+            self.rinv[p] = r
+        rinv = self.rinv
+        self.moves = tuple(
+            dict(sorted(
+                (rinv[i - 1], rinv[v - 1]) for i, v in enumerate(g.image, start=1) if i != v
+            ))
+            for g in gens.perms
+        )
+
+    def in_ranks(self, seq: Sequence[T]) -> list[T]:
+        """A position-indexed sequence rearranged into rank order."""
+        return [seq[p] for p in self.rank]
+
+    def in_positions(self, seq: Sequence[T]) -> list[T]:
+        """Inverse of ``in_ranks``."""
+        return [seq[r] for r in self.rinv]
+
+    def act(self, seq: list[T], i: int) -> None:
+        """Act on a rank-ordered sequence by the i-th generator, in place."""
+        moves = self.moves[i]
+        values = [seq[h] for h in moves.values()]
+        for r, v in zip(moves, values):
+            seq[r] = v
+
+    def best_move(self, key: Sequence[str]) -> int | None:
+        """Index of the generator whose action gives the smallest key below
+        ``key``, the lowest index among equals; None if no action lowers it."""
+        best, best_r = None, len(key)
+        for i, moves in enumerate(self.moves):
+            for r, h in moves.items():
+                if r > best_r:
+                    break
+                if key[r] != key[h]:
+                    if key[r] == "1" and (r < best_r or self._beats(key, i, best, r)):
+                        best, best_r = i, r
+                    break
+        return best
+
+    def _beats(self, key: Sequence[str], i: int, j: int, r: int) -> bool:
+        """True iff acting by generator i gives a smaller key than acting by
+        generator j, when both first change ``key`` at rank r.  Above r the
+        two results can differ only on the union of the two supports."""
+        a, b = self.moves[i], self.moves[j]
+        for s in sorted(a.keys() | b.keys()):
+            if s > r:
+                x, y = key[a.get(s, s)], key[b.get(s, s)]
+                if x != y:
+                    return x < y
+        return False
 
 
 def is_local_min(
@@ -119,9 +201,6 @@ def is_local_min(
     the acted string."""
     if current.degree != gens.degree or len(bits) != gens.degree:
         raise DegreeMismatch("string, generators and current permutation disagree")
-    cur = permute_string(bits, current)
-    cur_key = sort_key(cur, order)
-    for _, g in gens:
-        if sort_key(permute_string(cur, g), order) < cur_key:
-            return False
-    return True
+    check_bits(bits)
+    space = RankSpace(order, gens)
+    return space.best_move(space.in_ranks(permute_string(bits, current))) is None

@@ -68,8 +68,7 @@ def _search_instance(args, inst: reduction.ReducedInstance, default_json: bool) 
         inst.gens,
         start=start,
         max_steps=args.max_steps,
-        left_action=args.left_action,
-        keep_trace=True,
+        keep_trace=args.trace,
     )
     fmt = args.format or ("json" if default_json else "text")
     if fmt == "json":
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-word", dest="start_word")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=10**6)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--left-action", dest="left_action", action="store_true")
     _add_format(p, default=None)
     p.set_defaults(func=_cmd_search)
 
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-word", dest="start_word")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=10**6)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--left-action", dest="left_action", action="store_true")
     _add_format(p, default=None)
     p.set_defaults(func=_cmd_reduce_search)
     p = rsub.add_parser("map")

@@ -14,9 +14,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .bitlex import PriorityOrder, format_order
+from .bitlex import PriorityOrder, check_bits, format_order
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
@@ -50,6 +51,21 @@ class CnfFormula:
 
     def twin_of(self, v: int) -> int:
         return v + 1 if v % 2 else v - 1
+
+    @cached_property
+    def canonical_clauses(self) -> tuple[tuple[int, ...], ...]:
+        """Every clause with its literals sorted, in clause order."""
+        return tuple(tuple(sorted(clause)) for clause in self.clauses)
+
+    @cached_property
+    def clauses_of_var(self) -> tuple[tuple[int, ...], ...]:
+        """Entry v lists the indices of the clauses that mention variable v
+        (entry 0 is empty)."""
+        index: list[list[int]] = [[] for _ in range(self.num_vars + 1)]
+        for c, clause in enumerate(self.clauses):
+            for v in {abs(l) for l in clause}:
+                index[v].append(c)
+        return tuple(map(tuple, index))
 
 
 def _bicond(a: int, b: int) -> list[tuple[int, ...]]:
@@ -207,16 +223,25 @@ def satisfies(f: CnfFormula, assignment: str) -> bool:
 
 def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     """True iff renaming every variable through p maps the clause multiset
-    onto itself."""
+    onto itself.
+
+    A clause that mentions no variable p moves maps to itself, so the
+    multisets are equal iff the clauses touching supp(p) map onto
+    themselves; only those are renamed and counted."""
     if p.degree != f.num_vars:
         raise DegreeMismatch(f"permutation degree {p.degree} vs {f.num_vars} variables")
     image = p.image
+    clauses_of_var = f.clauses_of_var
+    touched: set[int] = set()
+    for v, w in enumerate(image, start=1):
+        if v != w:
+            touched.update(clauses_of_var[v])
+    canon = f.canonical_clauses
 
     def mapped(clause: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted((1 if l > 0 else -1) * image[abs(l) - 1] for l in clause))
 
-    canon = [tuple(sorted(cl)) for cl in f.clauses]
-    return Counter(map(mapped, f.clauses)) == Counter(canon)
+    return Counter(mapped(canon[c]) for c in touched) == Counter(canon[c] for c in touched)
 
 
 def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
@@ -348,6 +373,7 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
                 labels[int(idx_str)] = label.strip()
             elif len(fields) >= 3 and fields[1] == "alpha":
                 alpha = fields[2].strip()
+                check_bits(alpha, MalformedDimacs)
             elif len(fields) >= 3 and fields[1] == "priority":
                 priority_text = fields[2]
             elif len(fields) >= 3 and fields[1] == "sym":

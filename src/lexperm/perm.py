@@ -103,18 +103,18 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     Each cycle starts at its smallest member and cycles are sorted by
     that member, so the output is canonical.
     """
-    seen = [False] * p.degree
+    image = p.image
+    seen = [False] * len(image)
     cycles = []
-    for start in range(1, p.degree + 1):
+    for start, nxt in enumerate(image, start=1):
         if seen[start - 1]:
             continue
-        cyc = [start]
         seen[start - 1] = True
-        nxt = p(start)
+        cyc = [start]
         while nxt != start:
             cyc.append(nxt)
             seen[nxt - 1] = True
-            nxt = p(nxt)
+            nxt = image[nxt - 1]
         cycles.append(tuple(cyc))
     return tuple(cycles)
 

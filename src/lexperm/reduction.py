@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitlex import PriorityOrder, format_order, parse_order
+from .bitlex import PriorityOrder, check_bits, format_order, parse_order
 from .circuit import FlipInstance, format_netlist, parse_netlist
 from .errors import (
     FormatError,
@@ -419,6 +419,7 @@ def parse_instance(text: str) -> ReducedInstance:
             pos_entries[int(idx_str)] = parse_position_label(label.strip())
         elif fields[0] == "start":
             start = fields[1].strip()
+            check_bits(start)
         elif fields[0] == "order":
             order_text = fields[1]
         elif "=" in line:

@@ -1,8 +1,20 @@
 """Greedy best-improvement walk over a generated permutation group.
 
 At every step all neighbors current * g are evaluated; the walk moves to
-the strictly best one (ties broken by the lowest generator index) and
-stops at a local optimum or at the step cap, never silently.
+the strictly best one and stops at a local optimum or at the step cap,
+never silently.
+
+The walk runs in rank space (see ``bitlex.RankSpace``): the current
+string is held as its sort key and every generator g is conjugated once
+by the priority order.  A neighbor's key first leaves the current key at
+g's *decisive rank*, the smallest rank r that g moves with
+``key[r] != key[h(r)]`` (h is g acting on ranks).  The neighbor improves
+iff ``key[r]`` is 1, and the best neighbor is the improving one with the
+smallest decisive rank.  Neighbors that tie on the decisive rank are
+compared on the union of their two supports above it; if they are still
+equal, the lower generator index wins.  A candidate costs at most
+O(|supp g|) instead of two O(N) string joins, a move costs O(|supp g|),
+and position-order strings are built only for the trace and the result.
 """
 
 from __future__ import annotations
@@ -10,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitlex import PriorityOrder, is_local_min, sort_key
+from .bitlex import PriorityOrder, RankSpace, check_bits, is_local_min
 from .errors import DegreeMismatch, NotInGroup
 from .perm import (
     GeneratorSet,
     Permutation,
     StabilizerChain,
     apply_word,
-    compose,
     permute_string,
 )
 
@@ -41,51 +52,42 @@ def standard_algorithm(
     gens: GeneratorSet,
     start: Sequence[str] = (),
     max_steps: int = 10**6,
-    left_action: bool = False,
     keep_trace: bool = True,
 ) -> SearchResult:
     """Run the greedy walk from the permutation named by ``start``.
 
-    ``left_action`` explores the alternative neighborhood g * current
-    instead; it is exposed for experimentation only and none of the
-    guarantees of the default neighborhood are claimed for it.
-    """
+    Without ``keep_trace`` the trace holds only the final string."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
+    check_bits(bits)
     current = apply_word(gens, start)
-    word = list(start)
     cur_str = permute_string(bits, current)
+    space = RankSpace(order, gens)
+    key = space.in_ranks(cur_str)
+    current_ranked = space.in_ranks(current.image)
+    word = list(start)
     trace = [cur_str]
     steps = 0
+    status = STEP_CAP
     while steps < max_steps:
-        cur_key = sort_key(cur_str, order)
-        best = None
-        best_key = cur_key
-        for name, g in gens:
-            if left_action:
-                cand_perm = compose(g, current)
-                cand = permute_string(bits, cand_perm)
-            else:
-                cand_perm = None
-                cand = permute_string(cur_str, g)
-            key = sort_key(cand, order)
-            if key < best_key:
-                best = (name, g, cand, cand_perm)
-                best_key = key
+        best = space.best_move(key)
         if best is None:
-            return SearchResult(
-                tuple(word), current, cur_str, steps, LOCAL_OPT,
-                tuple(trace) if keep_trace else (cur_str,),
-            )
-        name, g, cur_str, cand_perm = best
-        current = cand_perm if cand_perm is not None else compose(current, g)
-        word.append(name)
+            status = LOCAL_OPT
+            break
+        space.act(key, best)
+        space.act(current_ranked, best)
+        word.append(gens.names[best])
         steps += 1
         if keep_trace:
-            trace.append(cur_str)
+            trace.append("".join(space.in_positions(key)))
+    string = "".join(space.in_positions(key))
     return SearchResult(
-        tuple(word), current, cur_str, steps, STEP_CAP,
-        tuple(trace) if keep_trace else (cur_str,),
+        tuple(word),
+        Permutation(tuple(space.in_positions(current_ranked))),
+        string,
+        steps,
+        status,
+        tuple(trace) if keep_trace else (string,),
     )
 
 

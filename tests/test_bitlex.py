@@ -17,7 +17,7 @@ from lexperm.bitlex import (
     is_local_min,
     sort_key,
 )
-from lexperm.errors import DegreeMismatch, LengthMismatch, WidthExceeded
+from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, WidthExceeded
 from lexperm.perm import GeneratorSet, identity, inverse, parse_cycles, permute_string, random_permutation
 
 bit_pairs = st.integers(1, 16).flatmap(
@@ -139,6 +139,12 @@ def test_is_local_min_degree_mismatch():
     gens = GeneratorSet(3, ("p",), (parse_cycles("(1 2)", 3),))
     with pytest.raises(DegreeMismatch):
         is_local_min("01", None, gens, identity(3))
+
+
+def test_is_local_min_rejects_non_bits():
+    gens = GeneratorSet(3, ("p",), (parse_cycles("(1 2)", 3),))
+    with pytest.raises(FormatError):
+        is_local_min("0a1", None, gens, identity(3))
 
 
 def test_order_parsing_round_trip():

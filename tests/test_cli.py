@@ -195,10 +195,22 @@ def test_search_command_text_output(tmp_path, capsys):
     code, out, _ = run(capsys, ["search", "--instance", str(inst_file), "--max-steps", "50"])
     assert code == 0
     assert "status local_opt" in out
-    code, out, _ = run(
-        capsys, ["search", "--instance", str(inst_file), "--left-action", "--max-steps", "50"]
-    )
-    assert code == 0
+
+
+def test_search_trace_flag_adds_only_trace_lines(tmp_path, capsys):
+    net = tmp_path / "toy.net"
+    net.write_text(STEP_NETLIST)
+    _, built, _ = run(capsys, ["reduce", "build", str(net)])
+    inst_file = tmp_path / "toy.inst"
+    inst_file.write_text(built)
+    _, plain, _ = run(capsys, ["search", "--instance", str(inst_file)])
+    _, traced, _ = run(capsys, ["search", "--instance", str(inst_file), "--trace"])
+    traced_lines = traced.splitlines()
+    trace = [line for line in traced_lines if line.startswith("trace ")]
+    assert [line for line in traced_lines if not line.startswith("trace ")] == plain.splitlines()
+    steps = int(plain.split("steps ")[1].split()[0])
+    assert steps > 0 and len(trace) == steps + 1
+    assert trace[-1] == "trace " + plain.split("string ")[1].split()[0]
 
 
 def test_cnf_pipeline(tmp_path, capsys):

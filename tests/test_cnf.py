@@ -157,6 +157,8 @@ def test_malformed_dimacs():
         parse_dimacs("p cnf 2 2\n1 2 0\n")
     with pytest.raises(MalformedDimacs):
         parse_dimacs("p cnf 1 1\n1 5 0\n")
+    with pytest.raises(MalformedDimacs):
+        parse_dimacs("c alpha 0x\np cnf 2 0\n")
 
 
 def test_priority_ranks_copy0_probes_first():

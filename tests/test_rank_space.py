@@ -1,0 +1,161 @@
+"""The rank-space walk, ``is_local_min`` and the support-restricted
+``check_symmetry`` against the whole-string reference implementations."""
+
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexperm import acceptance, circuit, cnf, reduction
+from lexperm.bitlex import PriorityOrder, is_local_min
+from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, parse_cycles
+from lexperm.search import standard_algorithm
+
+from reference_impl import reference_check_symmetry, reference_is_local_min, reference_walk
+
+
+def assert_same_walk(res, ref):
+    assert res.word == ref.word
+    assert res.permutation == ref.permutation
+    assert res.string == ref.string
+    assert res.steps == ref.steps
+    assert res.status == ref.status
+    assert res.trace == ref.trace
+
+
+def check_walk(bits, order, gens, **kw):
+    res = standard_algorithm(bits, order, gens, **kw)
+    assert_same_walk(res, reference_walk(bits, order, gens, **kw))
+    assert is_local_min(bits, order, gens, res.permutation) == reference_is_local_min(
+        bits, order, gens, res.permutation
+    )
+    return res
+
+
+def check_symmetries(f, rng, sample=None, extra=3):
+    """Every generator (or a sample of them), products of generator pairs,
+    and random transpositions and 3-cycles of variables."""
+    perms = list(f.symmetries.perms)
+    if sample is not None:
+        perms = rng.sample(perms, sample)
+    for _ in range(extra):
+        perms.append(compose(rng.choice(f.symmetries.perms), rng.choice(f.symmetries.perms)))
+        a, b, c = rng.sample(range(1, f.num_vars + 1), 3)
+        perms.append(parse_cycles(f"({a} {b})", f.num_vars))
+        perms.append(parse_cycles(f"({a} {b} {c})", f.num_vars))
+    for p in perms:
+        assert cnf.check_symmetry(f, p) == reference_check_symmetry(f, p)
+
+
+def test_check_symmetry_counts_duplicate_clauses():
+    # (2 3) maps the clause set onto itself but swaps the multiplicities
+    f = cnf.CnfFormula(3, ((1, 2), (2, 1), (1, 3)), ("a", "b", "c"), GeneratorSet(3, (), ()))
+    for cycles, expected in (("(2 3)", False), ("(1 2)", False), ("", True)):
+        p = parse_cycles(cycles, 3)
+        assert cnf.check_symmetry(f, p) == reference_check_symmetry(f, p) == expected
+
+
+def test_acceptance_07_corpus():
+    rng = Random(707)
+    for _ in range(100):
+        inst = reduction.build_instance(acceptance._random_circuit(rng))
+        check_walk(inst.y_start, inst.order, inst.gens, max_steps=10**5)
+
+
+def test_acceptance_10_corpus():
+    rng = Random(1010)
+    for trial in range(8):
+        c = acceptance._random_circuit(rng) if trial else circuit.random_instance(rng, 4, 8, 3)
+        check_symmetries(cnf.build_formula(c), Random(trial))
+    for _ in range(50):
+        f = cnf.build_formula(acceptance._random_circuit(rng, max_inputs=3, max_gates=6, max_outputs=2))
+        res = cnf.local_min_solution(f, max_steps=10**5)
+        assert_same_walk(res, reference_walk(f.initial, f.priority, f.symmetries, max_steps=10**5))
+
+
+def test_ladder_rung_4_8_3():
+    rng = Random(4083)
+    for _ in range(30):
+        c = circuit.random_instance(rng, 4, 8, 3)
+        inst = reduction.build_instance(c)
+        check_walk(inst.y_start, inst.order, inst.gens)
+        f = cnf.build_formula(c)
+        assert_same_walk(
+            cnf.local_min_solution(f), reference_walk(f.initial, f.priority, f.symmetries)
+        )
+        check_symmetries(f, rng, sample=8)
+
+
+def test_mid_walk_start_words_and_step_caps():
+    rng = Random(17)
+    inst = reduction.build_instance(circuit.random_instance(rng, 3, 6, 2))
+    for _ in range(20):
+        start = tuple(rng.choice(inst.gens.names) for _ in range(rng.randint(0, 6)))
+        check_walk(inst.y_start, inst.order, inst.gens, start=start, max_steps=rng.randint(0, 30))
+        current = apply_word(inst.gens, start)
+        assert is_local_min(inst.y_start, inst.order, inst.gens, current) == (
+            reference_is_local_min(inst.y_start, inst.order, inst.gens, current)
+        )
+
+
+def test_equal_decisive_rank_is_settled_later():
+    # both generators put 0 on position 1; only the second also lowers
+    # position 3, so it wins although it comes later
+    gens = GeneratorSet.from_pairs(
+        4, [("a", parse_cycles("(1 2)", 4)), ("b", parse_cycles("(1 2)(3 4)", 4))]
+    )
+    res = check_walk("1010", None, gens)
+    assert res.word[0] == "b"
+    # under this order position 4 outranks position 3, so the same
+    # second swap makes "b" worse and the earlier "a" wins
+    order = PriorityOrder((1, 2, 4, 3))
+    assert check_walk("1010", order, gens).word[0] == "a"
+
+
+def test_full_tie_takes_the_lower_index():
+    p = parse_cycles("(1 3 2)(4 5)", 5)
+    gens = GeneratorSet.from_pairs(5, [("late", parse_cycles("(2 5)", 5)), ("x", p), ("y", p)])
+    res = check_walk("11010", None, gens)
+    assert res.word[0] == "x"
+    assert "y" not in res.word
+
+
+def _instances(max_degree: int = 9):
+    """(bits, order, generators): random permutations, non-involutions
+    included, plus a duplicate under another name and a pair that shares
+    its first transposition and differs after it."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_degree))
+        bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+        order = draw(st.none() | st.permutations(range(1, n + 1)).map(lambda r: PriorityOrder(tuple(r))))
+        perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
+        gens = [Permutation(tuple(p)) for p in perms]
+        if n >= 4 and draw(st.booleans()):
+            a, b, c, d = draw(st.permutations(range(1, n + 1)))[:4]
+            gens.append(parse_cycles(f"({a} {b})", n))
+            gens.append(parse_cycles(f"({a} {b})({c} {d})", n))
+        if draw(st.booleans()):
+            gens.append(gens[draw(st.integers(0, len(gens) - 1))])
+        gens = draw(st.permutations(gens))
+        return bits, order, GeneratorSet.from_pairs(n, [(f"g{i}", g) for i, g in enumerate(gens)])
+
+    return build()
+
+
+@given(_instances())
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_reference_on_random_generators(case):
+    bits, order, gens = case
+    check_walk(bits, order, gens, max_steps=200)
+
+
+@given(_instances(), st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_is_local_min_matches_reference(case, letters):
+    bits, order, gens = case
+    current = apply_word(gens, [gens.names[i % len(gens)] for i in letters])
+    assert is_local_min(bits, order, gens, current) == reference_is_local_min(
+        bits, order, gens, current
+    )

@@ -6,7 +6,7 @@ import pytest
 from lexperm import reduction
 from lexperm.bitlex import sort_key
 from lexperm.circuit import FlipInstance, random_instance
-from lexperm.errors import LengthMismatch, NotWellBehaved, TwinViolation
+from lexperm.errors import FormatError, LengthMismatch, NotWellBehaved, TwinViolation
 from lexperm.perm import (
     apply_word_to_string,
     compose,
@@ -260,6 +260,13 @@ def test_instance_file_round_trip():
     assert parsed.order == inst.order
     assert parsed.gens == inst.gens
     assert format_instance(parsed) == text
+
+
+def test_parse_instance_rejects_non_bit_start():
+    inst = build_instance(MINIMAL)
+    text = format_instance(inst).replace(f"start {inst.y_start}", "start " + "2" * len(inst.y_start))
+    with pytest.raises(FormatError):
+        parse_instance(text)
 
 
 def test_word_application_equals_generator_composition():

@@ -4,12 +4,11 @@ import pytest
 
 from lexperm import bitlex, one_perm
 from lexperm.bitlex import sort_key
-from lexperm.errors import NotInGroup
+from lexperm.errors import FormatError, NotInGroup
 from lexperm.perm import (
     GeneratorSet,
     identity,
     parse_cycles,
-    permute_string,
     random_permutation,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, standard_algorithm, verify_local_opt
@@ -112,21 +111,8 @@ def test_verify_local_opt_identity_word_on_constant_string():
     assert verify_local_opt("11", None, gens, word=())
 
 
-def test_left_action_variant_runs_and_descends():
-    rng = Random(11)
-    n = 8
-    bits = "".join(rng.choice("01") for _ in range(n))
-    gens = GeneratorSet.from_pairs(
-        n, [(f"g{i}", random_permutation(rng, n)) for i in range(3)]
-    )
-    res = standard_algorithm(bits, None, gens, left_action=True, max_steps=200)
-    keys = [sort_key(s, None) for s in res.trace]
-    assert all(a > b for a, b in zip(keys, keys[1:]))
-    # endpoint admits no improving left neighbor
-    if res.status == LOCAL_OPT:
-        from lexperm.perm import compose
-
-        end_key = sort_key(res.string, None)
-        for _, g in gens:
-            cand = permute_string(bits, compose(g, res.permutation))
-            assert sort_key(cand, None) >= end_key
+def test_walk_rejects_non_bits():
+    gens = _gens(("p", parse_cycles("(1 2)", 3)))
+    for bits in ("1a0", "12 ", "1-0"):
+        with pytest.raises(FormatError):
+            standard_algorithm(bits, None, gens)
