@@ -259,7 +259,7 @@ def check_cnf(seed: int = 0) -> str:
     for mask in range(2 ** len(inst.condensed)):
         cond = format(mask, f"0{len(inst.condensed)}b")
         if reduction.is_well_behaved(inst, reduction.expand(cond)):
-            behaved_models.add(_model_from_condensed(inst, f, cond))
+            behaved_models.add(_model_from_condensed(inst.circuit, cond))
     assert models == behaved_models, (
         f"sat set ({len(models)}) differs from well-behaved set ({len(behaved_models)})"
     )
@@ -287,35 +287,24 @@ def check_cnf(seed: int = 0) -> str:
     )
 
 
-def _model_from_condensed(
-    inst: reduction.ReducedInstance, f: cnf.CnfFormula, cond: str
-) -> str:
-    """Translate a condensed well-behaved assignment into the CNF variable
-    space (gate output variables take the gadget's decoded output bit)."""
-    c = inst.circuit
-    assert c is not None
-    value: dict[str, str] = {}
-    for pos in inst.condensed:
-        value[pos.label()] = cond[inst.cond_index[pos] - 1]
-    bits = []
-    for label in f.var_labels:
-        if label.endswith(".t"):
-            continue
-        if ".w" in label:
-            head, gpart = label.split(".g")
-            gid = int(gpart.split(".")[0])
-            j = int(head[1:])
-            quads = [value[f"C{j}.g{gid}.q{q}"] for q in reduction.QUADRANTS]
-            state = reduction.decode_gate_state([int(x) for x in quads])
+def _model_from_condensed(c: circuit.FlipInstance, cond: str) -> str:
+    """Translate a condensed well-behaved assignment of build_instance(c)
+    into the CNF variable space of build_formula(c): decode the copy-0
+    input and each gadget's output bit, then re-assemble."""
+    layout = reduction.Layout(c)
+
+    def value(j: int, kind: str, index: int, q: str = "") -> str:
+        return cond[layout.pair(j, kind, index, q) - 1]
+
+    x = "".join(value(0, "in", i) for i in range(1, c.n + 1))
+    outs = ""
+    for j in range(c.n + 1):
+        for gid in range(1, c.gate_count + 1):
+            labels = [int(value(j, "quad", gid, q)) for q in reduction.QUADRANTS]
+            state = reduction.decode_gate_state(labels)
             assert state is not None
-            bits.append(str(state.b))
-        else:
-            bits.append(value[label])
-    out = []
-    for b in bits:
-        out.append(b)
-        out.append("1" if b == "0" else "0")
-    return "".join(out)
+            outs += str(state.b)
+    return reduction.expand(reduction.Layout(c, gate_var=True).assemble(x, outs))
 
 
 def check_membership(seed: int = 0) -> str:

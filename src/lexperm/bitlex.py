@@ -56,22 +56,6 @@ def check_bits(bits: str, error: type[Exception] = FormatError) -> None:
         raise error(f"not a bitstring: {bits!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PrioritizedBitString:
-    bits: str
-    order: PriorityOrder
-
-    def __post_init__(self):
-        check_bits(self.bits, ValueError)
-        if len(self.bits) != self.order.degree:
-            raise LengthMismatch(
-                f"{len(self.bits)} bits vs order degree {self.order.degree}"
-            )
-
-    def compare_to(self, other: str) -> int:
-        return compare(self.bits, other, self.order)
-
-
 def sort_key(bits: str, order: PriorityOrder | None = None) -> str:
     """bits reordered most-significant-first; plain string comparison of
     keys realizes the prioritized lexicographic order."""

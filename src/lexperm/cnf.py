@@ -15,9 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from .bitlex import PriorityOrder, check_bits, format_order
+from .bitlex import PriorityOrder, check_bits, format_order, parse_order
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
@@ -32,7 +31,7 @@ from .perm import (
     format_cycles,
     parse_generator_file,
 )
-from .reduction import QUADRANTS, GateState, encode_gate_state
+from .reduction import QUADRANTS, GateState, Layout, encode_gate_state, expand
 from .search import SearchResult, standard_algorithm
 
 
@@ -73,141 +72,64 @@ def _bicond(a: int, b: int) -> list[tuple[int, ...]]:
 
 
 def build_formula(c: FlipInstance) -> CnfFormula:
+    layout = Layout(c, gate_var=True)
     n, G = c.n, c.gate_count
-    per = 2 * (n + 5 * G)
-    num_vars = per * (n + 1)
 
-    def x_var(j: int, i: int) -> int:
-        return j * per + 2 * (i - 1) + 1
+    def lit(k: int, value: int) -> int:
+        # twin pair k holds variables 2k-1 and 2k: the positive literal of
+        # the primary 2k-1 when value is 1, of the twin 2k when 0
+        return 2 * k - value
 
-    def w_var(j: int, gid: int) -> int:
-        return j * per + 2 * n + 10 * (gid - 1) + 1
-
-    def q_var(j: int, gid: int, q: str) -> int:
-        return j * per + 2 * n + 10 * (gid - 1) + 3 + 2 * QUADRANTS.index(q)
-
-    def source_var(j: int, src) -> int:
-        return x_var(j, src[1]) if src[0] == "x" else w_var(j, src[1])
-
-    def lit(v: int, value: int) -> int:
-        # positive literal of the primary when value is 1, of the twin when 0
-        return v if value else v + 1
-
-    labels = []
-    for j in range(n + 1):
-        for i in range(1, n + 1):
-            labels += [f"C{j}.x{i}", f"C{j}.x{i}.t"]
-        for gid in range(1, G + 1):
-            labels += [f"C{j}.g{gid}.w", f"C{j}.g{gid}.w.t"]
-            for q in QUADRANTS:
-                labels += [f"C{j}.g{gid}.q{q}", f"C{j}.g{gid}.q{q}.t"]
+    labels: list[str] = []
+    for pos in layout.positions:
+        labels += [pos.label(), f"{pos.label()}.t"]
 
     clauses: list[tuple[int, ...]] = []
     for j in range(n + 1):
+
+        def source(src) -> int:
+            return layout.pair(j, "in" if src[0] == "x" else "w", src[1])
+
         for gid, (s1, s2) in enumerate(c.gates, start=1):
-            u, v, w = source_var(j, s1), source_var(j, s2), w_var(j, gid)
+            u, v, w = source(s1), source(s2), layout.pair(j, "w", gid)
+            quads = [layout.pair(j, "quad", gid, q) for q in QUADRANTS]
             for a1 in (1, 0):
                 for a2 in (1, 0):
                     for b in (1, 0):
-                        premise = (lit(u, a1), lit(v, a2), lit(w, b))
+                        premise = {-lit(u, a1), -lit(v, a2), -lit(w, b)}
                         state = encode_gate_state(GateState(a1, a2, b))
-                        for q, lab in zip(QUADRANTS, state):
-                            clause = sorted(
-                                {-p for p in premise} | {lit(q_var(j, gid, q), lab)}
-                            )
-                            clauses.append(tuple(clause))
-    for v in range(1, num_vars + 1, 2):
+                        for k, lab in zip(quads, state):
+                            clauses.append(tuple(sorted(premise | {lit(k, lab)})))
+    for v in range(1, layout.points + 1, 2):
         clauses.append((v, v + 1))
         clauses.append((-(v + 1), -v))
     for i1 in range(n + 1):
         for i2 in range(i1 + 1, n + 1):
             for jj in range(1, n + 1):
-                a, b = x_var(i1, jj), x_var(i2, jj)
-                if jj in (i1, i2):
-                    clauses += _bicond(a, b + 1) + _bicond(a + 1, b)
-                else:
-                    clauses += _bicond(a, b) + _bicond(a + 1, b + 1)
+                a, b = layout.pair(i1, "in", jj), layout.pair(i2, "in", jj)
+                flipped = int(jj in (i1, i2))
+                clauses += _bicond(lit(a, 1), lit(b, 1 - flipped))
+                clauses += _bicond(lit(a, 0), lit(b, flipped))
 
-    def perm_from(ops: Iterable[tuple[int, int]]) -> Permutation:
-        img = list(range(1, num_vars + 1))
-        for a, b in ops:
-            img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-        return Permutation(tuple(img))
-
-    def feed_swaps(j: int, source) -> list[tuple[int, int]]:
-        ops: list[tuple[int, int]] = []
-        for hid, (s1, s2) in enumerate(c.gates, start=1):
-            if s1 == source:
-                for qa, qb in (("00", "10"), ("01", "11")):
-                    va, vb = q_var(j, hid, qa), q_var(j, hid, qb)
-                    ops += [(va, vb), (va + 1, vb + 1)]
-            if s2 == source:
-                for qa, qb in (("00", "01"), ("10", "11")):
-                    va, vb = q_var(j, hid, qa), q_var(j, hid, qb)
-                    ops += [(va, vb), (va + 1, vb + 1)]
-        return ops
-
-    pairs: list[tuple[str, Permutation]] = []
-    for j in range(n + 1):
-        for gid in range(1, G + 1):
-            w = w_var(j, gid)
-            ops = [(w, w + 1)]
-            for q in QUADRANTS:
-                vq = q_var(j, gid, q)
-                ops.append((vq, vq + 1))
-            ops += feed_swaps(j, ("g", gid))
-            pairs.append((f"pi_{gid}_{j}", perm_from(ops)))
-    for i in range(1, n + 1):
-        ops = [(slot, i * per + slot) for slot in range(1, per + 1)]
-        for i2 in range(1, n + 1):
-            if i2 == i:
-                continue
-            xv = x_var(i2, i)
-            ops.append((xv, xv + 1))
-            ops += feed_swaps(i2, ("x", i))
-        pairs.append((f"sigma_{i}", perm_from(ops)))
-    symmetries = GeneratorSet.from_pairs(num_vars, pairs)
-
-    prim_rank = [q_var(0, gid, "11") for gid in range(1, G + 1)]
-    prim_rank += [w_var(0, gid) for gid in c.outputs]
+    ranked = [layout.pair(0, "quad", gid, "11") for gid in range(1, G + 1)]
+    ranked += [layout.pair(0, "w", gid) for gid in c.outputs]
     for j in range(1, n + 1):
-        prim_rank += [q_var(j, gid, "11") for gid in range(1, G + 1)]
-    ranked = set(prim_rank)
+        ranked += [layout.pair(j, "quad", gid, "11") for gid in range(1, G + 1)]
+    first = set(ranked)
     for j in range(n + 1):
-        rest = [x_var(j, i) for i in range(1, n + 1)]
+        rest = [layout.pair(j, "in", i) for i in range(1, n + 1)]
         for gid in range(1, G + 1):
-            rest.append(w_var(j, gid))
-            rest += [q_var(j, gid, q) for q in ("00", "01", "10")]
-        prim_rank += [v for v in rest if v not in ranked]
-    priority = PriorityOrder(tuple(r for v in prim_rank for r in (v, v + 1)))
-
-    alpha = ["?"] * num_vars
-
-    def assign(v: int, value: int) -> None:
-        alpha[v - 1] = str(value)
-        alpha[v] = str(1 - value)
-
-    for j in range(n + 1):
-        xj = ["0"] * n
-        if j >= 1:
-            xj[j - 1] = "1"
-        for i in range(1, n + 1):
-            assign(x_var(j, i), int(xj[i - 1]))
-        values = {("x", i): int(xj[i - 1]) for i in range(1, n + 1)}
-        for gid, (s1, s2) in enumerate(c.gates, start=1):
-            values[("g", gid)] = 0
-            assign(w_var(j, gid), 0)
-            state = GateState(values[s1], values[s2], 0)
-            for q, lab in zip(QUADRANTS, encode_gate_state(state)):
-                assign(q_var(j, gid, q), lab)
+            rest.append(layout.pair(j, "w", gid))
+            rest += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
+        ranked += [k for k in rest if k not in first]
 
     return CnfFormula(
-        num_vars=num_vars,
+        num_vars=layout.points,
         clauses=tuple(clauses),
         var_labels=tuple(labels),
-        symmetries=symmetries,
-        priority=priority,
-        initial="".join(alpha),
+        symmetries=layout.generators(),
+        priority=layout.priority(ranked),
+        initial=expand(layout.assemble("0" * n)),
         circuit=c,
     )
 
@@ -349,10 +271,6 @@ def format_symmetries(f: CnfFormula) -> str:
     return "\n".join(f"{name} = {format_cycles(p)}" for name, p in f.symmetries) + "\n"
 
 
-def parse_symmetries(text: str, num_vars: int) -> GeneratorSet:
-    return parse_generator_file(text, num_vars)
-
-
 def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     num_vars = None
     announced = None
@@ -416,8 +334,6 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     var_labels = tuple(labels.get(v, f"v{v}") for v in range(1, num_vars + 1))
     priority = None
     if priority_text is not None:
-        from .bitlex import parse_order
-
         priority = parse_order(priority_text, num_vars)
     return CnfFormula(
         num_vars=num_vars,

@@ -82,11 +82,11 @@ def decode_gate_state(labels: Sequence[int]) -> GateState | None:
 
 @dataclass(frozen=True, slots=True)
 class Position:
-    """One condensed position: an input, a gate quadrant, or an output of
-    one circuit copy."""
+    """One condensed position: an input, a gate quadrant, a gate output
+    variable, or a circuit output of one circuit copy."""
 
     circuit: int
-    kind: str  # "in" | "quad" | "out"
+    kind: str  # "in" | "quad" | "w" | "out"
     index: int
     quadrant: str = ""
 
@@ -95,6 +95,8 @@ class Position:
             base = f"C{self.circuit}.x{self.index}"
         elif self.kind == "quad":
             base = f"C{self.circuit}.g{self.index}.q{self.quadrant}"
+        elif self.kind == "w":
+            base = f"C{self.circuit}.g{self.index}.w"
         else:
             base = f"C{self.circuit}.c{self.index}"
         return base if twin is None else f"{base}.{twin}"
@@ -181,107 +183,147 @@ def condense(y_expanded: str) -> str:
     return y_expanded[0::2]
 
 
-def _circuit_template(c: FlipInstance, j: int) -> list[Position]:
-    out = [Position(j, "in", i) for i in range(1, c.n + 1)]
-    for gid in range(1, c.gate_count + 1):
-        out += [Position(j, "quad", gid, q) for q in QUADRANTS]
-    out += [Position(j, "out", k) for k in range(1, c.output_count + 1)]
-    return out
+class Layout:
+    """n+1 copies of one slot template over a circuit.
+
+    A slot is ``(kind, index, quadrant)``: an input ``in``, a gadget
+    quadrant ``quad``, or a gate-output slot.  With ``gate_var`` every
+    gate has a ``w`` slot (the CNF's gate-output variable) just before its
+    quadrants; without it the copy ends in one ``out`` slot per circuit
+    output (the reduction's circuit outputs).  Slot s of copy j is twin
+    pair k = j * per + offset[s], and that pair occupies points 2k-1
+    and 2k.
+    """
+
+    def __init__(self, c: FlipInstance, gate_var: bool = False):
+        self.circuit = c
+        template = [("in", i, "") for i in range(1, c.n + 1)]
+        for gid in range(1, c.gate_count + 1):
+            if gate_var:
+                template.append(("w", gid, ""))
+            template += [("quad", gid, q) for q in QUADRANTS]
+        if not gate_var:
+            template += [("out", k, "") for k in range(1, c.output_count + 1)]
+        self.template = tuple(template)
+        self.per = len(template)
+        self.offset = {slot: s for s, slot in enumerate(template, start=1)}
+        self.points = 2 * self.per * (c.n + 1)
+        # gate id -> the slot holding that gate's output bit, where there is one
+        if gate_var:
+            self.gate_output = {gid: ("w", gid, "") for gid in range(1, c.gate_count + 1)}
+        else:
+            self.gate_output = {gid: ("out", k, "") for k, gid in enumerate(c.outputs, start=1)}
+
+    def pair(self, j: int, kind: str, index: int, quadrant: str = "") -> int:
+        """Twin pair number of the slot in copy j."""
+        return j * self.per + self.offset[(kind, index, quadrant)]
+
+    @property
+    def positions(self) -> tuple[Position, ...]:
+        """The catalog: one Position per twin pair, in pair order."""
+        return tuple(
+            Position(j, kind, index, q)
+            for j in range(self.circuit.n + 1)
+            for kind, index, q in self.template
+        )
+
+    def priority(self, pairs: Iterable[int]) -> PriorityOrder:
+        """Priority order that ranks twin pairs in the given order, each
+        pair's two points at adjacent ranks."""
+        return PriorityOrder(tuple(r for k in pairs for r in (2 * k - 1, 2 * k)))
+
+    def generators(self) -> GeneratorSet:
+        """``pi_<gate>_<copy>`` for every gadget, then ``sigma_<i>`` for
+        every input."""
+        c, n, total = self.circuit, self.circuit.n, self.points
+
+        def flip(k: int) -> list[tuple[int, int]]:
+            return [(2 * k - 1, 2 * k)]
+
+        def swap(k: int, l: int) -> list[tuple[int, int]]:
+            return [(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)]
+
+        def feed_swaps(j: int, source) -> list[tuple[int, int]]:
+            # When `source` flips, successor gadgets swap along the fed axis:
+            # first input swaps 00<->10 and 01<->11, second input 00<->01 and
+            # 10<->11; a gate fed twice composes both (a diagonal swap).
+            axes = ((("00", "10"), ("01", "11")), (("00", "01"), ("10", "11")))
+            ops: list[tuple[int, int]] = []
+            for hid, sources in enumerate(c.gates, start=1):
+                for src, axis in zip(sources, axes):
+                    if src == source:
+                        for qa, qb in axis:
+                            k, l = self.pair(j, "quad", hid, qa), self.pair(j, "quad", hid, qb)
+                            ops += swap(k, l)
+            return ops
+
+        def perm_from(ops: Iterable[tuple[int, int]]) -> Permutation:
+            img = list(range(1, total + 1))
+            for a, b in ops:
+                img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
+            return Permutation(tuple(img))
+
+        pairs: list[tuple[str, Permutation]] = []
+        for j in range(n + 1):
+            for gid in range(1, c.gate_count + 1):
+                slots = [("quad", gid, q) for q in QUADRANTS]
+                if gid in self.gate_output:
+                    slots.append(self.gate_output[gid])
+                ops = [op for slot in slots for op in flip(self.pair(j, *slot))]
+                ops += feed_swaps(j, ("g", gid))
+                pairs.append((f"pi_{gid}_{j}", perm_from(ops)))
+        for i in range(1, n + 1):
+            ops = [op for s in range(1, self.per + 1) for op in swap(s, i * self.per + s)]
+            for j in range(1, n + 1):
+                if j != i:
+                    ops += flip(self.pair(j, "in", i)) + feed_swaps(j, ("x", i))
+            pairs.append((f"sigma_{i}", perm_from(ops)))
+        return GeneratorSet.from_pairs(total, pairs)
+
+    def assemble(self, x: str, gate_outputs: str | None = None) -> str:
+        """Condensed values in pair order for copy-0 input x and the given
+        gate output bits (circuit-major, one per gate per copy; default
+        all zeros).  Copy j holds x with bit j flipped and gadgets follow
+        the wiring, so the result is well-behaved by construction."""
+        c, G = self.circuit, self.circuit.gate_count
+        if gate_outputs is None:
+            gate_outputs = "0" * ((c.n + 1) * G)
+        cond: list[str] = []
+        for j in range(c.n + 1):
+            xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
+            out = gate_outputs[j * G : (j + 1) * G]
+
+            def value(src) -> str:
+                return xj[src[1] - 1] if src[0] == "x" else out[src[1] - 1]
+
+            for kind, index, q in self.template:
+                if kind == "in":
+                    cond.append(xj[index - 1])
+                elif kind == "w":
+                    cond.append(out[index - 1])
+                elif kind == "out":
+                    cond.append(out[c.outputs[index - 1] - 1])
+                else:
+                    s1, s2 = c.gates[index - 1]
+                    state = GateState(int(value(s1)), int(value(s2)), int(out[index - 1]))
+                    cond.append(str(encode_gate_state(state)[QUADRANTS.index(q)]))
+        return "".join(cond)
 
 
 def build_instance(c: FlipInstance) -> ReducedInstance:
+    layout = Layout(c)
     n, G = c.n, c.gate_count
-    condensed: list[Position] = []
+    ranked: list[int] = []
     for j in range(n + 1):
-        condensed += _circuit_template(c, j)
-    index = {pos: i for i, pos in enumerate(condensed, start=1)}
-    total = 2 * len(condensed)
-
-    def exp(pos: Position, twin: int) -> int:
-        return 2 * index[pos] - 1 + twin
-
-    def flip_ops(pos: Position) -> list[tuple[int, int]]:
-        return [(exp(pos, 0), exp(pos, 1))]
-
-    def swap_ops(p: Position, q: Position) -> list[tuple[int, int]]:
-        return [(exp(p, 0), exp(q, 0)), (exp(p, 1), exp(q, 1))]
-
-    def feed_swaps(j: int, source) -> list[tuple[int, int]]:
-        # When `source` flips, successor gadgets swap along the fed axis:
-        # first input swaps 00<->10 and 01<->11, second input 00<->01 and
-        # 10<->11; a gate fed twice composes both (a diagonal swap).
-        ops: list[tuple[int, int]] = []
-        for hid, (s1, s2) in enumerate(c.gates, start=1):
-            if s1 == source:
-                ops += swap_ops(Position(j, "quad", hid, "00"), Position(j, "quad", hid, "10"))
-                ops += swap_ops(Position(j, "quad", hid, "01"), Position(j, "quad", hid, "11"))
-            if s2 == source:
-                ops += swap_ops(Position(j, "quad", hid, "00"), Position(j, "quad", hid, "01"))
-                ops += swap_ops(Position(j, "quad", hid, "10"), Position(j, "quad", hid, "11"))
-        return ops
-
-    def perm_from(ops: Iterable[tuple[int, int]]) -> Permutation:
-        img = list(range(1, total + 1))
-        for a, b in ops:
-            img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-        return Permutation(tuple(img))
-
-    pairs: list[tuple[str, Permutation]] = []
-    for j in range(n + 1):
+        ranked += [layout.pair(j, "quad", gid, CONTROL) for gid in range(1, G + 1)]
+        ranked += [layout.pair(j, "out", k) for k in range(1, c.output_count + 1)]
         for gid in range(1, G + 1):
-            ops: list[tuple[int, int]] = []
-            for q in QUADRANTS:
-                ops += flip_ops(Position(j, "quad", gid, q))
-            ops += feed_swaps(j, ("g", gid))
-            if gid in c.outputs:
-                k = c.outputs.index(gid) + 1
-                ops += flip_ops(Position(j, "out", k))
-            pairs.append((f"pi_{gid}_{j}", perm_from(ops)))
-    for i in range(1, n + 1):
-        ops = []
-        for tpl in _circuit_template(c, 0):
-            counterpart = Position(i, tpl.kind, tpl.index, tpl.quadrant)
-            ops += swap_ops(tpl, counterpart)
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            ops += flip_ops(Position(j, "in", i))
-            ops += feed_swaps(j, ("x", i))
-        pairs.append((f"sigma_{i}", perm_from(ops)))
-    gens = GeneratorSet.from_pairs(total, pairs)
-
-    cond_rank: list[int] = []
-    for j in range(n + 1):
-        cond_rank += [index[Position(j, "quad", gid, CONTROL)] for gid in range(1, G + 1)]
-        cond_rank += [index[Position(j, "out", k)] for k in range(1, c.output_count + 1)]
-        for gid in range(1, G + 1):
-            cond_rank += [index[Position(j, "quad", gid, q)] for q in ("00", "01", "10")]
-        cond_rank += [index[Position(j, "in", i)] for i in range(1, n + 1)]
-    order = PriorityOrder(tuple(r for ci in cond_rank for r in (2 * ci - 1, 2 * ci)))
-
-    y_start = expand(_assemble_condensed(c, "0" * n, "0" * ((n + 1) * G)))
-    return ReducedInstance(c, n, tuple(condensed), gens, y_start, order)
-
-
-def _assemble_condensed(c: FlipInstance, x: str, gate_outputs: str) -> str:
-    """Condensed values in catalog order for copy-0 input x and the given
-    per-copy gate output bits; gadgets follow the wiring, so the result
-    is well-behaved by construction."""
-    n, G = c.n, c.gate_count
-    cond: list[str] = []
-    for j in range(n + 1):
-        xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
-
-        def source_value(src) -> str:
-            return xj[src[1] - 1] if src[0] == "x" else gate_outputs[j * G + src[1] - 1]
-
-        cond += list(xj)
-        for gid, (s1, s2) in enumerate(c.gates, start=1):
-            b = gate_outputs[j * G + gid - 1]
-            state = GateState(int(source_value(s1)), int(source_value(s2)), int(b))
-            cond += [str(lab) for lab in encode_gate_state(state)]
-        cond += [gate_outputs[j * G + gid - 1] for gid in c.outputs]
-    return "".join(cond)
+            ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
+        ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
+    y_start = expand(layout.assemble("0" * n))
+    return ReducedInstance(
+        c, n, layout.positions, layout.generators(), y_start, layout.priority(ranked)
+    )
 
 
 def assemble_well_behaved(
@@ -301,7 +343,7 @@ def assemble_well_behaved(
         gate_outputs = "0" * ((inst.n + 1) * c.gate_count)
     if len(gate_outputs) != (inst.n + 1) * c.gate_count:
         raise LengthMismatch("one output bit per gate per circuit copy required")
-    return expand(_assemble_condensed(c, x, gate_outputs))
+    return expand(Layout(c).assemble(x, gate_outputs))
 
 
 def is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
@@ -410,13 +452,17 @@ def parse_instance(text: str) -> ReducedInstance:
         if not line or line.startswith("#"):
             continue
         fields = line.split(None, 1)
+        if fields[0] in ("net", "pos", "start", "order") and len(fields) < 2:
+            raise FormatError(f"line {lineno}: {fields[0]!r} line carries no value")
         if fields[0] == "N":
             header = line
         elif fields[0] == "net":
             net_lines.append(fields[1])
         elif fields[0] == "pos":
-            idx_str, label = fields[1].split(None, 1)
-            pos_entries[int(idx_str)] = parse_position_label(label.strip())
+            idx_str, *label = fields[1].split(None, 1)
+            if not idx_str.isdecimal():
+                raise FormatError(f"line {lineno}: bad position index {idx_str!r}")
+            pos_entries[int(idx_str)] = parse_position_label(" ".join(label))
         elif fields[0] == "start":
             start = fields[1].strip()
             check_bits(start)

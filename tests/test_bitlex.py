@@ -8,7 +8,6 @@ from lexperm import bitlex
 from lexperm.bitlex import (
     EQUAL,
     LESS,
-    PrioritizedBitString,
     PriorityOrder,
     compare,
     complement,
@@ -109,15 +108,6 @@ def test_joint_permutation_leaves_compare_invariant():
 
 def test_complement():
     assert complement("0110") == "1001"
-
-
-def test_prioritized_bitstring_validation():
-    with pytest.raises(LengthMismatch):
-        PrioritizedBitString("01", identity_order(3))
-    with pytest.raises(ValueError):
-        PrioritizedBitString("0a", identity_order(2))
-    s = PrioritizedBitString("01", identity_order(2))
-    assert s.compare_to("10") == LESS
 
 
 def test_is_local_min_constant_string():

@@ -14,11 +14,10 @@ from lexperm.cnf import (
     format_symmetries,
     local_min_solution,
     parse_dimacs,
-    parse_symmetries,
     satisfies,
 )
 from lexperm.errors import MalformedDimacs, UnsatStart
-from lexperm.perm import GeneratorSet, parse_cycles, permute_string
+from lexperm.perm import GeneratorSet, parse_cycles, parse_generator_file, permute_string
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -133,7 +132,7 @@ def test_dimacs_round_trip():
 
 def test_sidecar_round_trip():
     f = build_formula(MINIMAL)
-    gens = parse_symmetries(format_symmetries(f), f.num_vars)
+    gens = parse_generator_file(format_symmetries(f), f.num_vars)
     assert gens == f.symmetries
     for _, p in gens:
         assert check_symmetry(f, p)

@@ -269,6 +269,13 @@ def test_parse_instance_rejects_non_bit_start():
         parse_instance(text)
 
 
+@pytest.mark.parametrize("bad_line", ["net", "pos", "start", "order", "pos 3", "pos x C0.x1.0"])
+def test_parse_instance_rejects_malformed_lines(bad_line):
+    text = format_instance(build_instance(MINIMAL)) + bad_line + "\n"
+    with pytest.raises(FormatError):
+        parse_instance(text)
+
+
 def test_word_application_equals_generator_composition():
     inst = build_instance(MINIMAL)
     from lexperm.perm import apply_word
