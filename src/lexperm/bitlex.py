@@ -40,10 +40,16 @@ def identity_order(degree: int) -> PriorityOrder:
 
 
 def parse_order(text: str, degree: int) -> PriorityOrder:
-    ranks = tuple(int(tok) for tok in text.split())
+    try:
+        ranks = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise FormatError(f"non-integer rank in order {text[:40]!r}") from None
     if len(ranks) != degree:
         raise LengthMismatch(f"order lists {len(ranks)} ranks, expected {degree}")
-    return PriorityOrder(ranks)
+    try:
+        return PriorityOrder(ranks)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def format_order(order: PriorityOrder) -> str:

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from random import Random
 
+from .bitlex import check_bits
 from .errors import FormatError, LengthMismatch
 
 Source = tuple[str, int]  # ("x", input index) or ("g", gate id), 1-based
@@ -59,6 +60,7 @@ def eval_circuit(c: FlipInstance, bits: str) -> tuple[str, tuple[int, ...]]:
     """Outputs and per-gate values for the given input assignment."""
     if len(bits) != c.n:
         raise LengthMismatch(f"{len(bits)} input bits, expected {c.n}")
+    check_bits(bits)
     values: list[int] = []
     for a, b in c.gates:
         va = int(bits[a[1] - 1]) if a[0] == "x" else values[a[1] - 1]

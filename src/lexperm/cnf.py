@@ -288,6 +288,8 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             fields = line.split(None, 2)
             if len(fields) >= 3 and fields[1] == "var":
                 idx_str, _, label = fields[2].partition(" ")
+                if not idx_str.isdecimal():
+                    raise MalformedDimacs(f"line {lineno}: bad variable index {idx_str!r}")
                 labels[int(idx_str)] = label.strip()
             elif len(fields) >= 3 and fields[1] == "alpha":
                 alpha = fields[2].strip()
@@ -299,7 +301,7 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+            if len(fields) != 4 or fields[1] != "cnf" or not (fields[2] + fields[3]).isdecimal():
                 raise MalformedDimacs(f"line {lineno}: bad problem line {line!r}")
             num_vars, announced = int(fields[2]), int(fields[3])
             continue

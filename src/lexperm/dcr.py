@@ -218,7 +218,10 @@ def parse_dcr(text: str) -> DcrInstance:
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad integer") from exc
         constraints.append((m, forbidden))
-    return DcrInstance(tuple(constraints))
+    try:
+        return DcrInstance(tuple(constraints))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def format_dcr(inst: DcrInstance, primes: tuple[int, ...] | None = None) -> str:
@@ -242,9 +245,11 @@ def parse_graph(text: str) -> Graph:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge n m'")
+            if not fields[2].isdecimal():
+                raise FormatError(f"line {lineno}: bad vertex count {fields[2]!r}")
             n = int(fields[2])
         elif fields[0] == "e":
-            if len(fields) != 3:
+            if len(fields) != 3 or not (fields[1] + fields[2]).isdecimal():
                 raise FormatError(f"line {lineno}: expected 'e u v'")
             u, v = int(fields[1]), int(fields[2])
             edges.append((min(u, v), max(u, v)))
@@ -252,7 +257,10 @@ def parse_graph(text: str) -> Graph:
             raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
         raise FormatError("missing 'p edge' header")
-    return Graph(n, tuple(edges))
+    try:
+        return Graph(n, tuple(edges))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def format_graph(g: Graph) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlex import PriorityOrder, sort_key
+from .bitlex import PriorityOrder, check_bits, sort_key
 from .errors import DegreeMismatch, OrderCapExceeded
 from .perm import Permutation, cycle_decomposition, identity, perm_order, permute_string, power
 
@@ -38,6 +38,7 @@ def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
+    check_bits(bits)
     chosen = None
     for cyc in cycle_decomposition(p):
         values = {bits[i - 1] for i in cyc}

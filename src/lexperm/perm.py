@@ -8,15 +8,18 @@ Conventions fixed here and inherited by every other module:
   maps the current product w to w * g.
 
 Membership in a finitely generated subgroup is decided with a
-deterministic stabilizer chain (natural base order, fixed processing
-order), so repeated runs build identical structures.
+deterministic incremental Schreier-Sims stabilizer chain (fixed base
+choice and processing order), so repeated runs build identical
+structures.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
+from operator import ne
 from random import Random
 from typing import Iterator, Sequence
 
@@ -39,6 +42,14 @@ class Permutation:
         n = len(self.image)
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValueError(f"image is not a permutation of 1..{n}")
+
+    @classmethod
+    def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
+        """Wrap an image known to be a permutation without validating it;
+        only for products and inverses of permutations."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
 
     @property
     def degree(self) -> int:
@@ -64,15 +75,15 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Product p * q under the convention (p * q)(i) = p(q(i))."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees {p.degree} and {q.degree} differ")
-    pi = p.image
-    return Permutation(tuple(pi[v - 1] for v in q.image))
+    # the leading pad lets the 1-based points of q index p's image directly
+    return Permutation._unchecked(tuple(map(((0,) + p.image).__getitem__, q.image)))
 
 
 def inverse(p: Permutation) -> Permutation:
     img = [0] * p.degree
     for i, v in enumerate(p.image, start=1):
         img[v - 1] = i
-    return Permutation(tuple(img))
+    return Permutation._unchecked(tuple(img))
 
 
 def power(p: Permutation, k: int) -> Permutation:
@@ -283,20 +294,71 @@ def orbit_of_string(gens: GeneratorSet, x: str, cap: int = 10**6) -> set[str]:
     return orbit
 
 
+def _zero_based(p: Permutation) -> tuple[int, ...]:
+    return tuple([v - 1 for v in p.image])
+
+
+def _compose0(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p * q on 0-based image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _invert0(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _support0(p: tuple[int, ...]) -> frozenset[int]:
+    """The points that p moves."""
+    return frozenset(compress(count(), map(ne, p, count())))
+
+
+class _Level:
+    """One level of a stabilizer chain, on 0-based image tuples.
+
+    ``reps[c]`` maps the base point to c and ``rep_invs[c]`` is its
+    inverse.  The orbit only grows, so a representative never changes.
+    ``paired[k]`` counts the generators whose Schreier generator with
+    ``orbit[k]`` has been sifted; generators are only appended, so those
+    are always the first ``paired[k]`` of them.
+    """
+
+    __slots__ = ("base", "gens", "gen_invs", "supps", "orbit", "reps", "rep_invs", "rep_supps", "paired")
+
+    def __init__(self, base: int, ident: tuple[int, ...]):
+        self.base = base
+        self.gens: list[tuple[int, ...]] = []
+        self.gen_invs: list[tuple[int, ...]] = []
+        self.supps: list[frozenset[int]] = []
+        self.orbit = [base]
+        self.reps = {base: ident}
+        self.rep_invs = {base: ident}
+        self.rep_supps = {base: frozenset()}
+        self.paired = [0]
+
+
 class StabilizerChain:
     """Deterministic stabilizer chain for membership tests.
 
-    Base points are chosen as the smallest moved point at each level and
-    Schreier generators are processed in orbit-discovery order, so the
-    same generators always yield the same chain.
+    Incremental Schreier-Sims (Sims 1970; Knuth, "Efficient
+    representation of perm groups", 1991) over a flat list of levels;
+    level i fixes the base points of the levels above it.  Every
+    Schreier generator is sifted at most once: a pair (orbit point,
+    generator) that sifted through stays valid because generators are
+    only ever added, and a pair whose Schreier generator is provably a
+    generator of the next level is not sifted at all.  Closing runs from the deepest level upward and
+    restarts at the level where a new strong generator stopped sifting.
+    A level's base point is the smallest moved point of the element that
+    opened it and the work order is fixed, so the same generators always
+    yield the same chain.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.base_point: int | None = None
-        self.level_gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        self._next: StabilizerChain | None = None
+        self._identity = tuple(range(degree))
+        self._levels: list[_Level] = []
 
     @classmethod
     def from_generators(cls, gens: GeneratorSet) -> "StabilizerChain":
@@ -305,68 +367,111 @@ class StabilizerChain:
             chain.add_generator(p)
         return chain
 
+    @property
+    def base(self) -> tuple[int, ...]:
+        """The base points, 1-based, outermost level first."""
+        return tuple(level.base + 1 for level in self._levels)
+
+    @property
+    def orbit_lengths(self) -> tuple[int, ...]:
+        return tuple(len(level.orbit) for level in self._levels)
+
     def add_generator(self, g: Permutation) -> None:
         if g.degree != self.degree:
             raise DegreeMismatch(f"degree {g.degree} vs chain degree {self.degree}")
-        if g.is_identity():
-            return
-        if self.base_point is None:
-            self.base_point = next(
-                i for i in range(1, self.degree + 1) if g(i) != i
-            )
-            self.transversal = {self.base_point: identity(self.degree)}
-            self._next = StabilizerChain(self.degree)
-        self.level_gens.append(g)
-        self._close()
+        residue, depth = self._sift(_zero_based(g), 0)
+        if residue != self._identity:
+            self._insert(residue, 0, depth)
+            self._close(depth)
 
-    def _close(self) -> None:
-        base = self.base_point
-        assert base is not None and self._next is not None
-        orbit = [base]
-        trans = {base: identity(self.degree)}
-        i = 0
-        while i < len(orbit):
-            b = orbit[i]
-            i += 1
-            for g in self.level_gens:
-                c = g(b)
-                if c not in trans:
-                    trans[c] = compose(g, trans[b])
-                    orbit.append(c)
-        self.transversal = trans
-        for b in orbit:
-            ub = trans[b]
-            for g in self.level_gens:
-                schreier = compose(inverse(trans[g(b)]), compose(g, ub))
-                if schreier.is_identity():
+    def _sift(self, p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        """Sift p through the levels from ``start`` on.  Returns the
+        residue and the level where it stopped (the number of levels if it
+        passed them all); levels whose base point p fixes are skipped."""
+        levels = self._levels
+        for depth in range(start, len(levels)):
+            level = levels[depth]
+            c = p[level.base]
+            if c != level.base:
+                u_inv = level.rep_invs.get(c)
+                if u_inv is None:
+                    return p, depth
+                p = _compose0(u_inv, p)
+        return p, len(levels)
+
+    def _insert(self, s: tuple[int, ...], first: int, last: int) -> None:
+        """Add s as a strong generator of levels first..last, opening level
+        ``last`` at s's smallest moved point if it does not exist yet.
+
+        s fixes the base points of levels first..last-1 and moves that of
+        level ``last``, so a generator of a level that fixes the level's
+        base point is also a generator of the next level."""
+        if last == len(self._levels):
+            base = next(i for i, v in enumerate(s) if i != v)
+            self._levels.append(_Level(base, self._identity))
+        s_inv, s_supp = _invert0(s), _support0(s)
+        for level in self._levels[first:last + 1]:
+            level.gens.append(s)
+            level.gen_invs.append(s_inv)
+            level.supps.append(s_supp)
+
+    def _close(self, depth: int) -> None:
+        """Complete levels depth..0, given that every deeper level is
+        complete."""
+        while depth >= 0:
+            stop = self._pair_up(depth)
+            depth = depth - 1 if stop is None else stop
+
+    def _pair_up(self, depth: int) -> int | None:
+        """Grow the orbit of level ``depth`` and sift its unpaired Schreier
+        generators.  Returns the level that gained a new strong generator,
+        or None once every pair has sifted through."""
+        level = self._levels[depth]
+        ident = self._identity
+        base, orbit, paired = level.base, level.orbit, level.paired
+        reps, rep_invs, rep_supps = level.reps, level.rep_invs, level.rep_supps
+        gens, gen_invs, supps = level.gens, level.gen_invs, level.supps
+        k = 0
+        while k < len(orbit):
+            b = orbit[k]
+            u = reps[b]
+            while paired[k] < len(gens):
+                i = paired[k]
+                paired[k] = i + 1
+                g = gens[i]
+                if g[base] == base and supps[i].isdisjoint(rep_supps[b]):
+                    # g fixes the base point and commutes with u_b, so the
+                    # Schreier generator is g itself, which is a strong
+                    # generator of the next level already (see _insert).
                     continue
-                residue = self._next.sift(schreier)
-                if not residue.is_identity():
-                    self._next.add_generator(residue)
-
-    def sift(self, p: Permutation) -> Permutation:
-        """Sift p through the chain; the residue is the identity iff p is
-        a member (the chain is kept complete at all times)."""
-        level: StabilizerChain | None = self
-        while level is not None and level.base_point is not None:
-            u = level.transversal.get(p(level.base_point))
-            if u is None:
-                return p
-            p = compose(inverse(u), p)
-            level = level._next
-        return p
+                c = g[b]
+                v_inv = rep_invs.get(c)
+                if v_inv is None:
+                    reps[c] = _compose0(g, u)
+                    rep_supps[c] = _support0(reps[c])
+                    rep_invs[c] = _compose0(rep_invs[b], gen_invs[i])
+                    orbit.append(c)
+                    paired.append(0)
+                    continue
+                schreier = tuple(map(v_inv.__getitem__, map(g.__getitem__, u)))
+                if schreier == ident:
+                    continue
+                residue, stop = self._sift(schreier, depth + 1)
+                if residue != ident:
+                    self._insert(residue, depth + 1, stop)
+                    return stop
+            k += 1
+        return None
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"degree {p.degree} vs chain degree {self.degree}")
-        return self.sift(p).is_identity()
+        return self._sift(_zero_based(p), 0)[0] == self._identity
 
     def order(self) -> int:
         out = 1
-        level: StabilizerChain | None = self
-        while level is not None and level.base_point is not None:
-            out *= len(level.transversal)
-            level = level._next
+        for level in self._levels:
+            out *= len(level.orbit)
         return out
 
 

@@ -1,9 +1,11 @@
 """Reference implementations that the fast paths are checked against.
 
 These are the straightforward versions the library used before its
-rank-space walk and support-restricted symmetry check: every candidate is
-built as a whole string and compared through its whole sort key, and
-every symmetry check renames and counts every clause.
+rank-space walk, support-restricted symmetry check and incremental
+stabilizer chain: every candidate is built as a whole string and compared
+through its whole sort key, every symmetry check renames and counts every
+clause, and the stabilizer chain rebuilds a level's orbit and re-sifts all
+of its Schreier generators whenever the level gains a generator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from typing import Sequence
 from lexperm.bitlex import PriorityOrder, sort_key
 from lexperm.cnf import CnfFormula
 from lexperm.errors import DegreeMismatch
-from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, permute_string
+from lexperm.perm import (
+    GeneratorSet,
+    Permutation,
+    apply_word,
+    compose,
+    identity,
+    inverse,
+    permute_string,
+)
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
 
 
@@ -72,3 +82,85 @@ def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:
 
     canon = [tuple(sorted(cl)) for cl in f.clauses]
     return Counter(map(mapped, f.clauses)) == Counter(canon)
+
+
+class ReferenceChain:
+    """Recursive Schreier-Sims chain: each level keeps its transversal as
+    ``Permutation`` objects and, whenever it gains a generator, rebuilds
+    its orbit and sifts every Schreier generator again."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.base_point: int | None = None
+        self.level_gens: list[Permutation] = []
+        self.transversal: dict[int, Permutation] = {}
+        self._next: ReferenceChain | None = None
+
+    @classmethod
+    def from_generators(cls, gens: GeneratorSet) -> "ReferenceChain":
+        chain = cls(gens.degree)
+        for p in gens.perms:
+            chain.add_generator(p)
+        return chain
+
+    def add_generator(self, g: Permutation) -> None:
+        if g.degree != self.degree:
+            raise DegreeMismatch(f"degree {g.degree} vs chain degree {self.degree}")
+        if g.is_identity():
+            return
+        if self.base_point is None:
+            self.base_point = next(
+                i for i in range(1, self.degree + 1) if g(i) != i
+            )
+            self.transversal = {self.base_point: identity(self.degree)}
+            self._next = ReferenceChain(self.degree)
+        self.level_gens.append(g)
+        self._close()
+
+    def _close(self) -> None:
+        base = self.base_point
+        assert base is not None and self._next is not None
+        orbit = [base]
+        trans = {base: identity(self.degree)}
+        i = 0
+        while i < len(orbit):
+            b = orbit[i]
+            i += 1
+            for g in self.level_gens:
+                c = g(b)
+                if c not in trans:
+                    trans[c] = compose(g, trans[b])
+                    orbit.append(c)
+        self.transversal = trans
+        for b in orbit:
+            ub = trans[b]
+            for g in self.level_gens:
+                schreier = compose(inverse(trans[g(b)]), compose(g, ub))
+                if schreier.is_identity():
+                    continue
+                residue = self._next.sift(schreier)
+                if not residue.is_identity():
+                    self._next.add_generator(residue)
+
+    def sift(self, p: Permutation) -> Permutation:
+        level: ReferenceChain | None = self
+        while level is not None and level.base_point is not None:
+            u = level.transversal.get(p(level.base_point))
+            if u is None:
+                return p
+            p = compose(inverse(u), p)
+            level = level._next
+        return p
+
+    def contains(self, p: Permutation) -> bool:
+        if p.degree != self.degree:
+            raise DegreeMismatch(f"degree {p.degree} vs chain degree {self.degree}")
+        return self.sift(p).is_identity()
+
+    def order(self) -> int:
+        out = 1
+        level: ReferenceChain | None = self
+        while level is not None and level.base_point is not None:
+            out *= len(level.transversal)
+            level = level._next
+        return out

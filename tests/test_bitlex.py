@@ -142,3 +142,15 @@ def test_order_parsing_round_trip():
     assert bitlex.parse_order(bitlex.format_order(order), 3) == order
     with pytest.raises(LengthMismatch):
         bitlex.parse_order("1 2", 3)
+
+
+def test_parse_order_rejects_non_integer_rank():
+    with pytest.raises(FormatError):
+        bitlex.parse_order("1 x 3", 3)
+
+
+def test_parse_order_rejects_non_permutation():
+    with pytest.raises(FormatError):
+        bitlex.parse_order("1 1 2", 3)
+    with pytest.raises(FormatError):
+        bitlex.parse_order("0 1 2", 3)

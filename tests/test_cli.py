@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import lexperm
 from lexperm import cli
 
 STEP_NETLIST = """inputs 3
@@ -66,6 +73,54 @@ def test_error_reporting(capsys):
     code, _, err = run(capsys, ["one-perm", "--string", "01", "--perm", "(1 9)"])
     assert code == 2
     assert "error IndexOutOfRange" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["one-perm", "--string", "0a1", "--perm", "(1 2 3)"],
+        ["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "1 1 2"],
+        ["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "x y z"],
+    ],
+)
+def test_malformed_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
+@pytest.mark.parametrize("subcommand", ["eval", "check", "greedy"])
+def test_flip_rejects_non_bit_input(tmp_path, capsys, subcommand):
+    net = tmp_path / "step.net"
+    net.write_text(STEP_NETLIST)
+    code, _, err = run(capsys, ["flip", subcommand, str(net), "--input", "0z1"])
+    assert code == 2
+    assert err.startswith("error FormatError:")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["dcr", "from-graph"], "p edge 2 1\ne 1 x\n"),
+        (["dcr", "from-graph"], "p edge x 1\n"),
+        (["dcr", "from-graph"], "p edge 2 1\ne 1 5\n"),
+        (["dcr", "solve"], "3: 5\n"),
+    ],
+)
+def test_malformed_dcr_input_exits_2(capsys, monkeypatch, argv, text):
+    code, _, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error FormatError:")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(lexperm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexperm", "--help"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: lexperm")
 
 
 def test_dcr_pipeline_k4_unsat(tmp_path, capsys):

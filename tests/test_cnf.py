@@ -158,6 +158,12 @@ def test_malformed_dimacs():
         parse_dimacs("p cnf 1 1\n1 5 0\n")
     with pytest.raises(MalformedDimacs):
         parse_dimacs("c alpha 0x\np cnf 2 0\n")
+    with pytest.raises(MalformedDimacs):
+        parse_dimacs("c var x C0.x1\np cnf 2 0\n")
+    with pytest.raises(MalformedDimacs):
+        parse_dimacs("p cnf a 0\n")
+    with pytest.raises(MalformedDimacs):
+        parse_dimacs("p cnf 2 b\n")
 
 
 def test_priority_ranks_copy0_probes_first():

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from lexperm import reduction
-from lexperm.bitlex import sort_key
+from lexperm.bitlex import format_order, sort_key
 from lexperm.circuit import FlipInstance, random_instance
 from lexperm.errors import FormatError, LengthMismatch, NotWellBehaved, TwinViolation
 from lexperm.perm import (
@@ -267,6 +267,16 @@ def test_parse_instance_rejects_non_bit_start():
     text = format_instance(inst).replace(f"start {inst.y_start}", "start " + "2" * len(inst.y_start))
     with pytest.raises(FormatError):
         parse_instance(text)
+
+
+def test_parse_instance_rejects_malformed_order():
+    inst = build_instance(MINIMAL)
+    line = "order " + format_order(inst.order)
+    text = format_instance(inst)
+    assert line in text
+    for bad in ("order 1 x", "order " + " ".join(["1"] * inst.num_positions)):
+        with pytest.raises(FormatError):
+            parse_instance(text.replace(line, bad))
 
 
 @pytest.mark.parametrize("bad_line", ["net", "pos", "start", "order", "pos 3", "pos x C0.x1.0"])
