@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from random import Random
 from typing import Callable
 
@@ -259,7 +258,7 @@ def check_cnf(seed: int = 0) -> str:
     for mask in range(2 ** len(inst.condensed)):
         cond = format(mask, f"0{len(inst.condensed)}b")
         if reduction.is_well_behaved(inst, reduction.expand(cond)):
-            behaved_models.add(_model_from_condensed(inst.circuit, cond))
+            behaved_models.add(_model_from_condensed(inst, cond))
     assert models == behaved_models, (
         f"sat set ({len(models)}) differs from well-behaved set ({len(behaved_models)})"
     )
@@ -287,24 +286,13 @@ def check_cnf(seed: int = 0) -> str:
     )
 
 
-def _model_from_condensed(c: circuit.FlipInstance, cond: str) -> str:
+def _model_from_condensed(inst: reduction.ReducedInstance, cond: str) -> str:
     """Translate a condensed well-behaved assignment of build_instance(c)
     into the CNF variable space of build_formula(c): decode the copy-0
     input and each gadget's output bit, then re-assemble."""
-    layout = reduction.Layout(c)
-
-    def value(j: int, kind: str, index: int, q: str = "") -> str:
-        return cond[layout.pair(j, kind, index, q) - 1]
-
-    x = "".join(value(0, "in", i) for i in range(1, c.n + 1))
-    outs = ""
-    for j in range(c.n + 1):
-        for gid in range(1, c.gate_count + 1):
-            labels = [int(value(j, "quad", gid, q)) for q in reduction.QUADRANTS]
-            state = reduction.decode_gate_state(labels)
-            assert state is not None
-            outs += str(state.b)
-    return reduction.expand(reduction.Layout(c, gate_var=True).assemble(x, outs))
+    decoded = inst.layout.decode(cond)
+    assert decoded is not None
+    return reduction.expand(reduction.Layout(inst.circuit, gate_var=True).assemble(*decoded))
 
 
 def check_membership(seed: int = 0) -> str:
@@ -380,28 +368,15 @@ def run_check(name: str, seed: int = 0) -> CheckResult:
     return CheckResult(name, ok, detail, time.perf_counter() - t0)
 
 
-def _run_named(args: tuple[str, int]) -> CheckResult:
-    return run_check(args[0], args[1])
-
-
 def run_all(
-    jobs: int = 1,
     names: list[str] | None = None,
     seed: int = 0,
     report: Callable[[CheckResult], None] | None = None,
 ) -> list[CheckResult]:
-    selected = [n for n, _ in CHECKS if names is None or n in names]
     results = []
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            for res in pool.imap(_run_named, [(n, seed) for n in selected]):
-                results.append(res)
-                if report:
-                    report(res)
-    else:
-        for name in selected:
-            res = run_check(name, seed)
-            results.append(res)
+    for name, _ in CHECKS:
+        if names is None or name in names:
+            results.append(run_check(name, seed))
             if report:
-                report(res)
+                report(results[-1])
     return results

@@ -210,7 +210,7 @@ def _cmd_cnf_build(args) -> int:
     f = cnf.build_formula(c)
     _write(args.output, cnf.format_dimacs(f))
     if args.sym:
-        _write(args.sym, cnf.format_symmetries(f))
+        _write(args.sym, perm.format_generator_file(f.symmetries))
     return 0
 
 
@@ -249,7 +249,7 @@ def _cmd_selftest(args) -> int:
         print(f"{flag} {res.name} ({res.seconds:.2f}s): {res.detail}", flush=True)
 
     names = args.names or None
-    results = acceptance.run_all(jobs=args.jobs, names=names, seed=args.seed, report=report)
+    results = acceptance.run_all(names=names, seed=args.seed, report=report)
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("names", nargs="*", help="run only these checks")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_selftest)

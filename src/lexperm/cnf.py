@@ -48,9 +48,6 @@ class CnfFormula:
     initial: str | None = None
     circuit: FlipInstance | None = None
 
-    def twin_of(self, v: int) -> int:
-        return v + 1 if v % 2 else v - 1
-
     @cached_property
     def canonical_clauses(self) -> tuple[tuple[int, ...], ...]:
         """Every clause with its literals sorted, in clause order."""
@@ -168,7 +165,9 @@ def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
 
 def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
     """All satisfying assignments via backtracking with unit propagation
-    (exhaustive oracle; intended for small formulas)."""
+    (exhaustive oracle; intended for small formulas).  The backtracking
+    keeps an explicit stack of decisions, so its depth is not bounded by
+    the interpreter's recursion limit."""
     V = f.num_vars
     assign: list[int | None] = [None] * (V + 1)
     models: list[str] = []
@@ -200,24 +199,34 @@ def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
                     changed = True
         return True
 
-    def solve(v: int) -> None:
+    # one trail per decision: the decided variable, then what propagation set
+    decisions: list[list[int]] = []
+    v = 1
+    while True:
         while v <= V and assign[v] is not None:
             v += 1
-        if v > V:
+        if v <= V:
+            assign[v] = 0
+            decisions.append([v])
+            if propagate(decisions[-1]):
+                continue
+        else:
             if len(models) >= cap:
                 raise OrbitCapExceeded(f"model count exceeds cap {cap}")
             models.append("".join(str(assign[u]) for u in range(1, V + 1)))
-            return
-        for value in (0, 1):
-            assign[v] = value
-            trail = [v]
-            if propagate(trail):
-                solve(v + 1)
+        # backtrack to the latest decision still at 0 and try 1 there
+        while decisions:
+            trail = decisions.pop()
+            v, value = trail[0], assign[trail[0]]
             for u in trail:
                 assign[u] = None
-
-    solve(1)
-    return models
+            if value == 0:
+                assign[v] = 1
+                decisions.append([v])
+                if propagate(decisions[-1]):
+                    break
+        else:
+            return models
 
 
 def local_min_solution(
@@ -264,11 +273,6 @@ def format_dimacs(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def format_symmetries(f: CnfFormula) -> str:
-    """Sidecar body: one generator per line in variable-cycle notation."""
-    return "\n".join(f"{name} = {format_cycles(p)}" for name, p in f.symmetries) + "\n"
 
 
 def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
@@ -327,12 +331,9 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
         for l in clause:
             if not 1 <= abs(l) <= num_vars:
                 raise MalformedDimacs(f"literal {l} outside variable range")
-    if sym_lines and symmetries_text is None:
-        symmetries = parse_generator_file("\n".join(sym_lines), num_vars)
-    elif symmetries_text is not None:
-        symmetries = parse_generator_file(symmetries_text, num_vars)
-    else:
-        symmetries = GeneratorSet(num_vars, (), ())
+    symmetries = parse_generator_file(
+        "\n".join(sym_lines) if symmetries_text is None else symmetries_text, num_vars
+    )
     var_labels = tuple(labels.get(v, f"v{v}") for v in range(1, num_vars + 1))
     priority = None
     if priority_text is not None:

@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DegreeMismatch,
+    FormatError,
     IndexOutOfRange,
     OrbitCapExceeded,
     OverlappingCycles,
@@ -46,7 +47,8 @@ class Permutation:
     @classmethod
     def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
         """Wrap an image known to be a permutation without validating it;
-        only for products and inverses of permutations."""
+        only for products and inverses of permutations and for images a
+        parser has already checked."""
         p = object.__new__(cls)
         object.__setattr__(p, "image", image)
         return p
@@ -160,16 +162,28 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             used.add(pt)
         for a, b in zip(points, points[1:] + points[:1]):
             img[a - 1] = b
-    return Permutation(tuple(img))
+    # disjoint cycles within 1..degree: img is a bijection
+    return Permutation._unchecked(tuple(img))
 
 
 def format_cycles(p: Permutation) -> str:
-    """Cycle notation of p, fixed points omitted; identity prints ``()``."""
-    parts = [
-        "(" + " ".join(map(str, cyc)) + ")"
-        for cyc in cycle_decomposition(p)
-        if len(cyc) > 1
-    ]
+    """Cycle notation of p, fixed points omitted; identity prints ``()``.
+
+    Cycles start at their smallest member and come in the order of that
+    member, as in cycle_decomposition, but only moved points are walked."""
+    image = p.image
+    seen: set[int] = set()
+    parts = []
+    for start in compress(count(1), map(ne, image, count(1))):
+        if start in seen:
+            continue
+        cyc = [start]
+        nxt = image[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = image[nxt - 1]
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -241,6 +255,7 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
     """One generator per line: ``name = (a b)(c d)``.  Blank lines and
     lines starting with '#' are ignored."""
     pairs = []
+    names: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -248,7 +263,11 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
         name, sep, cycles = line.partition("=")
         if not sep:
             raise OverlappingCycles(f"line {lineno}: missing '=' in generator line")
-        pairs.append((name.strip(), parse_cycles(cycles, degree)))
+        name = name.strip()
+        if name in names:
+            raise FormatError(f"line {lineno}: generator {name!r} is defined twice")
+        names.add(name)
+        pairs.append((name, parse_cycles(cycles, degree)))
     return GeneratorSet.from_pairs(degree, pairs)
 
 

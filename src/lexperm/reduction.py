@@ -25,6 +25,7 @@ ranks, which preserves local optimality between the one-position-per-bit
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -102,25 +103,6 @@ class Position:
         return base if twin is None else f"{base}.{twin}"
 
 
-_LABEL_RE = re.compile(
-    r"C(?P<j>\d+)\.(?:x(?P<x>\d+)|g(?P<g>\d+)\.q(?P<q>[01]{2})|c(?P<c>\d+))\.(?P<t>[01])$"
-)
-
-
-def parse_position_label(text: str) -> tuple[Position, int]:
-    m = _LABEL_RE.match(text)
-    if not m:
-        raise FormatError(f"bad position label {text!r}")
-    j = int(m.group("j"))
-    if m.group("x"):
-        pos = Position(j, "in", int(m.group("x")))
-    elif m.group("g"):
-        pos = Position(j, "quad", int(m.group("g")), m.group("q"))
-    else:
-        pos = Position(j, "out", int(m.group("c")))
-    return pos, int(m.group("t"))
-
-
 @dataclass(frozen=True)
 class BehaviorReport:
     ok: bool
@@ -132,26 +114,29 @@ class BehaviorReport:
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Positions, generators, start string and priority order; the source
-    circuit is kept when known (instance files embed it)."""
+    """Generators, start string and priority order of the instance built
+    from a circuit; its positions are the circuit's ``Layout``."""
 
-    circuit: FlipInstance | None
-    n: int
-    condensed: tuple[Position, ...]
+    circuit: FlipInstance
     gens: GeneratorSet
     y_start: str
     order: PriorityOrder
 
+    @cached_property
+    def layout(self) -> Layout:
+        return Layout(self.circuit)
+
+    @property
+    def n(self) -> int:
+        return self.circuit.n
+
+    @property
+    def condensed(self) -> tuple[Position, ...]:
+        return self.layout.positions
+
     @property
     def num_positions(self) -> int:
-        return 2 * len(self.condensed)
-
-    @cached_property
-    def cond_index(self) -> dict[Position, int]:
-        return {pos: i for i, pos in enumerate(self.condensed, start=1)}
-
-    def expanded_index(self, pos: Position, twin: int) -> int:
-        return 2 * self.cond_index[pos] - 1 + twin
+        return self.layout.points
 
     @cached_property
     def condensed_order(self) -> PriorityOrder:
@@ -163,9 +148,6 @@ class ReducedInstance:
                 raise TwinViolation("priority order does not keep twins adjacent")
             ranks.append((a + 1) // 2)
         return PriorityOrder(tuple(ranks))
-
-    def input_positions(self, circuit: int) -> tuple[Position, ...]:
-        return tuple(Position(circuit, "in", i) for i in range(1, self.n + 1))
 
 
 def expand(y_condensed: str) -> str:
@@ -218,7 +200,7 @@ class Layout:
         """Twin pair number of the slot in copy j."""
         return j * self.per + self.offset[(kind, index, quadrant)]
 
-    @property
+    @cached_property
     def positions(self) -> tuple[Position, ...]:
         """The catalog: one Position per twin pair, in pair order."""
         return tuple(
@@ -293,9 +275,13 @@ class Layout:
             xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
             out = gate_outputs[j * G : (j + 1) * G]
 
-            def value(src) -> str:
-                return xj[src[1] - 1] if src[0] == "x" else out[src[1] - 1]
+            def value(src) -> int:
+                return int(xj[src[1] - 1] if src[0] == "x" else out[src[1] - 1])
 
+            codes = [
+                encode_gate_state(GateState(value(s1), value(s2), int(out[gid - 1])))
+                for gid, (s1, s2) in enumerate(c.gates, start=1)
+            ]
             for kind, index, q in self.template:
                 if kind == "in":
                     cond.append(xj[index - 1])
@@ -304,10 +290,25 @@ class Layout:
                 elif kind == "out":
                     cond.append(out[c.outputs[index - 1] - 1])
                 else:
-                    s1, s2 = c.gates[index - 1]
-                    state = GateState(int(value(s1)), int(value(s2)), int(out[index - 1]))
-                    cond.append(str(encode_gate_state(state)[QUADRANTS.index(q)]))
+                    cond.append(str(codes[index - 1][QUADRANTS.index(q)]))
         return "".join(cond)
+
+    def decode(self, cond: str) -> tuple[str, str] | None:
+        """The copy-0 input and every gadget's output bit (in the form
+        assemble takes them) read off condensed values in pair order; None
+        when some gadget encodes no gate state."""
+        c = self.circuit
+        x = "".join(cond[self.pair(0, "in", i) - 1] for i in range(1, c.n + 1))
+        outs: list[str] = []
+        for j in range(c.n + 1):
+            for gid in range(1, c.gate_count + 1):
+                # a gadget's quadrants are consecutive pairs, in QUADRANTS order
+                k = self.pair(j, "quad", gid, QUADRANTS[0])
+                state = decode_gate_state([int(b) for b in cond[k - 1 : k + 3]])
+                if state is None:
+                    return None
+                outs.append(str(state.b))
+        return x, "".join(outs)
 
 
 def build_instance(c: FlipInstance) -> ReducedInstance:
@@ -321,9 +322,7 @@ def build_instance(c: FlipInstance) -> ReducedInstance:
             ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
         ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
     y_start = expand(layout.assemble("0" * n))
-    return ReducedInstance(
-        c, n, layout.positions, layout.generators(), y_start, layout.priority(ranked)
-    )
+    return ReducedInstance(c, layout.generators(), y_start, layout.priority(ranked))
 
 
 def assemble_well_behaved(
@@ -334,79 +333,51 @@ def assemble_well_behaved(
     """Expanded assignment for copy-0 input x and the given gate output
     bits (circuit-major string over (n+1) * gate_count gates; default all
     zeros)."""
-    c = inst.circuit
-    if c is None:
-        raise ValueError("instance carries no circuit")
     if len(x) != inst.n:
         raise LengthMismatch(f"{len(x)} input bits, expected {inst.n}")
-    if gate_outputs is None:
-        gate_outputs = "0" * ((inst.n + 1) * c.gate_count)
-    if len(gate_outputs) != (inst.n + 1) * c.gate_count:
+    if gate_outputs is not None and len(gate_outputs) != (inst.n + 1) * inst.circuit.gate_count:
         raise LengthMismatch("one output bit per gate per circuit copy required")
-    return expand(Layout(c).assemble(x, gate_outputs))
+    return expand(inst.layout.assemble(x, gate_outputs))
+
+
+_SLOT_NAMES = {"in": "input", "quad": "gadget quadrant", "out": "output"}
 
 
 def is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
     """Check the full consistency contract: valid twins, every gadget a
-    gate state, wiring / input / output agreement, and copy-j inputs equal
-    to copy-0 inputs with bit j flipped."""
-    c = inst.circuit
-    if c is None:
-        raise ValueError("instance carries no circuit")
+    gate state, and every slot equal to what ``Layout.assemble`` writes for
+    the decoded copy-0 input and gate output bits.
+
+    That is exact: assemble writes copy-j inputs as the copy-0 input with
+    bit j flipped, each gadget as the state of its sources and its own
+    output bit, and each circuit output from its gate, and
+    encode_gate_state is injective."""
     if len(y) != inst.num_positions:
         raise LengthMismatch(f"{len(y)} bits, expected {inst.num_positions}")
     for i in range(0, len(y), 2):
         if y[i] == y[i + 1]:
-            pos = inst.condensed[i // 2]
-            return BehaviorReport(False, f"twin pair of {pos.label()} agrees")
+            return BehaviorReport(False, f"twin pair of {inst.condensed[i // 2].label()} agrees")
     cond = y[0::2]
-
-    def value(pos: Position) -> int:
-        return int(cond[inst.cond_index[pos] - 1])
-
-    for j in range(inst.n + 1):
-        states: dict[int, GateState] = {}
-        for gid in range(1, c.gate_count + 1):
-            labels = [value(Position(j, "quad", gid, q)) for q in QUADRANTS]
-            state = decode_gate_state(labels)
-            if state is None:
-                return BehaviorReport(False, f"gadget C{j}.g{gid} encodes no state")
-            states[gid] = state
-        for gid, sources in enumerate(c.gates, start=1):
-            for slot, src in enumerate(sources, start=1):
-                a = states[gid].a1 if slot == 1 else states[gid].a2
-                if src[0] == "g":
-                    if a != states[src[1]].b:
-                        return BehaviorReport(
-                            False,
-                            f"C{j}: gate g{src[1]} output disagrees with g{gid} input {slot}",
-                        )
-                elif a != value(Position(j, "in", src[1])):
-                    return BehaviorReport(
-                        False, f"C{j}: input x{src[1]} disagrees with g{gid} input {slot}"
-                    )
-        for k, gid in enumerate(c.outputs, start=1):
-            if value(Position(j, "out", k)) != states[gid].b:
-                return BehaviorReport(False, f"C{j}: output c{k} disagrees with g{gid}")
-    x0 = [value(p) for p in inst.input_positions(0)]
-    for j in range(1, inst.n + 1):
-        xj = [value(p) for p in inst.input_positions(j)]
-        expected = [b ^ (i == j) for i, b in enumerate(x0, start=1)]
-        if xj != expected:
-            return BehaviorReport(False, f"inputs of C{j} are not C0 with bit {j} flipped")
+    decoded = inst.layout.decode(cond)
+    if decoded is None:
+        return BehaviorReport(False, "a gadget encodes no gate state")
+    expected = inst.layout.assemble(*decoded)
+    if expected != cond:
+        pos = inst.condensed[next(k for k, (a, b) in enumerate(zip(expected, cond)) if a != b)]
+        return BehaviorReport(
+            False,
+            f"{_SLOT_NAMES[pos.kind]} {pos.label()} disagrees with copy-0 input "
+            f"{decoded[0]} and the gate outputs",
+        )
     return BehaviorReport(True)
 
 
 def extract_flip_input(inst: ReducedInstance, y: str) -> str:
     """Copy-0 input bits of a well-behaved assignment."""
-    if inst.circuit is not None:
-        report = is_well_behaved(inst, y)
-        if not report:
-            raise NotWellBehaved(report.violation or "assignment is not well-behaved")
-        cond = y[0::2]
-    else:
-        cond = condense(y)
-    return "".join(cond[inst.cond_index[p] - 1] for p in inst.input_positions(0))
+    report = is_well_behaved(inst, y)
+    if not report:
+        raise NotWellBehaved(report.violation)
+    return inst.layout.decode(y[0::2])[0]
 
 
 def map_solution(inst: ReducedInstance, word: Sequence[str]) -> str:
@@ -421,18 +392,24 @@ def embed_flip_solution(inst: ReducedInstance, target: str) -> list[str]:
     each sigma_i toggles copy-0 input bit i."""
     if len(target) != inst.n:
         raise LengthMismatch(f"{len(target)} bits, expected {inst.n}")
-    cond = condense(inst.y_start)
-    start_x = "".join(cond[inst.cond_index[p] - 1] for p in inst.input_positions(0))
+    start_x = extract_flip_input(inst, inst.y_start)
     return [f"sigma_{i}" for i in range(1, inst.n + 1) if start_x[i - 1] != target[i - 1]]
+
+
+def _catalog(layout: Layout) -> list[str]:
+    """The ``pos`` lines of an instance file: both points of every twin
+    pair, in point order."""
+    return [
+        f"pos {2 * k - 1 + t} {pos.label(t)}"
+        for k, pos in enumerate(layout.positions, start=1)
+        for t in (0, 1)
+    ]
 
 
 def format_instance(inst: ReducedInstance) -> str:
     lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
-    if inst.circuit is not None:
-        lines += [f"net {line}" for line in format_netlist(inst.circuit).strip().splitlines()]
-    for ci, pos in enumerate(inst.condensed, start=1):
-        lines.append(f"pos {2 * ci - 1} {pos.label(0)}")
-        lines.append(f"pos {2 * ci} {pos.label(1)}")
+    lines += [f"net {line}" for line in format_netlist(inst.circuit).strip().splitlines()]
+    lines += _catalog(inst.layout)
     lines.append(f"start {inst.y_start}")
     lines.append(f"order {format_order(inst.order)}")
     for name, p in inst.gens:
@@ -441,9 +418,11 @@ def format_instance(inst: ReducedInstance) -> str:
 
 
 def parse_instance(text: str) -> ReducedInstance:
+    """Read an instance file.  The ``net`` lines are required, and the
+    ``pos`` catalog must be the layout of that netlist (in any line order)."""
     header = None
     net_lines: list[str] = []
-    pos_entries: dict[int, tuple[Position, int]] = {}
+    pos_lines: list[str] = []
     start = None
     order_text = None
     gen_lines: list[str] = []
@@ -459,10 +438,7 @@ def parse_instance(text: str) -> ReducedInstance:
         elif fields[0] == "net":
             net_lines.append(fields[1])
         elif fields[0] == "pos":
-            idx_str, *label = fields[1].split(None, 1)
-            if not idx_str.isdecimal():
-                raise FormatError(f"line {lineno}: bad position index {idx_str!r}")
-            pos_entries[int(idx_str)] = parse_position_label(" ".join(label))
+            pos_lines.append(" ".join(line.split()))
         elif fields[0] == "start":
             start = fields[1].strip()
             check_bits(start)
@@ -474,34 +450,22 @@ def parse_instance(text: str) -> ReducedInstance:
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
     if header is None or start is None or order_text is None:
         raise FormatError("instance file misses N / start / order lines")
+    if not net_lines:
+        raise FormatError("instance file carries no 'net' lines")
     m = re.match(r"N (\d+) K (\d+)$", header)
     if not m:
         raise FormatError(f"bad header {header!r}")
     total, k = int(m.group(1)), int(m.group(2))
-    if total % 2 or len(pos_entries) != total:
-        raise FormatError("position catalog does not cover N twin positions")
-    condensed = []
-    for ci in range(1, total // 2 + 1):
-        p0, t0 = pos_entries[2 * ci - 1]
-        p1, t1 = pos_entries[2 * ci]
-        if p0 != p1 or (t0, t1) != (0, 1):
-            raise FormatError(f"positions {2 * ci - 1}, {2 * ci} are not a twin pair")
-        condensed.append(p0)
-    circuit = parse_netlist("\n".join(net_lines)) if net_lines else None
-    if circuit is not None:
-        n = circuit.n
-    else:
-        n = max((p.index for p in condensed if p.kind == "in"), default=0)
+    layout = Layout(parse_netlist("\n".join(net_lines)))
+    if total != layout.points:
+        raise FormatError(f"header announces {total} positions, the netlist has {layout.points}")
+    expected = _catalog(layout)
+    stray = (Counter(pos_lines) - Counter(expected)) or (Counter(expected) - Counter(pos_lines))
+    if stray:
+        raise FormatError(f"position catalog is not the netlist's layout at {next(iter(stray))!r}")
     gens = parse_generator_file("\n".join(gen_lines), total)
     if len(gens) != k:
         raise FormatError(f"header announces {k} generators, file has {len(gens)}")
     if len(start) != total:
         raise FormatError("start string length disagrees with N")
-    return ReducedInstance(
-        circuit=circuit,
-        n=n,
-        condensed=tuple(condensed),
-        gens=gens,
-        y_start=start,
-        order=parse_order(order_text, total),
-    )
+    return ReducedInstance(layout.circuit, gens, start, parse_order(order_text, total))

@@ -4,8 +4,10 @@ These are the straightforward versions the library used before its
 rank-space walk, support-restricted symmetry check and incremental
 stabilizer chain: every candidate is built as a whole string and compared
 through its whole sort key, every symmetry check renames and counts every
-clause, and the stabilizer chain rebuilds a level's orbit and re-sifts all
-of its Schreier generators whenever the level gains a generator.
+clause, the stabilizer chain rebuilds a level's orbit and re-sifts all
+of its Schreier generators whenever the level gains a generator, and the
+well-behavedness check walks the gadget wiring by hand through its own
+position index instead of decoding and re-assembling through the layout.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 from lexperm.bitlex import PriorityOrder, sort_key
 from lexperm.cnf import CnfFormula
-from lexperm.errors import DegreeMismatch
+from lexperm.errors import DegreeMismatch, LengthMismatch
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -24,6 +26,14 @@ from lexperm.perm import (
     identity,
     inverse,
     permute_string,
+)
+from lexperm.reduction import (
+    QUADRANTS,
+    BehaviorReport,
+    GateState,
+    Position,
+    ReducedInstance,
+    decode_gate_state,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
 
@@ -164,3 +174,50 @@ class ReferenceChain:
             out *= len(level.transversal)
             level = level._next
         return out
+
+
+def reference_is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
+    """Valid twins, every gadget a gate state, each gate's inputs equal to
+    its sources, each circuit output equal to its gate, and copy-j inputs
+    equal to the copy-0 inputs with bit j flipped; positions are found by
+    their index in the instance's catalog."""
+    c = inst.circuit
+    index = {pos: i for i, pos in enumerate(inst.condensed, start=1)}
+    if len(y) != 2 * len(index):
+        raise LengthMismatch(f"{len(y)} bits, expected {2 * len(index)}")
+    for i in range(0, len(y), 2):
+        if y[i] == y[i + 1]:
+            return BehaviorReport(False, f"twin pair of {inst.condensed[i // 2].label()} agrees")
+    cond = y[0::2]
+
+    def value(pos: Position) -> int:
+        return int(cond[index[pos] - 1])
+
+    for j in range(c.n + 1):
+        states: dict[int, GateState] = {}
+        for gid in range(1, c.gate_count + 1):
+            state = decode_gate_state([value(Position(j, "quad", gid, q)) for q in QUADRANTS])
+            if state is None:
+                return BehaviorReport(False, f"gadget C{j}.g{gid} encodes no state")
+            states[gid] = state
+        for gid, sources in enumerate(c.gates, start=1):
+            for slot, src in enumerate(sources, start=1):
+                a = states[gid].a1 if slot == 1 else states[gid].a2
+                if src[0] == "g":
+                    if a != states[src[1]].b:
+                        return BehaviorReport(
+                            False, f"C{j}: gate g{src[1]} output disagrees with g{gid} input {slot}"
+                        )
+                elif a != value(Position(j, "in", src[1])):
+                    return BehaviorReport(
+                        False, f"C{j}: input x{src[1]} disagrees with g{gid} input {slot}"
+                    )
+        for k, gid in enumerate(c.outputs, start=1):
+            if value(Position(j, "out", k)) != states[gid].b:
+                return BehaviorReport(False, f"C{j}: output c{k} disagrees with g{gid}")
+    x0 = [value(Position(0, "in", i)) for i in range(1, c.n + 1)]
+    for j in range(1, c.n + 1):
+        xj = [value(Position(j, "in", i)) for i in range(1, c.n + 1)]
+        if xj != [b ^ (i == j) for i, b in enumerate(x0, start=1)]:
+            return BehaviorReport(False, f"inputs of C{j} are not C0 with bit {j} flipped")
+    return BehaviorReport(True)

@@ -290,6 +290,57 @@ def test_cnf_pipeline(tmp_path, capsys):
     assert "input " in out
 
 
+def _pos_index_gap(lines):
+    last = max(i for i, line in enumerate(lines) if line.startswith("pos "))
+    lines[last] = "pos 999 " + lines[last].split()[2]
+
+
+def _first_two_pairs_trade_labels(lines):
+    at = {line.split()[1]: i for i, line in enumerate(lines) if line.startswith("pos ")}
+    for a, b in (("1", "3"), ("2", "4")):
+        i, k = at[a], at[b]
+        lines[i], lines[k] = f"pos {a} {lines[k].split()[2]}", f"pos {b} {lines[i].split()[2]}"
+
+
+def _drop_net_lines(lines):
+    lines[:] = [line for line in lines if not line.startswith("net ")]
+
+
+def _duplicate_generator_line(lines):
+    lines.append(lines[-1])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_pos_index_gap, _first_two_pairs_trade_labels, _drop_net_lines, _duplicate_generator_line],
+)
+def test_malformed_instance_file_exits_2(tmp_path, capsys, edit):
+    net = tmp_path / "toy.net"
+    net.write_text(STEP_NETLIST)
+    _, built, _ = run(capsys, ["reduce", "build", str(net)])
+    lines = built.splitlines()
+    edit(lines)
+    inst_file = tmp_path / "toy.inst"
+    inst_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["search", "--instance", str(inst_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
+def test_duplicate_symmetry_name_exits_2(tmp_path, capsys):
+    net = tmp_path / "toy.net"
+    net.write_text(STEP_NETLIST)
+    _, built, _ = run(capsys, ["cnf", "build", str(net)])
+    lines = built.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("c sym pi_1_0 = "))
+    lines.insert(first + 1, lines[first])
+    cnf_file = tmp_path / "toy.cnf"
+    cnf_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
 def test_selftest_list(capsys):
     code, out, _ = run(capsys, ["selftest", "--list"])
     assert code == 0

@@ -11,13 +11,18 @@ from lexperm.cnf import (
     decode_input,
     enumerate_models,
     format_dimacs,
-    format_symmetries,
     local_min_solution,
     parse_dimacs,
     satisfies,
 )
-from lexperm.errors import MalformedDimacs, UnsatStart
-from lexperm.perm import GeneratorSet, parse_cycles, parse_generator_file, permute_string
+from lexperm.errors import MalformedDimacs, OrbitCapExceeded, UnsatStart
+from lexperm.perm import (
+    GeneratorSet,
+    format_generator_file,
+    parse_cycles,
+    parse_generator_file,
+    permute_string,
+)
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -132,7 +137,7 @@ def test_dimacs_round_trip():
 
 def test_sidecar_round_trip():
     f = build_formula(MINIMAL)
-    gens = parse_generator_file(format_symmetries(f), f.num_vars)
+    gens = parse_generator_file(format_generator_file(f.symmetries), f.num_vars)
     assert gens == f.symmetries
     for _, p in gens:
         assert check_symmetry(f, p)
@@ -164,6 +169,21 @@ def test_malformed_dimacs():
         parse_dimacs("p cnf a 0\n")
     with pytest.raises(MalformedDimacs):
         parse_dimacs("p cnf 2 b\n")
+
+
+def test_enumerate_models_is_not_bounded_by_recursion_depth():
+    free = CnfFormula(1500, (), (), GeneratorSet(1500, (), ()))
+    with pytest.raises(OrbitCapExceeded):
+        enumerate_models(free, cap=1)
+    units = CnfFormula(1500, tuple((v,) for v in range(1, 1501)), (), GeneratorSet(1500, (), ()))
+    assert enumerate_models(units) == ["1" * 1500]
+
+
+def test_enumerate_models_lists_every_model_in_order():
+    # (x1 or x2) and (not x2 or x3); 0 is tried before 1, so models come
+    # in ascending order
+    f = CnfFormula(3, ((1, 2), (-2, 3)), (), GeneratorSet(3, (), ()))
+    assert enumerate_models(f) == ["011", "100", "101", "111"]
 
 
 def test_priority_ranks_copy0_probes_first():

@@ -9,7 +9,7 @@ import pytest
 
 from lexperm.circuit import random_instance
 from lexperm.cnf import build_formula, format_dimacs
-from lexperm.reduction import build_instance, format_instance, parse_position_label
+from lexperm.reduction import build_instance, format_instance
 
 # (seed, n, gates, outputs, sha256 of the instance text, sha256 of the DIMACS text)
 GOLDEN = [
@@ -37,15 +37,16 @@ def test_golden_instance_and_dimacs_text(seed, n, gates, outputs, inst_sha, dima
     assert _sha(format_dimacs(build_formula(c))) == dimacs_sha
 
 
-def _cnf_catalog(var_labels):
-    """(position, twin) -> variable for every input and quadrant variable,
-    read off the CNF's labels; gate output variables are left out."""
+def _cnf_catalog(var_labels, inst):
+    """Reduction point -> CNF variable for every input and quadrant
+    variable, matched by label against the instance's position catalog;
+    gate output variables have no reduction position and are left out."""
+    point = {pos.label(): 2 * k - 1 for k, pos in enumerate(inst.condensed, start=1)}
     out = {}
     for v, label in enumerate(var_labels, start=1):
         base = label.removesuffix(".t")
-        if not base.endswith(".w"):
-            pos, _ = parse_position_label(base + ".0")
-            out[(pos, int(label.endswith(".t")))] = v
+        if base in point:
+            out[point[base] + label.endswith(".t")] = v
     return out
 
 
@@ -54,13 +55,11 @@ def test_cnf_symmetries_act_like_reduction_generators_on_shared_slots(seed, n, g
     c = random_instance(Random(seed), n, gates, outputs)
     inst, f = build_instance(c), build_formula(c)
     assert f.symmetries.names == inst.gens.names
-    shared = _cnf_catalog(f.var_labels)
+    shared = _cnf_catalog(f.var_labels, inst)
     # every input and quadrant position of the instance is a CNF variable
     assert len(shared) == sum(2 for pos in inst.condensed if pos.kind != "out")
-    at_var = {v: key for key, v in shared.items()}
+    at_var = {v: i for i, v in shared.items()}
     for name, g in inst.gens:
         s = f.symmetries.get(name)
-        for (pos, twin), v in shared.items():
-            i = g(inst.expanded_index(pos, twin))
-            reduction_image = (inst.condensed[(i - 1) // 2], (i - 1) % 2)
-            assert at_var[s(v)] == reduction_image, (name, pos.label(twin))
+        for i, v in shared.items():
+            assert at_var[s(v)] == g(i), (name, f.var_labels[v - 1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lexperm import perm
 from lexperm.errors import (
     DegreeMismatch,
+    FormatError,
     IndexOutOfRange,
     OrbitCapExceeded,
     OverlappingCycles,
@@ -122,6 +123,23 @@ def test_format_round_trip_random():
         n = rng.randint(1, 64)
         p = random_permutation(rng, n)
         assert parse_cycles(format_cycles(p), n) == p
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+@settings(max_examples=300)
+def test_cycle_text_round_trip_matches_validated_permutation(image):
+    p = Permutation(tuple(image))
+    parsed = parse_cycles(format_cycles(p), p.degree)
+    assert parsed == p
+    assert parsed == Permutation(parsed.image)
+    cycles = [cyc for cyc in cycle_decomposition(p) if len(cyc) > 1]
+    expected = "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in cycles)
+    assert format_cycles(p) == (expected or "()")
+
+
+def test_generator_file_rejects_duplicate_names():
+    with pytest.raises(FormatError):
+        perm.parse_generator_file("a = (1 2)\nb = ()\na = (2 3)\n", 3)
 
 
 def test_power_and_order():

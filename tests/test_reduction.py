@@ -2,11 +2,19 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexperm import reduction
 from lexperm.bitlex import format_order, sort_key
 from lexperm.circuit import FlipInstance, random_instance
-from lexperm.errors import FormatError, LengthMismatch, NotWellBehaved, TwinViolation
+from lexperm.errors import (
+    FormatError,
+    LengthMismatch,
+    LexpermError,
+    NotWellBehaved,
+    TwinViolation,
+)
 from lexperm.perm import (
     apply_word_to_string,
     compose,
@@ -28,13 +36,20 @@ from lexperm.reduction import (
     map_solution,
     parse_instance,
 )
+from lexperm.search import standard_algorithm
+from reference_impl import reference_is_well_behaved
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
 
 
+def point(inst, pos, twin=0):
+    """The expanded point of one twin of a position, through the layout."""
+    return 2 * inst.layout.pair(pos.circuit, pos.kind, pos.index, pos.quadrant) - 1 + twin
+
+
 def cond_value(inst, y, pos):
-    return int(y[2 * inst.cond_index[pos] - 2])
+    return int(y[point(inst, pos) - 1])
 
 
 def test_encode_examples():
@@ -103,7 +118,7 @@ def test_wiring_violation_detected():
     # swap one whole twin pair: still valid twins, but the gadget now
     # encodes a state inconsistent with its wiring
     out_pos = Position(0, "out", 1)
-    i = inst.expanded_index(out_pos, 0) - 1
+    i = point(inst, out_pos) - 1
     y[i], y[i + 1] = y[i + 1], y[i]
     report = is_well_behaved(inst, "".join(y))
     assert not report
@@ -286,6 +301,133 @@ def test_parse_instance_rejects_malformed_lines(bad_line):
         parse_instance(text)
 
 
+def test_parse_instance_accepts_reordered_catalog_with_loose_whitespace():
+    text = format_instance(build_instance(STEP_CIRCUIT))
+    lines = text.splitlines()
+    pos = [i for i, line in enumerate(lines) if line.startswith("pos ")]
+    shuffled = [lines[i].replace(" ", "  ") + " " for i in pos]
+    Random(5).shuffle(shuffled)
+    for i, line in zip(pos, shuffled):
+        lines[i] = line
+    assert parse_instance("\n".join(lines)) == parse_instance(text)
+
+
+def _edit_lines(text, edit):
+    lines = text.splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _pos_index_gap(lines):
+    lines[lines.index("pos 24 C1.c1.1")] = "pos 999 C1.c1.1"
+
+
+def _catalog_permuted_against_netlist(lines):
+    # C0.x1 and C0.g1.q00 trade indices: every line still names one twin of
+    # one position, but not at the index the netlist's layout gives it
+    moved = {
+        "pos 1 C0.x1.0": "pos 3 C0.x1.0",
+        "pos 2 C0.x1.1": "pos 4 C0.x1.1",
+        "pos 3 C0.g1.q00.0": "pos 1 C0.g1.q00.0",
+        "pos 4 C0.g1.q00.1": "pos 2 C0.g1.q00.1",
+    }
+    assert set(moved) <= set(lines)
+    lines[:] = [moved.get(line, line) for line in lines]
+
+
+def _no_net_lines(lines):
+    lines[:] = [line for line in lines if not line.startswith("net ")]
+
+
+@pytest.mark.parametrize(
+    "edit", [_pos_index_gap, _catalog_permuted_against_netlist, _no_net_lines]
+)
+def test_parse_instance_rejects_catalog_that_is_not_the_netlist_layout(edit):
+    with pytest.raises(FormatError):
+        parse_instance(_edit_lines(format_instance(build_instance(MINIMAL)), edit))
+
+
+_FUZZ_TEXTS = [format_instance(build_instance(c)) for c in (MINIMAL, STEP_CIRCUIT)]
+_FUZZ_TOKENS = [
+    "0", "1", "2", "24", "999", "x", "x1", "g1", "g9", "NAND", "N", "K", "pos",
+    "net", "C0.x1.0", "C1.c1.1", "=", "(1 2)", "(1 2)(2 3)", "()", "01",
+]
+
+
+@st.composite
+def _edited_instance_text(draw):
+    lines = draw(st.sampled_from(_FUZZ_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap", "token")))
+        if edit == "delete":
+            del lines[i]
+            if not lines:
+                break
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            t = draw(st.integers(0, len(tokens) - 1))
+            tokens[t] = draw(st.sampled_from(_FUZZ_TOKENS) | st.text("01() =xgC.", max_size=6))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+@given(_edited_instance_text())
+@settings(max_examples=300, deadline=None)
+def test_parse_instance_fuzz_yields_instance_or_lexperm_error(text):
+    try:
+        inst = parse_instance(text)
+    except LexpermError:
+        return
+    assert isinstance(inst, reduction.ReducedInstance)
+    assert parse_instance(format_instance(inst)) == inst
+
+
+def _judged_strings(rng, inst):
+    """Well-behaved strings (a greedy walk's trace and random words), and
+    from each: one or two twin pairs swapped, one twin pair broken, and one
+    gadget re-encoded as a random gate state."""
+    layout, pairs = inst.layout, inst.num_positions // 2
+    behaved = list(standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=True).trace)
+    for _ in range(10):
+        word = [rng.choice(inst.gens.names) for _ in range(rng.randint(0, 8))]
+        behaved.append(apply_word_to_string(inst.gens, inst.y_start, word))
+    for y in behaved:
+        yield y
+        for swaps in (1, 2):
+            cond = list(condense(y))
+            for k in rng.sample(range(pairs), min(swaps, pairs)):
+                cond[k] = "1" if cond[k] == "0" else "0"
+            yield expand("".join(cond))
+        k = rng.randrange(pairs)
+        yield y[: 2 * k] + y[2 * k] * 2 + y[2 * k + 2 :]
+        cond = list(condense(y))
+        j, gid = rng.randint(0, inst.n), rng.randint(1, inst.circuit.gate_count)
+        labels = encode_gate_state(GateState(*(rng.randint(0, 1) for _ in range(3))))
+        for q, label in zip(reduction.QUADRANTS, labels):
+            cond[layout.pair(j, "quad", gid, q) - 1] = str(label)
+        yield expand("".join(cond))
+
+
+def test_is_well_behaved_agrees_with_reference():
+    rng = Random(59)
+    verdicts = {True: 0, False: 0}
+    for _ in range(30):
+        n, gates = rng.randint(1, 4), rng.randint(1, 8)
+        inst = build_instance(random_instance(rng, n, gates, rng.randint(1, min(3, gates))))
+        for y in _judged_strings(rng, inst):
+            verdict = bool(is_well_behaved(inst, y))
+            assert verdict == bool(reference_is_well_behaved(inst, y))
+            verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
 def test_word_application_equals_generator_composition():
     inst = build_instance(MINIMAL)
     from lexperm.perm import apply_word
@@ -300,8 +442,8 @@ def _raised_controls(inst, y):
     for j in range(inst.n + 1):
         for gid in range(1, inst.circuit.gate_count + 1):
             pos = Position(j, "quad", gid, "11")
-            if int(y[2 * inst.cond_index[pos] - 2]) == 1:
-                rank = inst.order.rank.index(inst.expanded_index(pos, 0))
+            if cond_value(inst, y, pos) == 1:
+                rank = inst.order.rank.index(point(inst, pos))
                 raised.append((rank, f"pi_{gid}_{j}"))
     return sorted(raised)
 
@@ -347,7 +489,7 @@ def test_all_copies_evaluate_correctly_once_probes_rest():
             out, _ = eval_circuit(c, xj)
             for k in range(1, c.output_count + 1):
                 pos = Position(j, "out", k)
-                assert y[2 * inst.cond_index[pos] - 2] == out[k - 1]
+                assert str(cond_value(inst, y, pos)) == out[k - 1]
 
 
 def test_step_circuit_flip_dynamics():
