@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_one_perm)
 
-    p = sub.add_parser("orbit-min", help="exhaustive minimum over one permutation's orbit")
+    p = sub.add_parser("orbit-min", help="exact minimum over one permutation's orbit")
     p.add_argument("--string", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--order", help="whitespace-separated rank list")

@@ -181,7 +181,7 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
 def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | None:
     """Smallest t with start . p^t zero on every forbidden position, found
     by walking the actual orbit (independent of the modular solver)."""
-    n_steps = perm_order(gm.perm) if gm.perm.degree else 1
+    n_steps = perm_order(gm.perm)
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
     s = gm.start
@@ -233,8 +233,18 @@ def format_dcr(inst: DcrInstance, primes: tuple[int, ...] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int | None:
+    """token as a nonnegative integer, or None when it is not one."""
+    if not token.isdecimal():
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_graph(text: str) -> Graph:
-    """DIMACS-like graph: ``p edge n m`` then ``e u v`` lines."""
+    """DIMACS-like graph: one ``p edge n m`` header, then ``e u v`` lines."""
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -243,15 +253,18 @@ def parse_graph(text: str) -> Graph:
             continue
         fields = line.split()
         if fields[0] == "p":
+            if n is not None:
+                raise FormatError(f"line {lineno}: second 'p edge' header")
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge n m'")
-            if not fields[2].isdecimal():
-                raise FormatError(f"line {lineno}: bad vertex count {fields[2]!r}")
-            n = int(fields[2])
+            n = _decimal(fields[2])
+            if n is None:
+                raise FormatError(f"line {lineno}: bad vertex count {fields[2][:40]!r}")
         elif fields[0] == "e":
-            if len(fields) != 3 or not (fields[1] + fields[2]).isdecimal():
+            ends = [_decimal(tok) for tok in fields[1:]]
+            if len(ends) != 2 or None in ends:
                 raise FormatError(f"line {lineno}: expected 'e u v'")
-            u, v = int(fields[1]), int(fields[2])
+            u, v = ends
             edges.append((min(u, v), max(u, v)))
         else:
             raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")

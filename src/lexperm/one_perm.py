@@ -2,16 +2,19 @@
 
 With one generator the neighborhood of the power p^k is just p^(k+1), and
 a local optimum can be found in polynomial time by inspecting the cycle
-structure.  The global problem stays hard, so the global routine here is
-a capped brute-force oracle over the orbit.
+structure.  The global problem stays hard (NP-complete), so the global
+routine here is exact but still exponential in the worst case: it narrows
+the candidate exponents residue by residue, and refuses permutations whose
+order exceeds a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .bitlex import PriorityOrder, check_bits, sort_key
-from .errors import DegreeMismatch, OrderCapExceeded
+from .bitlex import PriorityOrder, check_bits
+from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
 from .perm import Permutation, cycle_decomposition, identity, perm_order, permute_string, power
 
 
@@ -62,21 +65,49 @@ def orbit_min_one_perm(
     cap: int = 10**6,
     order: PriorityOrder | None = None,
 ) -> tuple[int, str]:
-    """Exhaustively minimize bits . p^t over the whole orbit.
+    """Minimize bits . p^t over the whole orbit, exactly.
 
     Returns the smallest minimizing exponent and the minimal string.
     Refuses to run when the order of p exceeds the cap.
+
+    (bits . p^t)(i) = bits[p^t(i)] depends only on t mod L, where L is
+    the length of the cycle through i.  So the positions are walked most
+    significant first, keeping the exponents that put a 0 at each one if
+    any does.  Candidates are residues modulo M, the lcm of the cycle
+    lengths seen so far, lifted to the new modulus when a cycle adds to
+    it, and kept in ascending order.  One candidate settles the answer
+    only once M is the order of p: below that it can still split on the
+    cycles not yet seen.  The worst case is O(order * N).
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
+    check_bits(bits)
+    if order is not None and order.degree != p.degree:
+        raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
     n_steps = perm_order(p)
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
-    best_t, best_s, best_key = 0, bits, sort_key(bits, order)
-    s = bits
-    for t in range(1, n_steps):
-        s = permute_string(s, p)
-        key = sort_key(s, order)
-        if key < best_key:
-            best_t, best_s, best_key = t, s, key
-    return best_t, best_s
+    # point i -> (the bits along its cycle, the index of i in it), so that
+    # (bits . p^t)(i) = along[(k + t) % len(along)]
+    where: dict[int, tuple[str, int]] = {}
+    for cyc in cycle_decomposition(p):
+        along = "".join(bits[i - 1] for i in cyc)
+        for k, i in enumerate(cyc):
+            where[i] = along, k
+    candidates, modulus = [0], 1
+    for i in order.rank if order is not None else range(1, p.degree + 1):
+        along, k = where[i]
+        length = len(along)
+        if length == 1:
+            continue
+        if modulus % length:
+            lifted = modulus * length // gcd(modulus, length)
+            candidates = [r + j for j in range(0, lifted, modulus) for r in candidates]
+            modulus = lifted
+        zeros = [t for t in candidates if along[(k + t) % length] == "0"]
+        if zeros:
+            candidates = zeros
+            if len(zeros) == 1 and modulus == n_steps:
+                break
+    t = candidates[0]
+    return t, permute_string(bits, power(p, t))

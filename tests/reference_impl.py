@@ -1,13 +1,15 @@
 """Reference implementations that the fast paths are checked against.
 
 These are the straightforward versions the library used before its
-rank-space walk, support-restricted symmetry check and incremental
-stabilizer chain: every candidate is built as a whole string and compared
-through its whole sort key, every symmetry check renames and counts every
-clause, the stabilizer chain rebuilds a level's orbit and re-sifts all
-of its Schreier generators whenever the level gains a generator, and the
-well-behavedness check walks the gadget wiring by hand through its own
-position index instead of decoding and re-assembling through the layout.
+rank-space walk, support-restricted symmetry check, incremental
+stabilizer chain and residue-narrowing orbit minimum: every candidate is
+built as a whole string and compared through its whole sort key, every
+symmetry check renames and counts every clause, the stabilizer chain
+rebuilds a level's orbit and re-sifts all of its Schreier generators
+whenever the level gains a generator, the well-behavedness check walks
+the gadget wiring by hand through its own position index instead of
+decoding and re-assembling through the layout, and the orbit minimum
+builds and compares one whole string per power.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 from lexperm.bitlex import PriorityOrder, sort_key
 from lexperm.cnf import CnfFormula
-from lexperm.errors import DegreeMismatch, LengthMismatch
+from lexperm.errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -25,6 +27,7 @@ from lexperm.perm import (
     compose,
     identity,
     inverse,
+    perm_order,
     permute_string,
 )
 from lexperm.reduction import (
@@ -81,6 +84,28 @@ def reference_is_local_min(
     cur = permute_string(bits, current)
     cur_key = sort_key(cur, order)
     return all(sort_key(permute_string(cur, g), order) >= cur_key for _, g in gens)
+
+
+def reference_orbit_min(
+    bits: str,
+    p: Permutation,
+    cap: int = 10**6,
+    order: PriorityOrder | None = None,
+) -> tuple[int, str]:
+    """Scan every power of p up to its order, one whole string each."""
+    if len(bits) != p.degree:
+        raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
+    n_steps = perm_order(p)
+    if n_steps > cap:
+        raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
+    best_t, best_s, best_key = 0, bits, sort_key(bits, order)
+    s = bits
+    for t in range(1, n_steps):
+        s = permute_string(s, p)
+        key = sort_key(s, order)
+        if key < best_key:
+            best_t, best_s, best_key = t, s, key
+    return best_t, best_s
 
 
 def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:

@@ -69,6 +69,52 @@ def test_orbit_min(capsys):
     assert "string 0101" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["orbit-min", "--string", "0a1", "--perm", "(1 2 3)", "--order", "3 2 1"], "FormatError"),
+        (["orbit-min", "--string", "0a1", "--perm", "(1 2 3)"], "FormatError"),
+        (["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "2 1"], "LengthMismatch"),
+    ],
+)
+def test_orbit_min_rejects_bad_arguments(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error {error}:")
+
+
+C5_GRAPH = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
+K4_PLUS_GRAPH = K4_GRAPH.replace("p edge 4 6", "p edge 5 7") + "e 4 5\n"
+
+
+@pytest.mark.parametrize(
+    "graph, colorable",
+    [(K3_GRAPH, True), (K4_GRAPH, False), (C5_GRAPH, True), (K4_PLUS_GRAPH, False)],
+    ids=["K3", "K4", "C5", "K4+1"],
+)
+def test_orbit_minimum_clears_forbidden_positions_iff_system_is_solvable(
+    tmp_path, capsys, graph, colorable
+):
+    (tmp_path / "g.col").write_text(graph)
+    code, system, _ = run(capsys, ["dcr", "from-graph", str(tmp_path / "g.col")])
+    assert code == 0
+    (tmp_path / "g.dcr").write_text(system)
+    code, solved, _ = run(capsys, ["dcr", "solve", str(tmp_path / "g.dcr")])
+    assert code == 0
+    code, out, _ = run(capsys, ["dcr", "to-perm", str(tmp_path / "g.dcr")])
+    assert code == 0
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    code, out, _ = run(capsys, [
+        "orbit-min", "--string", fields["string"], "--perm", fields["perm"],
+        "--order", fields["order"],
+    ])
+    assert code == 0
+    minimum = out.splitlines()[1].removeprefix("string ")
+    assert len(minimum) == len(fields["string"])
+    cleared = all(minimum[int(pos) - 1] == "0" for pos in fields["forbidden"].split())
+    assert solved.startswith("t ") == cleared == colorable
+
+
 def test_error_reporting(capsys):
     code, _, err = run(capsys, ["one-perm", "--string", "01", "--perm", "(1 9)"])
     assert code == 2

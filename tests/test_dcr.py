@@ -2,6 +2,8 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexperm import dcr
 from lexperm.dcr import (
@@ -16,7 +18,7 @@ from lexperm.dcr import (
     three_colorable_bruteforce,
     zero_forbidden_witness,
 )
-from lexperm.errors import FormatError, LcmCapExceeded
+from lexperm.errors import FormatError, LcmCapExceeded, LexpermError
 from lexperm.perm import permute_string
 
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
@@ -101,6 +103,12 @@ def test_globalmin_single_constraint():
     assert zero_forbidden_witness(gm) == 0
 
 
+def test_globalmin_empty_system():
+    gm = dcr_to_globalmin1(DcrInstance(()))
+    assert gm.start == "" and gm.forbidden == ()
+    assert zero_forbidden_witness(gm) == 0
+
+
 def test_globalmin_empty_forbidden():
     inst = DcrInstance(((2, frozenset()), (3, frozenset())))
     gm = dcr_to_globalmin1(inst)
@@ -150,6 +158,69 @@ def test_graph_text_round_trip():
         dcr.parse_graph("e 1 2\n")
     with pytest.raises(FormatError):
         dcr.parse_graph("p graph 3 0\n")
+    with pytest.raises(FormatError, match="second 'p edge' header"):
+        dcr.parse_graph("p edge 3 0\np edge 2 0\n")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges))
+
+
+systems = st.lists(
+    st.integers(1, 30).flatmap(
+        lambda m: st.tuples(st.just(m), st.frozensets(st.integers(0, m - 1)))
+    ),
+    max_size=6,
+).map(lambda cs: DcrInstance(tuple(cs)))
+
+
+@settings(max_examples=200)
+@given(graphs())
+def test_graph_format_parse_round_trip(g):
+    assert dcr.parse_graph(dcr.format_graph(g)) == g
+
+
+@settings(max_examples=200)
+@given(systems, st.booleans())
+def test_dcr_format_parse_round_trip(inst, with_primes):
+    primes = (3, 5, 7) if with_primes else None
+    assert dcr.parse_dcr(dcr.format_dcr(inst, primes)) == inst
+
+
+# a line alphabet that reaches every branch of the two parsers
+_FUZZ_LINES = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="pe cdg0123456789-: \t", max_size=14),
+        st.sampled_from(["p edge 3 2", "e 1 2", "e 2 3", "3: 0 1", "c x", "5:", ""]),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=300)
+@given(_FUZZ_LINES)
+@example("p edge " + "1" * 5000 + " 0")
+@example("p edge 2 0\ne 1 " + "2" * 5000)
+def test_parse_graph_fuzz_yields_graph_or_lexperm_error(text):
+    try:
+        assert isinstance(dcr.parse_graph(text), Graph)
+    except LexpermError:
+        pass
+
+
+@settings(max_examples=300)
+@given(_FUZZ_LINES)
+@example("1" * 5000 + ": 0")
+def test_parse_dcr_fuzz_yields_system_or_lexperm_error(text):
+    try:
+        assert isinstance(dcr.parse_dcr(text), DcrInstance)
+    except LexpermError:
+        pass
 
 
 def test_orbit_min_under_instance_priority_exposes_solvability():

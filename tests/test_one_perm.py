@@ -1,18 +1,25 @@
+import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexperm import bitlex
-from lexperm.errors import DegreeMismatch, OrderCapExceeded
+from lexperm import bitlex, dcr
+from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, OrderCapExceeded
 from lexperm.one_perm import local_min_one_perm, orbit_min_one_perm
 from lexperm.perm import (
     GeneratorSet,
+    Permutation,
+    cycle_decomposition,
     parse_cycles,
     perm_order,
     permute_string,
     power,
     random_permutation,
 )
+
+from reference_impl import reference_orbit_min
 
 
 def _gens(p):
@@ -122,6 +129,93 @@ def test_orbit_min_cap():
     p = parse_cycles("(1 2 3 4 5 6 7)", 7)
     with pytest.raises(OrderCapExceeded):
         orbit_min_one_perm("1010101", p, cap=3)
+
+
+def test_orbit_min_rejects_bad_arguments():
+    p = parse_cycles("(1 2 3)", 3)
+    with pytest.raises(DegreeMismatch):
+        orbit_min_one_perm("01", p)
+    with pytest.raises(FormatError):
+        orbit_min_one_perm("0a1", p, order=bitlex.PriorityOrder((3, 2, 1)))
+    with pytest.raises(FormatError):
+        orbit_min_one_perm("0a1", p)
+    with pytest.raises(LengthMismatch):
+        orbit_min_one_perm("010", p, order=bitlex.PriorityOrder((2, 1)))
+
+
+def test_orbit_min_single_residue_can_still_split():
+    # after position 1 the only candidate is t = 0 mod 2, but modulo the
+    # order 6 that is t in {0, 2, 4}, and position 3 prefers t = 2
+    p = parse_cycles("(1 2)(3 4 5)", 5)
+    assert orbit_min_one_perm("01110", p) == (2, "01011")
+    assert reference_orbit_min("01110", p) == (2, "01011")
+
+
+def _one_one_per_cycle(p: Permutation, pick: list[int]) -> str:
+    bits = ["0"] * p.degree
+    for cyc, k in zip(cycle_decomposition(p), pick):
+        bits[cyc[k % len(cyc)] - 1] = "1"
+    return "".join(bits)
+
+
+@st.composite
+def orbit_cases(draw):
+    """(bits, p, order): a random or fixed-point-heavy permutation of degree
+    at most 14; a random, constant or one-1-per-cycle string; and no order
+    or a random one."""
+    n = draw(st.integers(1, 14))
+    image = list(range(1, n + 1))
+    if draw(st.booleans()):
+        moved = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    else:
+        moved = list(range(n))
+    for i, v in zip(moved, draw(st.permutations([image[i] for i in moved]))):
+        image[i] = v
+    p = Permutation(tuple(image))
+    kind = draw(st.sampled_from(["random", "constant", "one per cycle"]))
+    if kind == "random":
+        bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    elif kind == "constant":
+        bits = draw(st.sampled_from("01")) * n
+    else:
+        bits = _one_one_per_cycle(p, draw(st.lists(st.integers(0, 13), min_size=n, max_size=n)))
+    order = None
+    if draw(st.booleans()):
+        order = bitlex.PriorityOrder(tuple(draw(st.permutations(range(1, n + 1)))))
+    return bits, p, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(orbit_cases())
+def test_orbit_min_agrees_with_reference_scan(case):
+    bits, p, order = case
+    assert orbit_min_one_perm(bits, p, order=order) == reference_orbit_min(bits, p, order=order)
+
+
+def _graphs(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield dcr.Graph(n, tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+
+
+def test_orbit_min_agrees_with_reference_on_every_small_coloring_instance():
+    for n in range(1, 5):
+        for g in _graphs(n):
+            gm = dcr.dcr_to_globalmin1(dcr.coloring_to_dcr(g)[0])
+            args = gm.start, gm.perm
+            assert orbit_min_one_perm(*args, order=gm.order) == reference_orbit_min(
+                *args, order=gm.order
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_orbit_min_agrees_with_reference_on_random_systems(rng):
+    gm = dcr.dcr_to_globalmin1(dcr.random_instance(rng))
+    for order in (gm.order, None):
+        assert orbit_min_one_perm(gm.start, gm.perm, order=order) == reference_orbit_min(
+            gm.start, gm.perm, order=order
+        )
 
 
 def test_witness_is_the_stated_power():
