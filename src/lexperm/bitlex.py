@@ -56,6 +56,18 @@ def format_order(order: PriorityOrder) -> str:
     return " ".join(map(str, order.rank))
 
 
+def read_decimal(token: str) -> int | None:
+    """token as a nonnegative integer in plain ASCII decimal, or None when
+    it is not one (signs, underscores, other scripts' digits and numbers
+    too long for ``int()`` included)."""
+    if not (token.isascii() and token.isdecimal()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def check_bits(bits: str, error: type[Exception] = FormatError) -> None:
     """Raise ``error`` unless every character of bits is 0 or 1."""
     if bits.strip("01"):
@@ -132,12 +144,11 @@ class RankSpace:
         for r, p in enumerate(self.rank):
             self.rinv[p] = r
         rinv = self.rinv
-        self.moves = tuple(
-            dict(sorted(
-                (rinv[i - 1], rinv[v - 1]) for i, v in enumerate(g.image, start=1) if i != v
-            ))
-            for g in gens.perms
-        )
+        moves = []
+        for g in gens.perms:
+            image = g.image
+            moves.append(dict(sorted((rinv[i - 1], rinv[image[i - 1] - 1]) for i in g.moved)))
+        self.moves = tuple(moves)
 
     def in_ranks(self, seq: Sequence[T]) -> list[T]:
         """A position-indexed sequence rearranged into rank order."""

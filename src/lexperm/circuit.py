@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from random import Random
 
-from .bitlex import check_bits
+from .bitlex import check_bits, read_decimal
 from .errors import FormatError, LengthMismatch
 
 Source = tuple[str, int]  # ("x", input index) or ("g", gate id), 1-based
@@ -137,8 +137,9 @@ def random_instance(rng: Random, n: int, gate_count: int, output_count: int) -> 
 
 
 def _parse_source(token: str, lineno: int) -> Source:
-    if len(token) > 1 and token[0] in "xg" and token[1:].isdigit():
-        return (token[0], int(token[1:]))
+    index = read_decimal(token[1:])
+    if token[:1] in ("x", "g") and index is not None:
+        return (token[0], index)
     raise FormatError(f"line {lineno}: source must be x<i> or g<id>, got {token!r}")
 
 
@@ -154,22 +155,23 @@ def parse_netlist(text: str) -> FlipInstance:
             continue
         fields = line.split()
         if fields[0] == "inputs":
-            if len(fields) != 2 or not fields[1].isdigit():
+            n = read_decimal(fields[1]) if len(fields) == 2 else None
+            if n is None:
                 raise FormatError(f"line {lineno}: expected 'inputs n'")
-            n = int(fields[1])
         elif fields[0] == "gate":
             if len(fields) != 5 or fields[2] != "NAND":
                 raise FormatError(f"line {lineno}: expected 'gate <id> NAND <src> <src>'")
-            if not fields[1].isdigit() or int(fields[1]) != len(gates) + 1:
+            if read_decimal(fields[1]) != len(gates) + 1:
                 raise FormatError(f"line {lineno}: gate ids must run 1,2,... in order")
             gates.append(
                 (_parse_source(fields[3], lineno), _parse_source(fields[4], lineno))
             )
         elif fields[0] == "outputs":
             for token in fields[1:]:
-                if not token.startswith("g") or not token[1:].isdigit():
-                    raise FormatError(f"line {lineno}: outputs must name gates, got {token!r}")
-                outputs.append(int(token[1:]))
+                gid = read_decimal(token[1:])
+                if not token.startswith("g") or gid is None:
+                    raise FormatError(f"line {lineno}: outputs must name gates, got {token[:40]!r}")
+                outputs.append(gid)
         else:
             raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:

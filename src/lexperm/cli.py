@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "formats:\n"
             "  system   one constraint per line: 'm: s1 s2 ...'; 'c' lines comment\n"
-            "  graph    'p edge <n> <m>' header, then 'e <u> <v>' lines"
+            "  graph    'p edge <n> <m>' header, then m 'e <u> <v>' lines"
         ),
     )
     dsub = pd.add_subparsers(dest="subcommand", required=True)
@@ -347,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
             "source netlist on 'net ' lines, a 'pos <index> <label>'\n"
             "catalog, 'start <bits>', 'order <rank list>', then generator\n"
             "lines 'pi_<gate>_<circuit> = (cycles)' / 'sigma_<i> = (cycles)'.\n"
+            "Instance files are rebuilt from their netlist on reading: only\n"
+            "the 'pos' lines may differ from what `reduce build` writes\n"
+            "(in order and spacing).\n"
             "`reduce search` emits json-lines records (instance, steps,\n"
             "result) so stages chain through pipes."
         ),

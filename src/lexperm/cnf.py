@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitlex import PriorityOrder, check_bits, format_order, parse_order
+from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
@@ -152,9 +152,8 @@ def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     image = p.image
     clauses_of_var = f.clauses_of_var
     touched: set[int] = set()
-    for v, w in enumerate(image, start=1):
-        if v != w:
-            touched.update(clauses_of_var[v])
+    for v in p.moved:
+        touched.update(clauses_of_var[v])
     canon = f.canonical_clauses
 
     def mapped(clause: tuple[int, ...]) -> tuple[int, ...]:
@@ -292,9 +291,10 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             fields = line.split(None, 2)
             if len(fields) >= 3 and fields[1] == "var":
                 idx_str, _, label = fields[2].partition(" ")
-                if not idx_str.isdecimal():
+                idx = read_decimal(idx_str)
+                if idx is None:
                     raise MalformedDimacs(f"line {lineno}: bad variable index {idx_str!r}")
-                labels[int(idx_str)] = label.strip()
+                labels[idx] = label.strip()
             elif len(fields) >= 3 and fields[1] == "alpha":
                 alpha = fields[2].strip()
                 check_bits(alpha, MalformedDimacs)
@@ -305,9 +305,10 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf" or not (fields[2] + fields[3]).isdecimal():
-                raise MalformedDimacs(f"line {lineno}: bad problem line {line!r}")
-            num_vars, announced = int(fields[2]), int(fields[3])
+            sizes = [read_decimal(tok) for tok in fields[2:]]
+            if len(fields) != 4 or fields[1] != "cnf" or None in sizes:
+                raise MalformedDimacs(f"line {lineno}: bad problem line {line[:40]!r}")
+            num_vars, announced = sizes
             continue
         try:
             tokens = [int(tok) for tok in line.split()]

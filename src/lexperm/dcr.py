@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from random import Random
 
-from .bitlex import PriorityOrder
+from .bitlex import PriorityOrder, read_decimal
 from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
 from .perm import Permutation, perm_order, permute_string
 
@@ -212,12 +212,10 @@ def parse_dcr(text: str) -> DcrInstance:
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"line {lineno}: expected 'm: s1 s2 ...'")
-        try:
-            m = int(head)
-            forbidden = frozenset(int(tok) for tok in tail.split())
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad integer") from exc
-        constraints.append((m, forbidden))
+        numbers = [read_decimal(tok) for tok in [head.strip(), *tail.split()]]
+        if None in numbers:
+            raise FormatError(f"line {lineno}: not a plain decimal integer")
+        constraints.append((numbers[0], frozenset(numbers[1:])))
     try:
         return DcrInstance(tuple(constraints))
     except ValueError as exc:
@@ -233,19 +231,10 @@ def format_dcr(inst: DcrInstance, primes: tuple[int, ...] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decimal(token: str) -> int | None:
-    """token as a nonnegative integer, or None when it is not one."""
-    if not token.isdecimal():
-        return None
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        return None
-
-
 def parse_graph(text: str) -> Graph:
-    """DIMACS-like graph: one ``p edge n m`` header, then ``e u v`` lines."""
-    n = None
+    """DIMACS-like graph: one ``p edge n m`` header, then m ``e u v``
+    lines."""
+    n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -257,11 +246,13 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: second 'p edge' header")
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge n m'")
-            n = _decimal(fields[2])
+            n, m = read_decimal(fields[2]), read_decimal(fields[3])
             if n is None:
                 raise FormatError(f"line {lineno}: bad vertex count {fields[2][:40]!r}")
+            if m is None:
+                raise FormatError(f"line {lineno}: bad edge count {fields[3][:40]!r}")
         elif fields[0] == "e":
-            ends = [_decimal(tok) for tok in fields[1:]]
+            ends = [read_decimal(tok) for tok in fields[1:]]
             if len(ends) != 2 or None in ends:
                 raise FormatError(f"line {lineno}: expected 'e u v'")
             u, v = ends
@@ -270,6 +261,8 @@ def parse_graph(text: str) -> Graph:
             raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
         raise FormatError("missing 'p edge' header")
+    if m != len(edges):
+        raise FormatError(f"header announces {m} edges, the file has {len(edges)}")
     try:
         return Graph(n, tuple(edges))
     except ValueError as exc:

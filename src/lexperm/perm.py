@@ -16,7 +16,7 @@ structures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count
 from math import gcd
 from operator import ne
@@ -35,9 +35,13 @@ from .errors import (
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """A bijection on {1..N}; ``image[i-1]`` is where point i is sent."""
+    """A bijection on {1..N}; ``image[i-1]`` is where point i is sent.
+
+    Equality and hashing depend on ``image`` alone; ``moved`` is computed
+    at most once per object."""
 
     image: tuple[int, ...]
+    _moved: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.image)
@@ -45,17 +49,30 @@ class Permutation:
             raise ValueError(f"image is not a permutation of 1..{n}")
 
     @classmethod
-    def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
+    def _unchecked(
+        cls, image: tuple[int, ...], moved: tuple[int, ...] | None = None
+    ) -> "Permutation":
         """Wrap an image known to be a permutation without validating it;
         only for products and inverses of permutations and for images a
-        parser has already checked."""
+        builder or parser has already checked.  ``moved``, when given, must
+        be the ascending tuple of points the image moves."""
         p = object.__new__(cls)
         object.__setattr__(p, "image", image)
+        object.__setattr__(p, "_moved", moved)
         return p
 
     @property
     def degree(self) -> int:
         return len(self.image)
+
+    @property
+    def moved(self) -> tuple[int, ...]:
+        """The points p moves (its support), in ascending order."""
+        moved = self._moved
+        if moved is None:
+            moved = tuple(compress(count(1), map(ne, self.image, count(1))))
+            object.__setattr__(self, "_moved", moved)
+        return moved
 
     def __call__(self, point: int) -> int:
         if not 1 <= point <= len(self.image):
@@ -63,7 +80,7 @@ class Permutation:
         return self.image[point - 1]
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.image, start=1))
+        return not self.moved
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -85,7 +102,8 @@ def inverse(p: Permutation) -> Permutation:
     img = [0] * p.degree
     for i, v in enumerate(p.image, start=1):
         img[v - 1] = i
-    return Permutation._unchecked(tuple(img))
+    # p and its inverse move the same points
+    return Permutation._unchecked(tuple(img), p._moved)
 
 
 def power(p: Permutation, k: int) -> Permutation:
@@ -162,8 +180,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             used.add(pt)
         for a, b in zip(points, points[1:] + points[:1]):
             img[a - 1] = b
-    # disjoint cycles within 1..degree: img is a bijection
-    return Permutation._unchecked(tuple(img))
+    # disjoint cycles within 1..degree: img is a bijection that moves only
+    # points the cycles name
+    moved = tuple(sorted(pt for pt in used if img[pt - 1] != pt))
+    return Permutation._unchecked(tuple(img), moved)
 
 
 def format_cycles(p: Permutation) -> str:
@@ -173,18 +193,18 @@ def format_cycles(p: Permutation) -> str:
     member, as in cycle_decomposition, but only moved points are walked."""
     image = p.image
     seen: set[int] = set()
-    parts = []
-    for start in compress(count(1), map(ne, image, count(1))):
+    out: list[str] = []
+    for start in p.moved:
         if start in seen:
             continue
-        cyc = [start]
+        out.append(f"({start}")
         nxt = image[start - 1]
         while nxt != start:
-            cyc.append(nxt)
+            out.append(f" {nxt}")
             seen.add(nxt)
             nxt = image[nxt - 1]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+        out.append(")")
+    return "".join(out) or "()"
 
 
 def permute_string(x: str, p: Permutation) -> str:
@@ -245,10 +265,17 @@ def apply_word(gens: GeneratorSet, word: Sequence[str]) -> Permutation:
 
 
 def apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str:
-    """x acted on by the word, one generator at a time."""
+    """x acted on by the word, one generator at a time; each letter
+    rewrites only the characters on its generator's support."""
+    chars = list(x)
     for letter in word:
-        x = permute_string(x, gens.get(letter))
-    return x
+        g = gens.get(letter)
+        if len(chars) != g.degree:
+            raise DegreeMismatch(f"string length {len(chars)} vs degree {g.degree}")
+        values = [chars[g.image[i - 1] - 1] for i in g.moved]
+        for i, v in zip(g.moved, values):
+            chars[i - 1] = v
+    return "".join(chars)
 
 
 def parse_generator_file(text: str, degree: int) -> GeneratorSet:

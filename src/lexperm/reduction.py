@@ -24,13 +24,13 @@ ranks, which preserves local optimality between the one-position-per-bit
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .bitlex import PriorityOrder, check_bits, format_order, parse_order
+from .bitlex import PriorityOrder, format_order
 from .circuit import FlipInstance, format_netlist, parse_netlist
 from .errors import (
     FormatError,
@@ -43,7 +43,6 @@ from .perm import (
     Permutation,
     apply_word_to_string,
     format_cycles,
-    parse_generator_file,
 )
 
 QUADRANTS = ("00", "01", "10", "11")
@@ -225,25 +224,30 @@ class Layout:
         def swap(k: int, l: int) -> list[tuple[int, int]]:
             return [(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)]
 
+        # When a source flips, successor gadgets swap along the fed axis:
+        # first input swaps 00<->10 and 01<->11, second input 00<->01 and
+        # 10<->11; a gate fed twice composes both (a diagonal swap).
+        axes = ((("00", "10"), ("01", "11")), (("00", "01"), ("10", "11")))
+        fed: dict[tuple[str, int], list[tuple[int, tuple]]] = {}
+        for hid, sources in enumerate(c.gates, start=1):
+            for src, axis in zip(sources, axes):
+                fed.setdefault(src, []).append((hid, axis))
+
         def feed_swaps(j: int, source) -> list[tuple[int, int]]:
-            # When `source` flips, successor gadgets swap along the fed axis:
-            # first input swaps 00<->10 and 01<->11, second input 00<->01 and
-            # 10<->11; a gate fed twice composes both (a diagonal swap).
-            axes = ((("00", "10"), ("01", "11")), (("00", "01"), ("10", "11")))
             ops: list[tuple[int, int]] = []
-            for hid, sources in enumerate(c.gates, start=1):
-                for src, axis in zip(sources, axes):
-                    if src == source:
-                        for qa, qb in axis:
-                            k, l = self.pair(j, "quad", hid, qa), self.pair(j, "quad", hid, qb)
-                            ops += swap(k, l)
+            for hid, axis in fed.get(source, ()):
+                for qa, qb in axis:
+                    ops += swap(self.pair(j, "quad", hid, qa), self.pair(j, "quad", hid, qb))
             return ops
 
-        def perm_from(ops: Iterable[tuple[int, int]]) -> Permutation:
+        def perm_from(ops: list[tuple[int, int]]) -> Permutation:
+            # a product of transpositions is a permutation; it moves at most
+            # the points the transpositions name
             img = list(range(1, total + 1))
             for a, b in ops:
                 img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-            return Permutation(tuple(img))
+            moved = sorted({a for op in ops for a in op if img[a - 1] != a})
+            return Permutation._unchecked(tuple(img), tuple(moved))
 
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
@@ -322,7 +326,9 @@ def build_instance(c: FlipInstance) -> ReducedInstance:
             ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
         ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
     y_start = expand(layout.assemble("0" * n))
-    return ReducedInstance(c, layout.generators(), y_start, layout.priority(ranked))
+    inst = ReducedInstance(c, layout.generators(), y_start, layout.priority(ranked))
+    inst.__dict__["layout"] = layout  # where cached_property keeps its value
+    return inst
 
 
 def assemble_well_behaved(
@@ -406,66 +412,61 @@ def _catalog(layout: Layout) -> list[str]:
     ]
 
 
-def format_instance(inst: ReducedInstance) -> str:
+def _verified_lines(inst: ReducedInstance) -> list[str]:
+    """The lines of an instance file that parse_instance compares as text:
+    the header, ``start``, ``order`` and the generators, in file order."""
     lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
-    lines += [f"net {line}" for line in format_netlist(inst.circuit).strip().splitlines()]
-    lines += _catalog(inst.layout)
     lines.append(f"start {inst.y_start}")
     lines.append(f"order {format_order(inst.order)}")
-    for name, p in inst.gens:
-        lines.append(f"{name} = {format_cycles(p)}")
-    return "\n".join(lines) + "\n"
+    lines += [f"{name} = {format_cycles(p)}" for name, p in inst.gens]
+    return lines
+
+
+def format_instance(inst: ReducedInstance) -> str:
+    header, *body = _verified_lines(inst)
+    net = [f"net {line}" for line in format_netlist(inst.circuit).strip().splitlines()]
+    return "\n".join([header, *net, *_catalog(inst.layout), *body]) + "\n"
 
 
 def parse_instance(text: str) -> ReducedInstance:
-    """Read an instance file.  The ``net`` lines are required, and the
-    ``pos`` catalog must be the layout of that netlist (in any line order)."""
-    header = None
+    """Read an instance file by rebuilding it from its netlist.
+
+    The ``net`` lines are required, and the instance is ``build_instance``
+    of that netlist.  The ``pos`` lines must be the netlist layout's
+    catalog, in any line order and with any spacing.  Every other line must
+    be what ``format_instance`` writes, in the same order, up to runs of
+    spacing: the ``N``/``K`` header, ``start``, ``order`` and the generator
+    lines.  Blank lines and ``#`` comments are skipped.  Any difference is
+    a FormatError."""
     net_lines: list[str] = []
     pos_lines: list[str] = []
-    start = None
-    order_text = None
-    gen_lines: list[str] = []
+    written: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = " ".join(raw.split())
         if not line or line.startswith("#"):
             continue
-        fields = line.split(None, 1)
-        if fields[0] in ("net", "pos", "start", "order") and len(fields) < 2:
-            raise FormatError(f"line {lineno}: {fields[0]!r} line carries no value")
-        if fields[0] == "N":
-            header = line
-        elif fields[0] == "net":
-            net_lines.append(fields[1])
-        elif fields[0] == "pos":
-            pos_lines.append(" ".join(line.split()))
-        elif fields[0] == "start":
-            start = fields[1].strip()
-            check_bits(start)
-        elif fields[0] == "order":
-            order_text = fields[1]
-        elif "=" in line:
-            gen_lines.append(line)
+        kind, _, value = line.partition(" ")
+        if kind == "net":
+            if not value:
+                raise FormatError(f"line {lineno}: 'net' line carries no value")
+            net_lines.append(value)
+        elif kind == "pos":
+            pos_lines.append(line)
         else:
-            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-    if header is None or start is None or order_text is None:
-        raise FormatError("instance file misses N / start / order lines")
+            written.append(line)
+            linenos.append(lineno)
     if not net_lines:
         raise FormatError("instance file carries no 'net' lines")
-    m = re.match(r"N (\d+) K (\d+)$", header)
-    if not m:
-        raise FormatError(f"bad header {header!r}")
-    total, k = int(m.group(1)), int(m.group(2))
-    layout = Layout(parse_netlist("\n".join(net_lines)))
-    if total != layout.points:
-        raise FormatError(f"header announces {total} positions, the netlist has {layout.points}")
-    expected = _catalog(layout)
-    stray = (Counter(pos_lines) - Counter(expected)) or (Counter(expected) - Counter(pos_lines))
+    inst = build_instance(parse_netlist("\n".join(net_lines)))
+    catalog = _catalog(inst.layout)
+    stray = pos_lines != catalog and (
+        (Counter(pos_lines) - Counter(catalog)) or (Counter(catalog) - Counter(pos_lines))
+    )
     if stray:
         raise FormatError(f"position catalog is not the netlist's layout at {next(iter(stray))!r}")
-    gens = parse_generator_file("\n".join(gen_lines), total)
-    if len(gens) != k:
-        raise FormatError(f"header announces {k} generators, file has {len(gens)}")
-    if len(start) != total:
-        raise FormatError("start string length disagrees with N")
-    return ReducedInstance(layout.circuit, gens, start, parse_order(order_text, total))
+    for lineno, line, want in zip_longest(linenos, written, _verified_lines(inst)):
+        if line != want:
+            where = "end of file" if lineno is None else f"line {lineno}"
+            raise FormatError(f"{where}: found {line!r:.40}, the netlist builds {want!r:.40}")
+    return inst

@@ -2,19 +2,24 @@
 
 These are the straightforward versions the library used before its
 rank-space walk, support-restricted symmetry check, incremental
-stabilizer chain and residue-narrowing orbit minimum: every candidate is
+stabilizer chain, residue-narrowing orbit minimum and support-based
+string action and cycle formatting: every candidate is
 built as a whole string and compared through its whole sort key, every
 symmetry check renames and counts every clause, the stabilizer chain
 rebuilds a level's orbit and re-sifts all of its Schreier generators
 whenever the level gains a generator, the well-behavedness check walks
 the gadget wiring by hand through its own position index instead of
 decoding and re-assembling through the layout, and the orbit minimum
-builds and compares one whole string per power.
+builds and compares one whole string per power, a word acts on a string
+through one whole-string join per letter, and supports and cycle text
+come from a scan of every entry of the image.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress, count
+from operator import ne
 from typing import Sequence
 
 from lexperm.bitlex import PriorityOrder, sort_key
@@ -39,6 +44,36 @@ from lexperm.reduction import (
     decode_gate_state,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
+
+
+def dense_moved(p: Permutation) -> tuple[int, ...]:
+    """The points p moves, found by scanning its whole image."""
+    return tuple(i for i, v in enumerate(p.image, start=1) if i != v)
+
+
+def reference_format_cycles(p: Permutation) -> str:
+    """Cycle notation, with cycle starts found by a scan of the whole image."""
+    image = p.image
+    seen: set[int] = set()
+    parts = []
+    for start in compress(count(1), map(ne, image, count(1))):
+        if start in seen:
+            continue
+        cyc = [start]
+        nxt = image[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = image[nxt - 1]
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) if parts else "()"
+
+
+def reference_apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str:
+    """x acted on by the word, one whole-string ``permute_string`` per letter."""
+    for letter in word:
+        x = permute_string(x, gens.get(letter))
+    return x
 
 
 def reference_walk(

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import bitlex
@@ -16,7 +16,13 @@ from lexperm.bitlex import (
     is_local_min,
     sort_key,
 )
-from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, WidthExceeded
+from lexperm.errors import (
+    DegreeMismatch,
+    FormatError,
+    LengthMismatch,
+    LexpermError,
+    WidthExceeded,
+)
 from lexperm.perm import GeneratorSet, identity, inverse, parse_cycles, permute_string, random_permutation
 
 bit_pairs = st.integers(1, 16).flatmap(
@@ -154,3 +160,19 @@ def test_parse_order_rejects_non_permutation():
         bitlex.parse_order("1 1 2", 3)
     with pytest.raises(FormatError):
         bitlex.parse_order("0 1 2", 3)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.text(max_size=16), st.text(alphabet="0123 -+_\t", max_size=12)),
+    st.integers(0, 4),
+)
+@example("1" * 5000, 1)
+@example("1 \u00b2 3", 3)
+def test_parse_order_fuzz_yields_order_or_lexperm_error(text, degree):
+    try:
+        order = bitlex.parse_order(text, degree)
+    except LexpermError:
+        return
+    assert isinstance(order, PriorityOrder)
+    assert bitlex.parse_order(bitlex.format_order(order), degree) == order

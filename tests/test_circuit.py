@@ -2,6 +2,8 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexperm.circuit import (
     FlipInstance,
@@ -13,7 +15,7 @@ from lexperm.circuit import (
     parse_netlist,
     random_instance,
 )
-from lexperm.errors import FormatError, LengthMismatch
+from lexperm.errors import FormatError, LengthMismatch, LexpermError
 
 # inputs (x, y, z); first gate reads (y, x), second reads (z, first)
 STEP_CIRCUIT = FlipInstance(
@@ -154,3 +156,43 @@ def test_netlist_rejects_constants_and_junk():
 def test_netlist_warns_on_dangling_input():
     with pytest.warns(UserWarning, match="x2 feeds no gate"):
         parse_netlist("inputs 2\ngate 1 NAND x1 x1\noutputs g1\n")
+
+
+_NETLIST_LINES = st.lists(
+    st.one_of(
+        st.text(max_size=14),
+        st.text(alphabet="inputsgaeNAD xg0123456789# ", max_size=18),
+        st.sampled_from([
+            "inputs 2", "inputs 0", "gate 1 NAND x1 x2", "gate 2 NAND g1 x1", "gate 1 NAND x3 g1",
+            "outputs g1", "outputs g2 g1", "outputs x1", "# c", "",
+        ]),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+@settings(max_examples=300)
+@given(_NETLIST_LINES)
+@example("inputs \u00b2")
+@example("inputs 1\ngate 1 NAND x\u00b9 x1\noutputs g1")
+@example("inputs 1\ngate \u00b9 NAND x1 x1\noutputs g1")
+@example("inputs 1\ngate 1 NAND x1 x1\noutputs g\u00b9")
+@example("inputs " + "1" * 5000)
+@example("inputs 1\ngate 1 NAND x1 g" + "1" * 5000 + "\noutputs g1")
+def test_parse_netlist_fuzz_yields_circuit_or_lexperm_error(text):
+    try:
+        c = parse_netlist(text)
+    except LexpermError:
+        return
+    assert isinstance(c, FlipInstance)
+    assert parse_netlist(format_netlist(c)) == c
+
+
+def test_netlist_numbers_are_plain_decimal():
+    for text in (
+        "inputs +1", "inputs 1_0", "inputs \u0661", "inputs 1\ngate 1 NAND x+1 x1\noutputs g1"
+    ):
+        with pytest.raises(FormatError):
+            parse_netlist(text)
+    assert parse_netlist("inputs 01\ngate 01 NAND x01 x1\noutputs g01\n").n == 1

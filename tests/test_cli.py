@@ -151,6 +151,10 @@ def test_flip_rejects_non_bit_input(tmp_path, capsys, subcommand):
         (["dcr", "from-graph"], "p edge x 1\n"),
         (["dcr", "from-graph"], "p edge 2 1\ne 1 5\n"),
         (["dcr", "solve"], "3: 5\n"),
+        (["dcr", "solve"], "1_5: +0 0_1\n"),
+        (["dcr", "to-perm"], "1_5: +0 0_1\n"),
+        (["dcr", "from-graph"], "p edge 3 x\ne 1 2\n"),
+        (["dcr", "from-graph"], "p edge 3 7\ne 1 2\n"),
     ],
 )
 def test_malformed_dcr_input_exits_2(capsys, monkeypatch, argv, text):
@@ -369,6 +373,73 @@ def test_malformed_instance_file_exits_2(tmp_path, capsys, edit):
     inst_file = tmp_path / "toy.inst"
     inst_file.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, ["search", "--instance", str(inst_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
+NOT_GATE_NETLIST = "inputs 1\ngate 1 NAND x1 x1\noutputs g1\n"
+
+
+def _replace_line(prefix, edit):
+    def apply(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[i] = edit(lines[i])
+    return apply
+
+
+def _flip_first_start_bit(line):
+    bits = line.split()[1]
+    return "start " + ("1" if bits[0] == "0" else "0") + bits[1:]
+
+
+def _swap_first_two_ranks(line):
+    ranks = line.split()[1:]
+    return "order " + " ".join([ranks[1], ranks[0], *ranks[2:]])
+
+
+def _drop_last_generator(lines):
+    del lines[-1]
+
+
+def _swap_first_two_generators(lines):
+    i = next(i for i, line in enumerate(lines) if " = " in line)
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _replace_line("pi_1_0 = ", lambda line: "pi_1_0 = (1 2)"),
+        _replace_line("start ", _flip_first_start_bit),
+        _replace_line("order ", _swap_first_two_ranks),
+        _drop_last_generator,
+        _duplicate_generator_line,
+        _swap_first_two_generators,
+        _replace_line("N ", lambda line: line.replace(" K 3", " K 4")),
+    ],
+    ids=["pi-line", "start-bit", "order-ranks", "drop-gen", "dup-gen", "reorder-gens", "wrong-K"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda path: ["search", "--instance", path],
+        lambda path: ["reduce", "map", path, "--word", "sigma_1"],
+    ],
+    ids=["search", "map"],
+)
+def test_instance_edits_that_the_netlist_does_not_build_exit_2(tmp_path, capsys, edit, argv):
+    net = tmp_path / "not.net"
+    net.write_text(NOT_GATE_NETLIST)
+    _, built, _ = run(capsys, ["reduce", "build", str(net)])
+    assert built.startswith("N 24 K 3\n")
+    inst_file = tmp_path / "not.inst"
+    inst_file.write_text(built)
+    assert run(capsys, argv(str(inst_file)))[0] == 0
+    lines = built.splitlines()
+    edit(lines)
+    assert lines != built.splitlines()
+    inst_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, argv(str(inst_file)))
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
 

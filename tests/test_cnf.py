@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexperm import circuit, perm, reduction
 from lexperm.circuit import FlipInstance, random_instance
@@ -15,7 +17,7 @@ from lexperm.cnf import (
     parse_dimacs,
     satisfies,
 )
-from lexperm.errors import MalformedDimacs, OrbitCapExceeded, UnsatStart
+from lexperm.errors import LexpermError, MalformedDimacs, OrbitCapExceeded, UnsatStart
 from lexperm.perm import (
     GeneratorSet,
     format_generator_file,
@@ -213,3 +215,30 @@ def test_both_priority_schemes_certify_the_same_circuits():
         x_cnf = decode_input(f, res.string)
         assert circuit.flip_local_check(c, x_perm) is None
         assert circuit.flip_local_check(c, x_cnf) is None
+
+
+_DIMACS_LINES = st.lists(
+    st.one_of(
+        st.text(max_size=14),
+        st.text(alphabet="pcnfvarlhsym=() -0123456789", max_size=18),
+        st.sampled_from([
+            "p cnf 2 1", "p cnf 2 2", "1 -2 0", "2 0", "1", "0", "c var 1 a", "c alpha 01",
+            "c priority 2 1", "c sym s = (1 2)", "c sym s = (1 3)", "c", "",
+        ]),
+    ),
+    max_size=7,
+).map("\n".join)
+
+
+@settings(max_examples=300)
+@given(_DIMACS_LINES)
+@example("p cnf " + "1" * 5000 + " 0")
+@example("c var " + "1" * 5000 + " a\np cnf 1 0")
+@example("p cnf 1 \u00b2")
+def test_parse_dimacs_fuzz_yields_formula_or_lexperm_error(text):
+    try:
+        f = parse_dimacs(text)
+    except LexpermError:
+        return
+    assert isinstance(f, CnfFormula)
+    assert parse_dimacs(format_dimacs(f)).clauses == f.clauses

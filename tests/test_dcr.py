@@ -162,6 +162,47 @@ def test_graph_text_round_trip():
         dcr.parse_graph("p edge 3 0\np edge 2 0\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 3 x\ne 1 2\n",
+        "p edge 3 7\ne 1 2\n",
+        "p edge 3 0\ne 1 2\n",
+        "p edge 3 2\ne 1 2\n",
+        "p edge 3 -1\n",
+        "p edge 3 1_0\n",
+        "p edge 3 \u0661\n",
+        "p edge 2 " + "1" * 5000 + "\n",
+    ],
+)
+def test_parse_graph_rejects_an_edge_count_other_than_the_e_lines(text):
+    with pytest.raises(FormatError):
+        dcr.parse_graph(text)
+
+
+def test_parse_graph_reads_the_edge_count():
+    assert dcr.parse_graph("p edge 3 1\ne 1 2\n") == Graph(3, ((1, 2),))
+    assert dcr.parse_graph("c no edges\np edge 2 0\n") == Graph(2, ())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1_5: +0 0_1\n", "15: +0\n", "15: 0_1\n", "1_5: 0\n", " +3: 1\n",
+        "\u0661\u0665: 0\n", "3: -1\n",
+    ],
+)
+def test_parse_dcr_accepts_plain_decimal_only(text):
+    with pytest.raises(FormatError):
+        dcr.parse_dcr(text)
+
+
+def test_parse_dcr_reads_plain_decimal():
+    assert dcr.parse_dcr(" 15 : 0 1\n3:\n") == DcrInstance(
+        ((15, frozenset({0, 1})), (3, frozenset()))
+    )
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(0, 8))
@@ -206,6 +247,8 @@ _FUZZ_LINES = st.lists(
 @given(_FUZZ_LINES)
 @example("p edge " + "1" * 5000 + " 0")
 @example("p edge 2 0\ne 1 " + "2" * 5000)
+@example("p edge 3 x\ne 1 2")
+@example("p edge 3 7\ne 1 2")
 def test_parse_graph_fuzz_yields_graph_or_lexperm_error(text):
     try:
         assert isinstance(dcr.parse_graph(text), Graph)
@@ -216,6 +259,7 @@ def test_parse_graph_fuzz_yields_graph_or_lexperm_error(text):
 @settings(max_examples=300)
 @given(_FUZZ_LINES)
 @example("1" * 5000 + ": 0")
+@example("1_5: +0 0_1")
 def test_parse_dcr_fuzz_yields_system_or_lexperm_error(text):
     try:
         assert isinstance(dcr.parse_dcr(text), DcrInstance)

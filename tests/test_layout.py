@@ -9,7 +9,8 @@ import pytest
 
 from lexperm.circuit import random_instance
 from lexperm.cnf import build_formula, format_dimacs
-from lexperm.reduction import build_instance, format_instance
+from lexperm.reduction import Layout, build_instance, format_instance
+from reference_impl import dense_moved
 
 # (seed, n, gates, outputs, sha256 of the instance text, sha256 of the DIMACS text)
 GOLDEN = [
@@ -63,3 +64,14 @@ def test_cnf_symmetries_act_like_reduction_generators_on_shared_slots(seed, n, g
         s = f.symmetries.get(name)
         for i, v in shared.items():
             assert at_var[s(v)] == g(i), (name, f.var_labels[v - 1])
+
+
+@pytest.mark.parametrize("gate_var", [False, True])
+def test_layout_generators_hand_over_their_exact_support(gate_var):
+    rng = Random(83)
+    for _ in range(40):
+        n, gates = rng.randint(1, 4), rng.randint(1, 9)
+        c = random_instance(rng, n, gates, rng.randint(1, min(3, gates)))
+        for name, g in Layout(c, gate_var=gate_var).generators():
+            assert g.moved == dense_moved(g), name
+            assert sorted(g.image) == list(range(1, g.degree + 1)), name

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import perm
@@ -9,6 +9,7 @@ from lexperm.errors import (
     DegreeMismatch,
     FormatError,
     IndexOutOfRange,
+    LexpermError,
     OrbitCapExceeded,
     OverlappingCycles,
     UnknownGenerator,
@@ -18,6 +19,7 @@ from lexperm.perm import (
     Permutation,
     StabilizerChain,
     apply_word,
+    apply_word_to_string,
     compose,
     cycle_decomposition,
     enumerate_group,
@@ -30,6 +32,11 @@ from lexperm.perm import (
     permute_string,
     power,
     random_permutation,
+)
+from reference_impl import (
+    dense_moved,
+    reference_apply_word_to_string,
+    reference_format_cycles,
 )
 
 perms = st.integers(1, 8).flatmap(
@@ -221,3 +228,106 @@ def test_orbit_of_string():
 def test_permute_string_degree_check():
     with pytest.raises(DegreeMismatch):
         permute_string("01", identity(3))
+
+
+@given(perms, st.data())
+@settings(max_examples=300)
+def test_moved_matches_dense_scan_of_every_constructor(p, data):
+    q = Permutation(tuple(data.draw(st.permutations(list(range(1, p.degree + 1))))))
+    k = data.draw(st.integers(-7, 7))
+    built = [
+        Permutation(p.image),
+        compose(p, q),
+        inverse(p),
+        inverse(compose(q, p)),
+        power(p, k),
+        parse_cycles(format_cycles(p), p.degree),
+        inverse(parse_cycles(format_cycles(q), q.degree)),
+    ]
+    for r in built:
+        assert r.moved == dense_moved(r)
+        # a second read returns the cached support unchanged
+        assert r.moved == dense_moved(r)
+
+
+@pytest.mark.parametrize(
+    "text, degree, moved",
+    [
+        ("", 3, ()), ("()", 3, ()), ("(5)", 6, ()), ("(3)(1 2)", 4, (1, 2)),
+        ("(4 1 3)", 5, (1, 3, 4)),
+    ],
+)
+def test_parsed_cycles_hand_over_their_support(text, degree, moved):
+    p = parse_cycles(text, degree)
+    assert p.moved == moved == dense_moved(p)
+
+
+def test_support_is_not_part_of_equality_hash_or_repr():
+    fresh = Permutation((2, 1, 3))
+    read = Permutation((2, 1, 3))
+    assert read.moved == (1, 2)
+    parsed = parse_cycles("(1 2)", 3)
+    assert fresh == read == parsed
+    assert len({fresh, read, parsed}) == 1
+    assert repr(fresh) == repr(read) == "Permutation(image=(2, 1, 3))"
+
+
+@given(perms)
+@settings(max_examples=300)
+def test_format_cycles_matches_dense_reference(p):
+    assert format_cycles(p) == reference_format_cycles(p)
+    assert format_cycles(parse_cycles(reference_format_cycles(p), p.degree)) == format_cycles(p)
+
+
+@st.composite
+def _generators_and_words(draw):
+    degree = draw(st.integers(1, 10))
+    images = draw(st.lists(st.permutations(list(range(1, degree + 1))), min_size=1, max_size=4))
+    gens = GeneratorSet.from_pairs(
+        degree, [(f"g{i}", Permutation(tuple(img))) for i, img in enumerate(images)]
+    )
+    x = draw(st.text("01", min_size=degree, max_size=degree))
+    word = draw(st.lists(st.sampled_from(gens.names), max_size=12))
+    return gens, x, word
+
+
+@given(_generators_and_words())
+@settings(max_examples=300)
+def test_apply_word_to_string_matches_per_letter_fold(case):
+    gens, x, word = case
+    assert apply_word_to_string(gens, x, word) == reference_apply_word_to_string(gens, x, word)
+    assert apply_word_to_string(gens, x, word) == permute_string(x, apply_word(gens, word))
+
+
+def test_apply_word_to_string_errors():
+    gens = GeneratorSet.from_pairs(3, [("a", parse_cycles("(1 2)", 3))])
+    assert apply_word_to_string(gens, "01", []) == "01"
+    with pytest.raises(DegreeMismatch):
+        apply_word_to_string(gens, "01", ["a"])
+    with pytest.raises(UnknownGenerator):
+        apply_word_to_string(gens, "011", ["a", "zzz"])
+    with pytest.raises(UnknownGenerator):
+        apply_word_to_string(gens, "01", ["zzz", "a"])
+
+
+_GENERATOR_FILE_LINES = st.lists(
+    st.one_of(
+        st.text(max_size=14),
+        st.text(alphabet="ab=() ,#0123456789-", max_size=16),
+        st.sampled_from(["a = (1 2)", "b = ()", "c = (1 2 3)", "a = (2 3)", "# x", "d =", ""]),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=300)
+@given(_GENERATOR_FILE_LINES, st.integers(0, 4))
+@example("a = (" + "1" * 5000 + ")", 3)
+@example("a = (1 \u00b2)", 3)
+def test_parse_generator_file_fuzz_yields_generators_or_lexperm_error(text, degree):
+    try:
+        gens = perm.parse_generator_file(text, degree)
+    except LexpermError:
+        return
+    assert isinstance(gens, GeneratorSet)
+    assert perm.parse_generator_file(perm.format_generator_file(gens), degree) == gens

@@ -37,7 +37,7 @@ from lexperm.reduction import (
     parse_instance,
 )
 from lexperm.search import standard_algorithm
-from reference_impl import reference_is_well_behaved
+from reference_impl import dense_moved, reference_is_well_behaved
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -345,6 +345,87 @@ def _no_net_lines(lines):
 def test_parse_instance_rejects_catalog_that_is_not_the_netlist_layout(edit):
     with pytest.raises(FormatError):
         parse_instance(_edit_lines(format_instance(build_instance(MINIMAL)), edit))
+
+
+def _generator_rows(lines):
+    return [i for i, line in enumerate(lines) if " = " in line]
+
+
+def _pi_line_edited(lines):
+    # the edit that used to parse and only failed later, in map_solution
+    i = next(i for i, line in enumerate(lines) if line.startswith("pi_1_0 = "))
+    assert lines[i] != "pi_1_0 = (1 2)"
+    lines[i] = "pi_1_0 = (1 2)"
+
+
+def _start_bit_flipped(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("start "))
+    bits = lines[i].split()[1]
+    lines[i] = "start " + ("1" if bits[0] == "0" else "0") + bits[1:]
+
+
+def _order_ranks_swapped(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("order "))
+    ranks = lines[i].split()[1:]
+    ranks[0], ranks[1] = ranks[1], ranks[0]
+    lines[i] = "order " + " ".join(ranks)
+
+
+def _generator_dropped(lines):
+    del lines[_generator_rows(lines)[-1]]
+
+
+def _generator_duplicated(lines):
+    i = _generator_rows(lines)[0]
+    lines.insert(i + 1, lines[i])
+
+
+def _generators_reordered(lines):
+    i, k = _generator_rows(lines)[:2]
+    lines[i], lines[k] = lines[k], lines[i]
+
+
+def _wrong_generator_count(lines):
+    n, total, k, count = lines[0].split()
+    lines[0] = f"{n} {total} {k} {int(count) + 1}"
+
+
+INSTANCE_EDITS = [
+    _pi_line_edited,
+    _start_bit_flipped,
+    _order_ranks_swapped,
+    _generator_dropped,
+    _generator_duplicated,
+    _generators_reordered,
+    _wrong_generator_count,
+]
+
+
+@pytest.mark.parametrize("edit", INSTANCE_EDITS)
+def test_parse_instance_rejects_lines_that_are_not_the_rebuilt_instance(edit):
+    text = format_instance(build_instance(MINIMAL))
+    edited = _edit_lines(text, edit)
+    assert edited != text
+    with pytest.raises(FormatError):
+        parse_instance(edited)
+
+
+def test_parse_instance_returns_the_rebuilt_instance():
+    text = format_instance(build_instance(STEP_CIRCUIT))
+    inst = parse_instance("# comment\n\n" + text.replace(" K ", "   K  ", 1) + "\n")
+    assert inst == build_instance(STEP_CIRCUIT)
+    assert inst.layout.circuit is inst.circuit
+    for _, g in inst.gens:
+        assert g.moved == dense_moved(g)
+
+
+def test_build_instance_hands_over_the_layout_it_built():
+    inst = build_instance(STEP_CIRCUIT)
+    assert "layout" in vars(inst)
+    fresh = reduction.ReducedInstance(inst.circuit, inst.gens, inst.y_start, inst.order)
+    assert "layout" not in vars(fresh)
+    assert format_instance(inst) == format_instance(fresh)
+    assert inst.layout.positions == fresh.layout.positions
 
 
 _FUZZ_TEXTS = [format_instance(build_instance(c)) for c in (MINIMAL, STEP_CIRCUIT)]
