@@ -40,10 +40,16 @@ def identity_order(degree: int) -> PriorityOrder:
 
 
 def parse_order(text: str, degree: int) -> PriorityOrder:
+    """Whitespace-separated positions, most significant first, each in
+    plain ASCII decimal."""
+    tokens = text.split()
+    digits = "".join(tokens)
+    if digits and not (digits.isascii() and digits.isdecimal()):
+        raise FormatError(f"rank in order {text[:40]!r} is not plain decimal")
     try:
-        ranks = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise FormatError(f"non-integer rank in order {text[:40]!r}") from None
+        ranks = tuple(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"rank in order {text[:40]!r} is too long") from None
     if len(ranks) != degree:
         raise LengthMismatch(f"order lists {len(ranks)} ranks, expected {degree}")
     try:

@@ -180,10 +180,19 @@ def parse_netlist(text: str) -> FlipInstance:
         inst = FlipInstance(n, tuple(gates), tuple(outputs))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    fed = {src for gate in inst.gates for src in gate if src[0] == "x"}
-    for i in range(1, n + 1):
-        if ("x", i) not in fed:
-            warnings.warn(f"input x{i} feeds no gate", stacklevel=2)
+    # one warning, found in O(G) whatever n is: at most len(fed) fed
+    # inputs come before the first five that feed no gate
+    fed = {idx for gate in inst.gates for kind, idx in gate if kind == "x"}
+    unfed = n - len(fed)
+    if unfed:
+        first = [i for i in range(1, min(n, len(fed) + 5) + 1) if i not in fed][:5]
+        names = ", ".join(f"x{i}" for i in first)
+        if unfed == 1:
+            message = f"input {names} feeds no gate"
+        else:
+            more = ", ..." if unfed > 5 else ""
+            message = f"input {names}{more} feed no gate ({unfed} of {n} inputs)"
+        warnings.warn(message, stacklevel=2)
     return inst
 
 

@@ -274,11 +274,24 @@ def format_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_literals(tokens: list[str]) -> list[int] | None:
+    """tokens as clause literals, each an optional '-' and ASCII digits, or
+    None unless all of them are; one check over the joined text."""
+    digits = " ".join(tokens).replace(" -", " ").removeprefix("-").replace(" ", "")
+    if digits and not (digits.isascii() and digits.isdecimal()):
+        return None
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # a lone '-', or more digits than int() converts
+        return None
+
+
 def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     num_vars = None
     announced = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
+    body: list[str] = []  # the clause lines
     labels: dict[int, str] = {}
     alpha = None
     priority_text = None
@@ -310,28 +323,32 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
                 raise MalformedDimacs(f"line {lineno}: bad problem line {line[:40]!r}")
             num_vars, announced = sizes
             continue
-        try:
-            tokens = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise MalformedDimacs(f"line {lineno}: non-integer literal") from exc
-        for tok in tokens:
-            if tok == 0:
-                clauses.append(tuple(pending))
-                pending = []
-            else:
-                pending.append(tok)
+        body.append(line)
+    literals = _read_literals(" ".join(body).split())
+    if literals is None:  # name the first clause line at fault
+        lineno = next(
+            lineno
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip()[:1] not in ("", "c", "p") and _read_literals(raw.split()) is None
+        )
+        raise MalformedDimacs(f"line {lineno}: a literal is not an optional '-' and ASCII digits")
     if num_vars is None:
         raise MalformedDimacs("missing 'p cnf' line")
+    for lit in literals:
+        if lit:
+            pending.append(lit)
+        else:
+            clauses.append(tuple(pending))
+            pending = []
     if pending:
         raise MalformedDimacs("last clause is not terminated by 0")
     if announced != len(clauses):
         raise MalformedDimacs(
             f"header announces {announced} clauses, file has {len(clauses)}"
         )
-    for clause in clauses:
-        for l in clause:
-            if not 1 <= abs(l) <= num_vars:
-                raise MalformedDimacs(f"literal {l} outside variable range")
+    if literals and max(map(abs, literals)) > num_vars:
+        bad = next(lit for lit in literals if abs(lit) > num_vars)
+        raise MalformedDimacs(f"literal {bad} outside variable range")
     symmetries = parse_generator_file(
         "\n".join(sym_lines) if symmetries_text is None else symmetries_text, num_vars
     )

@@ -15,7 +15,7 @@ from random import Random
 
 from .bitlex import PriorityOrder, read_decimal
 from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
-from .perm import Permutation, perm_order, permute_string
+from .perm import Permutation, inverse, perm_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,15 +180,21 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
 
 def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | None:
     """Smallest t with start . p^t zero on every forbidden position, found
-    by walking the actual orbit (independent of the modular solver)."""
+    by walking the actual orbit one step at a time, for any start.
+
+    start . p^t holds its 1s at p^-t(ones(start)), so the walk moves only
+    the 1s, each step through p's inverse image.  It uses no cycles or
+    residues, so it stays independent of the modular solver."""
     n_steps = perm_order(gm.perm)
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
-    s = gm.start
+    back = (0,) + inverse(gm.perm).image
+    forbidden = frozenset(gm.forbidden)
+    ones = [i for i, b in enumerate(gm.start, start=1) if b == "1"]
     for t in range(n_steps):
-        if all(s[pos - 1] == "0" for pos in gm.forbidden):
+        if forbidden.isdisjoint(ones):
             return t
-        s = permute_string(s, gm.perm)
+        ones = [back[i] for i in ones]
     return None
 
 

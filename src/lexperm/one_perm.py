@@ -4,18 +4,20 @@ With one generator the neighborhood of the power p^k is just p^(k+1), and
 a local optimum can be found in polynomial time by inspecting the cycle
 structure.  The global problem stays hard (NP-complete), so the global
 routine here is exact but still exponential in the worst case: it narrows
-the candidate exponents residue by residue, and refuses permutations whose
-order exceeds a cap.
+a bitset of candidate exponents position by position, and refuses
+permutations whose order exceeds a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
-from .perm import Permutation, cycle_decomposition, identity, perm_order, permute_string, power
+from .perm import Permutation, cycle_decomposition, identity, power
+
+_FLIP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,41 +75,65 @@ def orbit_min_one_perm(
     (bits . p^t)(i) = bits[p^t(i)] depends only on t mod L, where L is
     the length of the cycle through i.  So the positions are walked most
     significant first, keeping the exponents that put a 0 at each one if
-    any does.  Candidates are residues modulo M, the lcm of the cycle
-    lengths seen so far, lifted to the new modulus when a cycle adds to
-    it, and kept in ascending order.  One candidate settles the answer
-    only once M is the order of p: below that it can still split on the
-    cycles not yet seen.  The worst case is O(order * N).
+    any does.  The candidates are one int, bit t set while t is still a
+    candidate modulo M, the lcm of the cycle lengths seen so far.  When a
+    cycle adds to M the bitset is copied to every multiple of the old M
+    by a repunit product.  A position keeps the candidates its zero mask
+    allows: its cycle's 0s, rotated to the position and repeated out to
+    M.  One candidate settles the answer only once M is the order of p:
+    below that it can still split on the cycles not yet seen.  The answer
+    is the lowest set bit.  The worst case is O(order * N) bit operations,
+    in O(order) bits of memory.
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
     check_bits(bits)
     if order is not None and order.degree != p.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
-    n_steps = perm_order(p)
+    cycles = cycle_decomposition(p)
+    n_steps = lcm(*map(len, cycles))
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
-    # point i -> (the bits along its cycle, the index of i in it), so that
-    # (bits . p^t)(i) = along[(k + t) % len(along)]
-    where: dict[int, tuple[str, int]] = {}
-    for cyc in cycle_decomposition(p):
-        along = "".join(bits[i - 1] for i in cyc)
-        for k, i in enumerate(cyc):
-            where[i] = along, k
-    candidates, modulus = [0], 1
+    # zero pattern of a cycle of length L > 1: the L-bit int with bit j set
+    # iff the j-th point along the cycle holds a 0; point i -> (its cycle,
+    # its index k in it), so that (bits . p^t)(i) is 0 iff bit (k + t) % L
+    # of the pattern is set
+    patterns: list[tuple[int, int]] = []
+    where: dict[int, tuple[int, int]] = {}
+    for cyc in cycles:
+        if len(cyc) > 1:
+            zeros = int("".join([bits[i - 1] for i in reversed(cyc)]).translate(_FLIP), 2)
+            for k, i in enumerate(cyc):
+                where[i] = len(patterns), k
+            patterns.append((len(cyc), zeros))
+    candidates, modulus = 1, 1
+    # cycle -> its pattern repeated out to modulus + L bits, so that the
+    # zero mask of the point at index k is this shifted down by k
+    repeated: dict[int, int] = {}
     for i in order.rank if order is not None else range(1, p.degree + 1):
-        along, k = where[i]
-        length = len(along)
-        if length == 1:
+        entry = where.get(i)
+        if entry is None:
             continue
+        c, k = entry
+        length, zeros = patterns[c]
         if modulus % length:
             lifted = modulus * length // gcd(modulus, length)
-            candidates = [r + j for j in range(0, lifted, modulus) for r in candidates]
+            candidates *= ((1 << lifted) - 1) // ((1 << modulus) - 1)
             modulus = lifted
-        zeros = [t for t in candidates if along[(k + t) % length] == "0"]
-        if zeros:
-            candidates = zeros
-            if len(zeros) == 1 and modulus == n_steps:
+            repeated.clear()
+        mask = repeated.get(c)
+        if mask is None:
+            mask = repeated[c] = zeros * (((1 << (modulus + length)) - 1) // ((1 << length) - 1))
+        kept = candidates & mask >> k
+        if kept:
+            candidates = kept
+            if kept & (kept - 1) == 0 and modulus == n_steps:
                 break
-    t = candidates[0]
-    return t, permute_string(bits, power(p, t))
+    t = (candidates & -candidates).bit_length() - 1
+    # bits . p^t carries bits[cyc[(k + t) % L]] at cyc[k]
+    out = list(bits)
+    for cyc in cycles:
+        shift = t % len(cyc)
+        for i, j in zip(cyc, cyc[shift:] + cyc[:shift]):
+            out[i - 1] = bits[j - 1]
+    return t, "".join(out)

@@ -156,12 +156,17 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse whitespace-tolerant cycle notation like ``(1 2 5)(3 4)``.
 
-    The empty string and ``()`` both denote the identity.  Cycles must be
-    disjoint and stay within 1..degree.
+    The empty string and ``()`` both denote the identity.  Points are
+    plain ASCII decimal; cycles must be disjoint and stay within
+    1..degree.
     """
     stripped = _CYCLE_RE.sub("", text).strip()
     if stripped:
         raise OverlappingCycles(f"unparseable cycle text near {stripped[:20]!r}")
+    # one check of every point at once, so each cycle only converts
+    digits = "".join(text.replace("(", " ").replace(")", " ").replace(",", " ").split())
+    if digits and not (digits.isascii() and digits.isdecimal()):
+        raise OverlappingCycles(f"cycle points are not plain decimal in {text[:40]!r}")
     img = list(range(1, degree + 1))
     used: set[int] = set()
     for match in _CYCLE_RE.finditer(text):
@@ -169,9 +174,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         if not body:
             continue
         try:
-            points = [int(tok) for tok in body]
-        except ValueError as exc:
-            raise OverlappingCycles(f"bad cycle token in {match.group(0)!r}") from exc
+            points = list(map(int, body))
+        except ValueError:  # more digits than int() converts
+            raise OverlappingCycles(f"bad cycle token in {match.group(0)[:40]!r}") from None
         for pt in points:
             if not 1 <= pt <= degree:
                 raise IndexOutOfRange(f"point {pt} outside 1..{degree}")

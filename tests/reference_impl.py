@@ -2,15 +2,16 @@
 
 These are the straightforward versions the library used before its
 rank-space walk, support-restricted symmetry check, incremental
-stabilizer chain, residue-narrowing orbit minimum and support-based
-string action and cycle formatting: every candidate is
+stabilizer chain, bitset orbit minimum, 1s-only orbit witness and
+support-based string action and cycle formatting: every candidate is
 built as a whole string and compared through its whole sort key, every
 symmetry check renames and counts every clause, the stabilizer chain
 rebuilds a level's orbit and re-sifts all of its Schreier generators
 whenever the level gains a generator, the well-behavedness check walks
 the gadget wiring by hand through its own position index instead of
 decoding and re-assembling through the layout, and the orbit minimum
-builds and compares one whole string per power, a word acts on a string
+builds and compares one whole string per power, the zero-forbidden
+witness builds one whole string per step, a word acts on a string
 through one whole-string join per letter, and supports and cycle text
 come from a scan of every entry of the image.
 """
@@ -24,6 +25,7 @@ from typing import Sequence
 
 from lexperm.bitlex import PriorityOrder, sort_key
 from lexperm.cnf import CnfFormula
+from lexperm.dcr import GlobalMinOneInstance
 from lexperm.errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
 from lexperm.perm import (
     GeneratorSet,
@@ -141,6 +143,19 @@ def reference_orbit_min(
         if key < best_key:
             best_t, best_s, best_key = t, s, key
     return best_t, best_s
+
+
+def reference_zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | None:
+    """Walk the orbit of the start one whole string per step."""
+    n_steps = perm_order(gm.perm)
+    if n_steps > cap:
+        raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
+    s = gm.start
+    for t in range(n_steps):
+        if all(s[pos - 1] == "0" for pos in gm.forbidden):
+            return t
+        s = permute_string(s, gm.perm)
+    return None
 
 
 def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:

@@ -155,6 +155,21 @@ def test_parse_order_rejects_non_integer_rank():
         bitlex.parse_order("1 x 3", 3)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["+1 2 3", "1_0 2 3", "1 2 \uff13", "\u0661 2 3", "-1 2 3", "1 2 " + "3" * 5000],
+    ids=["plus", "underscore", "full-width", "arabic-indic", "minus", "5000-digits"],
+)
+def test_parse_order_reads_plain_decimal_only(text):
+    with pytest.raises(FormatError):
+        bitlex.parse_order(text, 3)
+
+
+def test_parse_order_reads_leading_zeros_and_any_spacing():
+    assert bitlex.parse_order(" 03\t1  2 ", 3).rank == (3, 1, 2)
+    assert bitlex.parse_order("", 0).rank == ()
+
+
 def test_parse_order_rejects_non_permutation():
     with pytest.raises(FormatError):
         bitlex.parse_order("1 1 2", 3)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from random import Random
 
 import pytest
@@ -156,6 +157,26 @@ def test_netlist_rejects_constants_and_junk():
 def test_netlist_warns_on_dangling_input():
     with pytest.warns(UserWarning, match="x2 feeds no gate"):
         parse_netlist("inputs 2\ngate 1 NAND x1 x1\noutputs g1\n")
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (3, "input x1 feeds no gate"),
+        (4, "input x1, x3 feed no gate (2 of 4 inputs)"),
+        (7, "input x1, x3, x4, x5, x6 feed no gate (5 of 7 inputs)"),
+        (8, "input x1, x3, x4, x5, x6, ... feed no gate (6 of 8 inputs)"),
+        (20000, "input x1, x3, x4, x5, x6, ... feed no gate (19998 of 20000 inputs)"),
+        (10**9, "input x1, x3, x4, x5, x6, ... feed no gate (999999998 of 1000000000 inputs)"),
+    ],
+)
+def test_netlist_warns_once_naming_the_unused_inputs(n, message):
+    """One warning per parse, found from the gates alone: an input count
+    of a billion parses at once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_netlist(f"inputs {n}\ngate 1 NAND x2 x{min(n, 7)}\noutputs g1\n")
+    assert [str(w.message) for w in caught] == [message]
 
 
 _NETLIST_LINES = st.lists(

@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lexperm
 from lexperm import cli
@@ -133,6 +136,56 @@ def test_malformed_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "+1 2 3"],
+        ["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "1_0 2 3"],
+        ["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "1 2 \uff13"],
+        ["one-perm", "--string", "010", "--perm", "(+1 2 3)"],
+        ["one-perm", "--string", "010", "--perm", "(1 2 \uff13)"],
+        ["orbit-min", "--string", "010", "--perm", "(1_0 2)"],
+    ],
+    ids=["order-plus", "order-underscore", "order-full-width", "perm-plus", "perm-full-width",
+         "perm-underscore"],
+)
+def test_python_literal_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error ")
+
+
+_ARG_TEXT = st.one_of(st.text(max_size=10), st.text(alphabet="0123456789() ,+-_x\uff13\t", max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["orbit-min", "one-perm"]),
+    st.one_of(st.text(alphabet="01", max_size=8), st.text(max_size=8)),
+    _ARG_TEXT,
+    st.none() | _ARG_TEXT,
+    st.none() | st.integers(-2, 10**4).map(str) | st.text(max_size=6),
+    st.booleans(),
+)
+@example("orbit-min", "010", "(1 2 3)", "+1 2 3", None, False)
+@example("one-perm", "010", "(+1 2 3)", None, None, True)
+@example("orbit-min", "1010101", "(1 2 3 4 5 6 7)", None, "3", False)
+def test_orbit_commands_end_in_exit_status_0_1_or_2(command, string, perm_text, order, cap, as_json):
+    """Whatever the arguments, ``main`` returns 0, 1 or 2 or argparse exits;
+    no other exception escapes."""
+    argv = [command, f"--string={string}", f"--perm={perm_text}"]
+    if command == "orbit-min":
+        argv += [] if order is None else [f"--order={order}"]
+        argv += [] if cap is None else [f"--cap={cap}"]
+    argv += ["--format=json"] if as_json else []
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("subcommand", ["eval", "check", "greedy"])

@@ -235,6 +235,9 @@ _DIMACS_LINES = st.lists(
 @example("p cnf " + "1" * 5000 + " 0")
 @example("c var " + "1" * 5000 + " a\np cnf 1 0")
 @example("p cnf 1 \u00b2")
+@example("p cnf 12 1\n1_0 -2 0\n")
+@example("p cnf 12 1\n+1 -2 0\n")
+@example("p cnf 12 1\n\u0661 -2 0\n")
 def test_parse_dimacs_fuzz_yields_formula_or_lexperm_error(text):
     try:
         f = parse_dimacs(text)
@@ -242,3 +245,18 @@ def test_parse_dimacs_fuzz_yields_formula_or_lexperm_error(text):
         return
     assert isinstance(f, CnfFormula)
     assert parse_dimacs(format_dimacs(f)).clauses == f.clauses
+
+
+@pytest.mark.parametrize(
+    "clause",
+    ["1_0 -2 0", "+1 -2 0", "\u0661 -2 0", "1 --2 0", "1 - 2 0", "1 2- 0", "1 2" + "0" * 5000 + " 0"],
+    ids=["underscore", "plus", "arabic-indic", "double-minus", "lone-minus", "trailing-minus", "5001-digits"],
+)
+def test_dimacs_literals_are_an_optional_minus_and_ascii_digits(clause):
+    with pytest.raises(MalformedDimacs, match="^line 5: "):
+        parse_dimacs(f"c first\np cnf 12 2\n1 0\n\n{clause}\n")
+
+
+def test_dimacs_literals_read_minus_zero_and_leading_zeros():
+    f = parse_dimacs("p cnf 3 2\n-01 002 -0 3\n0\n")
+    assert f.clauses == ((-1, 2), (3,))

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import dcr
+from lexperm.bitlex import identity_order
 from lexperm.dcr import (
     DcrInstance,
+    GlobalMinOneInstance,
     Graph,
     coloring_to_dcr,
     dcr_to_globalmin1,
@@ -18,8 +20,10 @@ from lexperm.dcr import (
     three_colorable_bruteforce,
     zero_forbidden_witness,
 )
-from lexperm.errors import FormatError, LcmCapExceeded, LexpermError
-from lexperm.perm import permute_string
+from lexperm.errors import FormatError, LcmCapExceeded, LexpermError, OrderCapExceeded
+from lexperm.perm import Permutation, permute_string
+
+from reference_impl import reference_zero_forbidden_witness
 
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
 K4 = Graph(4, tuple(itertools.combinations(range(1, 5), 2)))
@@ -143,6 +147,87 @@ def test_random_agreement():
     for _ in range(100):
         inst = dcr.random_instance(rng)
         assert solve_bruteforce(inst) == zero_forbidden_witness(dcr_to_globalmin1(inst))
+
+
+def _capped(solver, arg, cap):
+    try:
+        return solver(arg, cap=cap)
+    except (OrderCapExceeded, LcmCapExceeded):
+        return "cap"
+
+
+small_systems = st.lists(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.frozensets(st.integers(0, m - 1)))
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda cs: DcrInstance(tuple(cs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems, st.one_of(st.integers(1, 400), st.just(10**6)))
+@example(DcrInstance(((4, frozenset(range(4))),)), 10**6)
+@example(DcrInstance(((2, frozenset({0})), (4, frozenset({1, 3})))), 10**6)
+@example(DcrInstance(((11, frozenset({0, 1})), (12, frozenset(range(2, 12))))), 10**6)
+@example(DcrInstance(((5, frozenset()), (7, frozenset({3})))), 34)
+@example(DcrInstance(((5, frozenset()), (7, frozenset({3})))), 35)
+def test_witness_agrees_with_reference_walk_and_bruteforce(inst, cap):
+    """Solvable and unsolvable systems, under and over the cap (the
+    brute force's lcm is the order of the permutation)."""
+    gm = dcr_to_globalmin1(inst)
+    got = _capped(zero_forbidden_witness, gm, cap)
+    assert got == _capped(reference_zero_forbidden_witness, gm, cap)
+    assert got == _capped(solve_bruteforce, inst, cap)
+
+
+@st.composite
+def walks(draw):
+    """Any start, permutation and forbidden set, not only a system's."""
+    n = draw(st.integers(0, 12))
+    image = tuple(draw(st.permutations(range(1, n + 1))))
+    start = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    forbidden = tuple(draw(st.lists(st.integers(1, n), unique=True))) if n else ()
+    return GlobalMinOneInstance(start, Permutation(image), identity_order(n), forbidden)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_witness_agrees_with_reference_walk_from_any_start(gm):
+    assert zero_forbidden_witness(gm) == reference_zero_forbidden_witness(gm)
+
+
+def _graph(n, mask):
+    """The graph on 1..n holding the b-th pair, in lexicographic order,
+    iff bit b of mask is set."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph(n, tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_witness_agrees_with_bruteforce_on_every_coloring_system(n):
+    for mask in range(1 << n * (n - 1) // 2):
+        g = _graph(n, mask)
+        system, _ = coloring_to_dcr(g)
+        t = zero_forbidden_witness(dcr_to_globalmin1(system))
+        assert t == solve_bruteforce(system)
+        assert (t is not None) == three_colorable_bruteforce(g)
+
+
+def test_witness_agrees_with_reference_walk_on_every_four_vertex_system():
+    for mask in range(1 << 6):
+        gm = dcr_to_globalmin1(coloring_to_dcr(_graph(4, mask))[0])
+        assert zero_forbidden_witness(gm) == reference_zero_forbidden_witness(gm)
+
+
+# the reference walk takes about 0.4 s per unsolvable 5-vertex system, so
+# these are sampled; K5 walks the whole orbit of 3 * 5 * 7 * 11 * 13
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, (1 << 10) - 1))
+@example((1 << 10) - 1)
+def test_witness_agrees_with_reference_walk_on_five_vertex_systems(mask):
+    gm = dcr_to_globalmin1(coloring_to_dcr(_graph(5, mask))[0])
+    assert zero_forbidden_witness(gm) == reference_zero_forbidden_witness(gm)
 
 
 def test_dcr_text_round_trip():

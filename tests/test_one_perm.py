@@ -2,7 +2,7 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import bitlex, dcr
@@ -206,6 +206,22 @@ def test_orbit_min_agrees_with_reference_on_every_small_coloring_instance():
             assert orbit_min_one_perm(*args, order=gm.order) == reference_orbit_min(
                 *args, order=gm.order
             )
+
+
+# the reference scan takes about a second per 5-vertex system whose orbit
+# is 15015, so these are sampled; C5 is colorable, K5 is not
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, (1 << 10) - 1))
+@example(0b1010011001)
+@example((1 << 10) - 1)
+def test_orbit_min_agrees_with_reference_on_five_vertex_systems(mask):
+    pairs = itertools.combinations(range(1, 6), 2)
+    g = dcr.Graph(5, tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+    gm = dcr.dcr_to_globalmin1(dcr.coloring_to_dcr(g)[0])
+    for order in (gm.order, None):
+        assert orbit_min_one_perm(gm.start, gm.perm, order=order) == reference_orbit_min(
+            gm.start, gm.perm, order=order
+        )
 
 
 @settings(max_examples=200, deadline=None)

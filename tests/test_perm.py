@@ -124,6 +124,20 @@ def test_parse_rejects_overlap_and_range():
         parse_cycles("(1 2) junk", 3)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(+1 2 3)", "(1_0 2)", "(1 2 \uff13)", "(\u0661 2)", "(1 \u00b2)", "(-1 2)", "(1 2)(1" + "0" * 5000 + ")"],
+    ids=["plus", "underscore", "full-width", "arabic-indic", "superscript", "minus", "5001-digits"],
+)
+def test_parse_cycles_reads_plain_decimal_only(text):
+    with pytest.raises(OverlappingCycles):
+        parse_cycles(text, 12)
+
+
+def test_parse_cycles_reads_leading_zeros_commas_and_any_spacing():
+    assert parse_cycles(" (01,2)\t(3  4) ", 4) == parse_cycles("(1 2)(3 4)", 4)
+
+
 def test_format_round_trip_random():
     rng = Random(11)
     for _ in range(1000):
