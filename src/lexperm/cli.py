@@ -255,6 +255,14 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+def _decimal(text: str) -> int:
+    """An integer flag's value: plain ASCII decimal, as in the file formats."""
+    value = bitlex.read_decimal(text)
+    if value is None:
+        raise FormatError(f"not a plain decimal integer: {text!r}")
+    return value
+
+
 def _add_format(p: argparse.ArgumentParser, default: str | None = "text") -> None:
     p.add_argument("--format", choices=("text", "json"), default=default)
 
@@ -276,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--string", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--order", help="whitespace-separated rank list")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=_decimal, default=10**6)
     _add_format(p)
     p.set_defaults(func=_cmd_orbit_min)
 
     p = sub.add_parser("search", help="greedy walk over an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--start-word", dest="start_word")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=10**6)
+    p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.add_argument("--trace", action="store_true")
     _add_format(p, default=None)
     p.set_defaults(func=_cmd_search)
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = pd.add_subparsers(dest="subcommand", required=True)
     p = dsub.add_parser("solve")
     p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=_decimal, default=10**6)
     p.set_defaults(func=_cmd_dcr_solve)
     p = dsub.add_parser("from-graph")
     p.add_argument("file", nargs="?", default="-")
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("greedy")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=10**4)
+    p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**4)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_flip_greedy)
 
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = rsub.add_parser("search")
     p.add_argument("instance", nargs="?", default="-")
     p.add_argument("--start-word", dest="start_word")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=10**6)
+    p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.add_argument("--trace", action="store_true")
     _add_format(p, default=None)
     p.set_defaults(func=_cmd_reduce_search)
@@ -402,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--sym")
     p.add_argument("--assignment")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=10**6)
+    p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.set_defaults(func=_cmd_cnf_localmin)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("names", nargs="*", help="run only these checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_selftest)
 
@@ -415,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except LexpermError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

@@ -15,6 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal
 from .circuit import FlipInstance
@@ -49,18 +51,19 @@ class CnfFormula:
     circuit: FlipInstance | None = None
 
     @cached_property
-    def canonical_clauses(self) -> tuple[tuple[int, ...], ...]:
-        """Every clause with its literals sorted, in clause order."""
-        return tuple(tuple(sorted(clause)) for clause in self.clauses)
+    def clause_counts(self) -> Mapping[tuple[int, ...], int]:
+        """How often each clause occurs, keyed by its sorted literals (a
+        read-only view)."""
+        return MappingProxyType(Counter(map(tuple, map(sorted, self.clauses))))
 
     @cached_property
-    def clauses_of_var(self) -> tuple[tuple[int, ...], ...]:
-        """Entry v lists the indices of the clauses that mention variable v
-        (entry 0 is empty)."""
-        index: list[list[int]] = [[] for _ in range(self.num_vars + 1)]
-        for c, clause in enumerate(self.clauses):
-            for v in {abs(l) for l in clause}:
-                index[v].append(c)
+    def clauses_of_var(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry v lists the distinct sorted clauses that mention variable
+        v, a clause once per literal of v in it (entry 0 is empty)."""
+        index: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_vars + 1)]
+        for key in self.clause_counts:
+            for l in key:
+                index[abs(l)].append(key)
         return tuple(map(tuple, index))
 
 
@@ -134,32 +137,30 @@ def build_formula(c: FlipInstance) -> CnfFormula:
 def satisfies(f: CnfFormula, assignment: str) -> bool:
     if len(assignment) != f.num_vars:
         raise LengthMismatch(f"{len(assignment)} bits vs {f.num_vars} variables")
-    return all(
-        any((assignment[abs(l) - 1] == "1") == (l > 0) for l in clause)
-        for clause in f.clauses
-    )
+    true = {v if bit == "1" else -v for v, bit in enumerate(assignment, start=1)}
+    return not any(map(true.isdisjoint, f.clauses))
 
 
 def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     """True iff renaming every variable through p maps the clause multiset
     onto itself.
 
-    A clause that mentions no variable p moves maps to itself, so the
-    multisets are equal iff the clauses touching supp(p) map onto
-    themselves; only those are renamed and counted."""
+    The renaming keeps signs, so it is injective on sorted clauses, fixes
+    every clause that mentions no variable p moves and maps the clauses
+    that do onto clauses that do.  The multiset is therefore invariant iff
+    each clause touching supp(p) has an image that occurs as often as the
+    clause itself; the check stops at the first that does not, and costs
+    only the clauses that touch supp(p)."""
     if p.degree != f.num_vars:
         raise DegreeMismatch(f"permutation degree {p.degree} vs {f.num_vars} variables")
     image = p.image
-    clauses_of_var = f.clauses_of_var
-    touched: set[int] = set()
+    lit: dict[int, int] = {}  # literals of moved variables; the rest are fixed
     for v in p.moved:
-        touched.update(clauses_of_var[v])
-    canon = f.canonical_clauses
-
-    def mapped(clause: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted((1 if l > 0 else -1) * image[abs(l) - 1] for l in clause))
-
-    return Counter(mapped(canon[c]) for c in touched) == Counter(canon[c] for c in touched)
+        lit[v] = image[v - 1]
+        lit[-v] = -image[v - 1]
+    rename, count = lit.get, f.clause_counts.get
+    touched = set().union(*map(f.clauses_of_var.__getitem__, p.moved))
+    return all(count(tuple(sorted(map(rename, k, k)))) == count(k) for k in touched)
 
 
 def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
@@ -240,7 +241,7 @@ def local_min_solution(
     symmetry under the variable priority."""
     start = alpha if alpha is not None else f.initial
     if start is None:
-        raise ValueError("no assignment given and formula has no initial one")
+        raise UnsatStart("no assignment given and the formula has no initial one")
     if not satisfies(f, start):
         raise UnsatStart("starting assignment does not satisfy the formula")
     return standard_algorithm(start, f.priority, f.symmetries, max_steps=max_steps)
@@ -290,7 +291,6 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     num_vars = None
     announced = None
     clauses: list[tuple[int, ...]] = []
-    pending: list[int] = []
     body: list[str] = []  # the clause lines
     labels: dict[int, str] = {}
     alpha = None
@@ -334,13 +334,12 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
         raise MalformedDimacs(f"line {lineno}: a literal is not an optional '-' and ASCII digits")
     if num_vars is None:
         raise MalformedDimacs("missing 'p cnf' line")
-    for lit in literals:
-        if lit:
-            pending.append(lit)
-        else:
-            clauses.append(tuple(pending))
-            pending = []
-    if pending:
+    start = 0
+    for _ in range(literals.count(0)):
+        end = literals.index(0, start)
+        clauses.append(tuple(literals[start:end]))
+        start = end + 1
+    if start < len(literals):
         raise MalformedDimacs("last clause is not terminated by 0")
     if announced != len(clauses):
         raise MalformedDimacs(

@@ -157,16 +157,17 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse whitespace-tolerant cycle notation like ``(1 2 5)(3 4)``.
 
     The empty string and ``()`` both denote the identity.  Points are
-    plain ASCII decimal; cycles must be disjoint and stay within
-    1..degree.
+    plain ASCII decimal (else ``FormatError``); cycles must be disjoint
+    (else ``OverlappingCycles``) and stay within 1..degree (else
+    ``IndexOutOfRange``).
     """
     stripped = _CYCLE_RE.sub("", text).strip()
     if stripped:
-        raise OverlappingCycles(f"unparseable cycle text near {stripped[:20]!r}")
+        raise FormatError(f"unparseable cycle text near {stripped[:20]!r}")
     # one check of every point at once, so each cycle only converts
     digits = "".join(text.replace("(", " ").replace(")", " ").replace(",", " ").split())
     if digits and not (digits.isascii() and digits.isdecimal()):
-        raise OverlappingCycles(f"cycle points are not plain decimal in {text[:40]!r}")
+        raise FormatError(f"cycle points are not plain decimal in {text[:40]!r}")
     img = list(range(1, degree + 1))
     used: set[int] = set()
     for match in _CYCLE_RE.finditer(text):
@@ -176,7 +177,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         try:
             points = list(map(int, body))
         except ValueError:  # more digits than int() converts
-            raise OverlappingCycles(f"bad cycle token in {match.group(0)[:40]!r}") from None
+            raise FormatError(f"bad cycle token in {match.group(0)[:40]!r}") from None
         for pt in points:
             if not 1 <= pt <= degree:
                 raise IndexOutOfRange(f"point {pt} outside 1..{degree}")
@@ -294,7 +295,7 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
             continue
         name, sep, cycles = line.partition("=")
         if not sep:
-            raise OverlappingCycles(f"line {lineno}: missing '=' in generator line")
+            raise FormatError(f"line {lineno}: missing '=' in generator line")
         name = name.strip()
         if name in names:
             raise FormatError(f"line {lineno}: generator {name!r} is defined twice")

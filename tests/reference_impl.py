@@ -1,19 +1,20 @@
 """Reference implementations that the fast paths are checked against.
 
 These are the straightforward versions the library used before its
-rank-space walk, support-restricted symmetry check, incremental
-stabilizer chain, bitset orbit minimum, 1s-only orbit witness and
-support-based string action and cycle formatting: every candidate is
-built as a whole string and compared through its whole sort key, every
-symmetry check renames and counts every clause, the stabilizer chain
-rebuilds a level's orbit and re-sifts all of its Schreier generators
-whenever the level gains a generator, the well-behavedness check walks
-the gadget wiring by hand through its own position index instead of
-decoding and re-assembling through the layout, and the orbit minimum
-builds and compares one whole string per power, the zero-forbidden
-witness builds one whole string per step, a word acts on a string
-through one whole-string join per letter, and supports and cycle text
-come from a scan of every entry of the image.
+rank-space walk, count-table symmetry check, literal-set satisfaction
+check, incremental stabilizer chain, bitset orbit minimum, 1s-only orbit
+witness and support-based string action and cycle formatting: every
+candidate is built as a whole string and compared through its whole sort
+key, every symmetry check renames and counts every clause, a satisfaction
+check looks up every literal's bit, the stabilizer chain rebuilds a
+level's orbit and re-sifts all of its Schreier generators whenever the
+level gains a generator, the well-behavedness check walks the gadget
+wiring by hand through its own position index instead of decoding and
+re-assembling through the layout, and the orbit minimum builds and
+compares one whole string per power, the zero-forbidden witness builds
+one whole string per step, a word acts on a string through one
+whole-string join per letter, and supports and cycle text come from a
+scan of every entry of the image.
 """
 
 from __future__ import annotations
@@ -167,6 +168,16 @@ def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:
 
     canon = [tuple(sorted(cl)) for cl in f.clauses]
     return Counter(map(mapped, f.clauses)) == Counter(canon)
+
+
+def reference_satisfies(f: CnfFormula, assignment: str) -> bool:
+    """Every clause has a literal whose bit makes it true."""
+    if len(assignment) != f.num_vars:
+        raise LengthMismatch(f"{len(assignment)} bits vs {f.num_vars} variables")
+    return all(
+        any((assignment[abs(l) - 1] == "1") == (l > 0) for l in clause)
+        for clause in f.clauses
+    )
 
 
 class ReferenceChain:

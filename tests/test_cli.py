@@ -7,11 +7,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lexperm
-from lexperm import cli
+from lexperm import circuit, cli, cnf
 
 STEP_NETLIST = """inputs 3
 gate 1 NAND x2 x1
@@ -155,6 +155,27 @@ def test_python_literal_numbers_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", "1_0"], 2),
+        (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", " +2"], 2),
+        (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", "10"], 0),
+        (["search", "--instance", "-", "--max-steps", "-1"], 2),
+        (["dcr", "solve", "--cap", "\uff11"], 2),
+        (["selftest", "--list", "--seed", "0x1"], 2),
+        (["selftest", "--list", "--seed", "007"], 0),
+    ],
+    ids=["cap-underscore", "cap-plus", "cap-10", "max-steps-minus", "cap-full-width", "seed-hex",
+         "seed-leading-zeros"],
+)
+def test_integer_flags_read_plain_decimal_only(capsys, argv, code):
+    status, out, err = run(capsys, argv)
+    assert status == code
+    if code:
+        assert out == "" and err.startswith("error FormatError:")
 
 
 _ARG_TEXT = st.one_of(st.text(max_size=10), st.text(alphabet="0123456789() ,+-_x\uff13\t", max_size=16))
@@ -391,6 +412,72 @@ def test_cnf_pipeline(tmp_path, capsys):
     assert code == 0
     assert "status local_opt" in out
     assert "input " in out
+
+
+_STEP_DIMACS_LINES = cnf.format_dimacs(cnf.build_formula(circuit.parse_netlist(STEP_NETLIST))).splitlines()
+_STEP_SYM_LINES = [line.removeprefix("c sym ") for line in _STEP_DIMACS_LINES if line.startswith("c sym ")]
+_CNF_LINE = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="pcnfvarlhsym=() -0123456789", max_size=16),
+    st.sampled_from(["p cnf 2 1", "1 -2 0", "0", "c alpha 01", "c priority 2 1", "c sym s = (1 2)",
+                     "c sym s = (1 2 3)", "c var 1 C0.x1", "s = (1 2)", "s (1 2)", "s = (1 1)"]),
+)
+
+
+@st.composite
+def _edited_lines(draw, base):
+    """base, or no lines, with up to three lines inserted, replaced or
+    deleted."""
+    lines = list(base) if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or i == len(lines):
+            lines.insert(i, draw(_CNF_LINE))
+        elif edit == "replace":
+            lines[i] = draw(_CNF_LINE)
+        else:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["check-sym", "localmin"]),
+    _edited_lines(_STEP_DIMACS_LINES),
+    st.none() | _edited_lines(_STEP_SYM_LINES),
+    st.none() | st.text(alphabet="01x", max_size=4),
+    st.none() | st.sampled_from(["0", "3", "-1", "1_0"]),
+)
+@example(command="localmin", text="1 -2 0\np cnf 2 1\n", sym_text=None, assignment=None, max_steps=None)
+def test_cnf_commands_end_in_exit_status_0_1_or_2(tmp_path, command, text, sym_text, assignment, max_steps):
+    """Whatever the DIMACS file, symmetry file and flags, ``main`` returns
+    0, 1 or 2 or argparse exits; no other exception escapes."""
+    cnf_file = tmp_path / "fuzz.cnf"
+    cnf_file.write_text(text)
+    argv = ["cnf", command, str(cnf_file)]
+    if sym_text is not None:
+        (tmp_path / "fuzz.sym").write_text(sym_text)
+        argv += ["--sym", str(tmp_path / "fuzz.sym")]
+    if command == "localmin":
+        argv += [] if assignment is None else [f"--assignment={assignment}"]
+        argv += [] if max_steps is None else [f"--max-steps={max_steps}"]
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+
+
+def test_cnf_localmin_without_a_start_exits_2(tmp_path, capsys):
+    cnf_file = tmp_path / "bare.cnf"
+    cnf_file.write_text("p cnf 2 1\n1 -2 0\n")
+    code, out, err = run(capsys, ["cnf", "localmin", str(cnf_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error UnsatStart:")
+    code, out, _ = run(capsys, ["cnf", "localmin", str(cnf_file), "--assignment", "10"])
+    assert code == 0 and "assignment 10" in out
 
 
 def _pos_index_gap(lines):

@@ -122,6 +122,8 @@ def test_local_min_solution_rejects_unsat_start():
     bad = "11" + f.initial[2:]
     with pytest.raises(UnsatStart):
         local_min_solution(f, alpha=bad)
+    with pytest.raises(UnsatStart, match="no initial one"):
+        local_min_solution(parse_dimacs("p cnf 2 1\n1 -2 0\n"))
 
 
 def test_dimacs_round_trip():
@@ -255,6 +257,14 @@ def test_parse_dimacs_fuzz_yields_formula_or_lexperm_error(text):
 def test_dimacs_literals_are_an_optional_minus_and_ascii_digits(clause):
     with pytest.raises(MalformedDimacs, match="^line 5: "):
         parse_dimacs(f"c first\np cnf 12 2\n1 0\n\n{clause}\n")
+
+
+def test_dimacs_clauses_end_at_every_zero():
+    # a second 0 closes an empty clause; literals after the last 0 are an
+    # unterminated clause
+    assert parse_dimacs("p cnf 1 2\n1 0 0\n").clauses == ((1,), ())
+    with pytest.raises(MalformedDimacs, match="^last clause is not terminated by 0$"):
+        parse_dimacs("p cnf 2 1\n1 0 2\n")
 
 
 def test_dimacs_literals_read_minus_zero_and_leading_zeros():

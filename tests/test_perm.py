@@ -120,7 +120,7 @@ def test_parse_rejects_overlap_and_range():
         parse_cycles("(1 2)(2 3)", 3)
     with pytest.raises(IndexOutOfRange):
         parse_cycles("(1 9)", 3)
-    with pytest.raises(OverlappingCycles):
+    with pytest.raises(FormatError):
         parse_cycles("(1 2) junk", 3)
 
 
@@ -130,7 +130,7 @@ def test_parse_rejects_overlap_and_range():
     ids=["plus", "underscore", "full-width", "arabic-indic", "superscript", "minus", "5001-digits"],
 )
 def test_parse_cycles_reads_plain_decimal_only(text):
-    with pytest.raises(OverlappingCycles):
+    with pytest.raises(FormatError):
         parse_cycles(text, 12)
 
 

@@ -1,17 +1,25 @@
-"""The rank-space walk, ``is_local_min`` and the support-restricted
-``check_symmetry`` against the whole-string reference implementations."""
+"""The rank-space walk, ``is_local_min``, the count-table
+``check_symmetry`` and the literal-set ``satisfies`` against the
+whole-string and whole-formula reference implementations."""
 
 from random import Random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import acceptance, circuit, cnf, reduction
 from lexperm.bitlex import PriorityOrder, is_local_min
-from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, parse_cycles
+from lexperm.errors import LengthMismatch
+from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, parse_cycles, perm_order, power
 from lexperm.search import standard_algorithm
 
-from reference_impl import reference_check_symmetry, reference_is_local_min, reference_walk
+from reference_impl import (
+    reference_check_symmetry,
+    reference_is_local_min,
+    reference_satisfies,
+    reference_walk,
+)
 
 
 def assert_same_walk(res, ref):
@@ -53,6 +61,54 @@ def test_check_symmetry_counts_duplicate_clauses():
     for cycles, expected in (("(2 3)", False), ("(1 2)", False), ("", True)):
         p = parse_cycles(cycles, 3)
         assert cnf.check_symmetry(f, p) == reference_check_symmetry(f, p) == expected
+
+
+def _formula(num_vars: int, clauses) -> cnf.CnfFormula:
+    return cnf.CnfFormula(
+        num_vars, tuple(map(tuple, clauses)), tuple(f"v{v}" for v in range(1, num_vars + 1)),
+        GeneratorSet(num_vars, (), ()),
+    )
+
+
+@st.composite
+def _formula_and_perm(draw):
+    """A small formula, a permutation of its variables and an assignment.
+    Clauses may repeat, repeat a literal, be tautologies or be empty; half
+    the time the formula is closed under the permutation (every clause
+    joined by its images under each power), so both verdicts occur and an
+    image clause is often absent from an unclosed formula."""
+    n = draw(st.integers(1, 6))
+    literal = st.builds(lambda v, sign: v * sign, st.integers(1, n), st.sampled_from((1, -1)))
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=8))
+    if clauses and draw(st.booleans()):
+        clauses.append(draw(st.sampled_from(clauses)))
+    p = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    if draw(st.booleans()):
+        images = []
+        for k in range(perm_order(p)):
+            q = power(p, k)
+            images += [[(1 if l > 0 else -1) * q.image[abs(l) - 1] for l in clause] for clause in clauses]
+        clauses = images
+    bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    return _formula(n, clauses), p, bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_formula_and_perm())
+@example((_formula(3, [(1, 2), (1, 2), (1, 1, -3), (2, -2), ()]), parse_cycles("(1 3)", 3), "010"))
+@example((_formula(3, [(1, 2), (2, 3), (2, 3)]), parse_cycles("(1 3)", 3), "000"))
+@example((_formula(4, [(1, -1), (2, 2, 3), (3, 3, 2)]), parse_cycles("(2 3)", 4), "0110"))
+def test_check_symmetry_and_satisfies_agree_with_reference(case):
+    f, p, bits = case
+    assert cnf.check_symmetry(f, p) == reference_check_symmetry(f, p)
+    assert cnf.satisfies(f, bits) == reference_satisfies(f, bits)
+
+
+def test_satisfies_rejects_a_wrong_length_like_the_reference():
+    f = _formula(3, [(1, -2)])
+    for check in (cnf.satisfies, reference_satisfies):
+        with pytest.raises(LengthMismatch):
+            check(f, "01")
 
 
 def test_acceptance_07_corpus():
