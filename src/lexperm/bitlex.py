@@ -149,12 +149,10 @@ class RankSpace:
         self.rinv = [0] * n
         for r, p in enumerate(self.rank):
             self.rinv[p] = r
-        rinv = self.rinv
-        moves = []
-        for g in gens.perms:
-            image = g.image
-            moves.append(dict(sorted((rinv[i - 1], rinv[image[i - 1] - 1]) for i in g.moved)))
-        self.moves = tuple(moves)
+        at = (None, *self.rinv)  # the rank of each 1-based point
+        self.moves = tuple(
+            [dict(sorted([(at[i], at[j]) for i, j in zip(g.moved, g.moved_to)])) for g in gens.perms]
+        )
 
     def in_ranks(self, seq: Sequence[T]) -> list[T]:
         """A position-indexed sequence rearranged into rank order."""

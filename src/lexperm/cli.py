@@ -171,15 +171,24 @@ def _load_instance_and_word(args) -> tuple[reduction.ReducedInstance, list[str]]
     if text.lstrip().startswith("{"):
         inst = None
         word: list[str] | None = None
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+                raise FormatError(f"line {lineno}: not a JSON record") from None
+            if not isinstance(record, dict):
+                raise FormatError(f"line {lineno}: JSON record is not an object")
             if record.get("type") == "instance":
+                if not isinstance(record.get("text"), str):
+                    raise FormatError(f"line {lineno}: instance record carries no 'text' string")
                 inst = reduction.parse_instance(record["text"])
             elif record.get("type") == "result":
-                word = list(record["word"])
+                word = record.get("word")
+                if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
+                    raise FormatError(f"line {lineno}: result record's 'word' is not a list of strings")
         if inst is None or word is None:
             raise FormatError("json stream lacks instance or result records")
     else:

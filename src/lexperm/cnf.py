@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from types import MappingProxyType
 from typing import Mapping
 
@@ -153,11 +154,9 @@ def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     only the clauses that touch supp(p)."""
     if p.degree != f.num_vars:
         raise DegreeMismatch(f"permutation degree {p.degree} vs {f.num_vars} variables")
-    image = p.image
-    lit: dict[int, int] = {}  # literals of moved variables; the rest are fixed
-    for v in p.moved:
-        lit[v] = image[v - 1]
-        lit[-v] = -image[v - 1]
+    # literals of moved variables; the rest are fixed
+    lit = dict(zip(p.moved, p.moved_to))
+    lit.update(zip(map(neg, p.moved), map(neg, p.moved_to)))
     rename, count = lit.get, f.clause_counts.get
     touched = set().union(*map(f.clauses_of_var.__getitem__, p.moved))
     return all(count(tuple(sorted(map(rename, k, k)))) == count(k) for k in touched)

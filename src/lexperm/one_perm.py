@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
-from .perm import Permutation, cycle_decomposition, identity, power
+from .perm import Permutation, cycle_decomposition, identity, power_from_cycles
 
 _FLIP = str.maketrans("01", "10")
 
@@ -44,8 +44,9 @@ def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
     check_bits(bits)
+    cycles = cycle_decomposition(p)
     chosen = None
-    for cyc in cycle_decomposition(p):
+    for cyc in cycles:
         values = {bits[i - 1] for i in cyc}
         if len(values) > 1:
             chosen = cyc
@@ -57,7 +58,7 @@ def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
         i = chosen[k]
         j = chosen[(k + 1) % length]
         if bits[i - 1] == "0" and bits[j - 1] == "1":
-            return OnePermResult(k, power(p, k), chosen[0])
+            return OnePermResult(k, power_from_cycles(p, cycles, k), chosen[0])
     raise AssertionError("non-constant cycle must contain a 0 -> 1 boundary")
 
 

@@ -215,7 +215,9 @@ class Layout:
 
     def generators(self) -> GeneratorSet:
         """``pi_<gate>_<copy>`` for every gadget, then ``sigma_<i>`` for
-        every input."""
+        every input.  Copy j is copy 0 shifted by 2 * j * per points, so
+        each gate's ``pi`` and each input's flip are built once, in copy 0,
+        and shifted to the other copies."""
         c, n, total = self.circuit, self.circuit.n, self.points
 
         def flip(k: int) -> list[tuple[int, int]]:
@@ -240,30 +242,51 @@ class Layout:
                     ops += swap(self.pair(j, "quad", hid, qa), self.pair(j, "quad", hid, qb))
             return ops
 
-        def perm_from(ops: list[tuple[int, int]]) -> Permutation:
-            # a product of transpositions is a permutation; it moves at most
-            # the points the transpositions name
-            img = list(range(1, total + 1))
+        def support(ops: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+            """``moved`` and ``moved_to`` of a product of transpositions; it
+            moves at most the points they name."""
+            img: dict[int, int] = {}
             for a, b in ops:
-                img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-            moved = sorted({a for op in ops for a in op if img[a - 1] != a})
-            return Permutation._unchecked(tuple(img), tuple(moved))
+                img[a], img[b] = img.get(b, b), img.get(a, a)
+            moved = tuple(sorted([a for a, b in img.items() if a != b]))
+            return moved, tuple([img[a] for a in moved])
 
+        width = 2 * self.per  # points per copy
+
+        def shifted(template, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+            """A copy-0 support moved to copy j."""
+            d = j * width
+            return tuple([a + d for a in template[0]]), tuple([a + d for a in template[1]])
+
+        # copy 0's part of every move: a gate's pi, and the flip of an
+        # input with its successor swaps that sigma makes in the other copies
+        gate_moves = []
+        for gid in range(1, c.gate_count + 1):
+            slots = [("quad", gid, q) for q in QUADRANTS]
+            if gid in self.gate_output:
+                slots.append(self.gate_output[gid])
+            ops = [op for slot in slots for op in flip(self.pair(0, *slot))]
+            gate_moves.append(support(ops + feed_swaps(0, ("g", gid))))
+        input_moves = [
+            support(flip(self.pair(0, "in", i)) + feed_swaps(0, ("x", i)))
+            for i in range(1, n + 1)
+        ]
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
-            for gid in range(1, c.gate_count + 1):
-                slots = [("quad", gid, q) for q in QUADRANTS]
-                if gid in self.gate_output:
-                    slots.append(self.gate_output[gid])
-                ops = [op for slot in slots for op in flip(self.pair(j, *slot))]
-                ops += feed_swaps(j, ("g", gid))
-                pairs.append((f"pi_{gid}_{j}", perm_from(ops)))
-        for i in range(1, n + 1):
-            ops = [op for s in range(1, self.per + 1) for op in swap(s, i * self.per + s)]
+            for gid, template in enumerate(gate_moves, start=1):
+                pairs.append((f"pi_{gid}_{j}", Permutation._unchecked(total, *shifted(template, j))))
+        copy0 = range(1, width + 1)
+        for i, template in enumerate(input_moves, start=1):
+            # copy 0 and copy i trade places; the other copies flip input i.
+            # Copies hold ascending ranges of points, so concatenating their
+            # parts in copy order keeps ``moved`` ascending.
+            own = range(i * width + 1, (i + 1) * width + 1)
+            moved, moved_to = [*copy0], [*own]
             for j in range(1, n + 1):
-                if j != i:
-                    ops += flip(self.pair(j, "in", i)) + feed_swaps(j, ("x", i))
-            pairs.append((f"sigma_{i}", perm_from(ops)))
+                part = (own, copy0) if j == i else shifted(template, j)
+                moved += part[0]
+                moved_to += part[1]
+            pairs.append((f"sigma_{i}", Permutation._unchecked(total, tuple(moved), tuple(moved_to))))
         return GeneratorSet.from_pairs(total, pairs)
 
     def assemble(self, x: str, gate_outputs: str | None = None) -> str:

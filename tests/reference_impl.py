@@ -14,12 +14,16 @@ re-assembling through the layout, and the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
 one whole string per step, a word acts on a string through one
 whole-string join per letter, and supports and cycle text come from a
-scan of every entry of the image.
+scan of every entry of the image.  A permutation is its whole image
+(``DensePermutation``), and the reduction's generators are built copy by
+copy from transpositions on a full image.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 from typing import Sequence
@@ -42,6 +46,7 @@ from lexperm.reduction import (
     QUADRANTS,
     BehaviorReport,
     GateState,
+    Layout,
     Position,
     ReducedInstance,
     decode_gate_state,
@@ -49,7 +54,108 @@ from lexperm.reduction import (
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
 
 
-def dense_moved(p: Permutation) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class DensePermutation:
+    """A bijection on {1..N} held as its whole image: ``image[i-1]`` is
+    where point i is sent."""
+
+    image: tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(self.image) != list(range(1, len(self.image) + 1)):
+            raise ValueError(f"image is not a permutation of 1..{len(self.image)}")
+
+    @property
+    def degree(self) -> int:
+        return len(self.image)
+
+    def __call__(self, point: int) -> int:
+        if not 1 <= point <= len(self.image):
+            raise IndexError(point)
+        return self.image[point - 1]
+
+
+def dense_compose(p: DensePermutation, q: DensePermutation) -> DensePermutation:
+    """(p * q)(i) = p(q(i)), one lookup per point."""
+    return DensePermutation(tuple(p.image[v - 1] for v in q.image))
+
+
+def dense_inverse(p: DensePermutation) -> DensePermutation:
+    img = [0] * p.degree
+    for i, v in enumerate(p.image, start=1):
+        img[v - 1] = i
+    return DensePermutation(tuple(img))
+
+
+def dense_power(p: DensePermutation, k: int) -> DensePermutation:
+    """p composed with itself |k| times, inverted first when k < 0."""
+    base = dense_inverse(p) if k < 0 else p
+    out = DensePermutation(tuple(range(1, p.degree + 1)))
+    for _ in range(abs(k)):
+        out = dense_compose(out, base)
+    return out
+
+
+def dense_parse_cycles(text: str, degree: int) -> DensePermutation:
+    """Cycle notation written into a full identity image, cycle by cycle;
+    no validation beyond that of the result."""
+    img = list(range(1, degree + 1))
+    for body in re.findall(r"\(([^()]*)\)", text):
+        points = [int(t) for t in body.replace(",", " ").split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            img[a - 1] = b
+    return DensePermutation(tuple(img))
+
+
+def reference_layout_generators(layout: Layout) -> list[tuple[str, DensePermutation]]:
+    """The reduction's generators, each built in its own copy as a product
+    of transpositions on a full image: ``pi_<gate>_<copy>`` for every
+    gadget, then ``sigma_<i>`` for every input."""
+    c, n = layout.circuit, layout.circuit.n
+    axes = ((("00", "10"), ("01", "11")), (("00", "01"), ("10", "11")))
+    fed: dict = {}
+    for hid, sources in enumerate(c.gates, start=1):
+        for src, axis in zip(sources, axes):
+            fed.setdefault(src, []).append((hid, axis))
+
+    def flip(k):
+        return [(2 * k - 1, 2 * k)]
+
+    def swap(k, l):
+        return [(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)]
+
+    def feed_swaps(j, source):
+        return [
+            op
+            for hid, axis in fed.get(source, ())
+            for qa, qb in axis
+            for op in swap(layout.pair(j, "quad", hid, qa), layout.pair(j, "quad", hid, qb))
+        ]
+
+    def product(ops):
+        img = list(range(1, layout.points + 1))
+        for a, b in ops:
+            img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
+        return DensePermutation(tuple(img))
+
+    out = []
+    for j in range(n + 1):
+        for gid in range(1, c.gate_count + 1):
+            slots = [("quad", gid, q) for q in QUADRANTS]
+            if gid in layout.gate_output:
+                slots.append(layout.gate_output[gid])
+            ops = [op for slot in slots for op in flip(layout.pair(j, *slot))]
+            out.append((f"pi_{gid}_{j}", product(ops + feed_swaps(j, ("g", gid)))))
+    for i in range(1, n + 1):
+        ops = [op for s in range(1, layout.per + 1) for op in swap(s, i * layout.per + s)]
+        for j in range(1, n + 1):
+            if j != i:
+                ops += flip(layout.pair(j, "in", i)) + feed_swaps(j, ("x", i))
+        out.append((f"sigma_{i}", product(ops)))
+    return out
+
+
+def dense_moved(p: Permutation | DensePermutation) -> tuple[int, ...]:
     """The points p moves, found by scanning its whole image."""
     return tuple(i for i, v in enumerate(p.image, start=1) if i != v)
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lexperm
-from lexperm import circuit, cli, cnf
+from lexperm import circuit, cli, cnf, reduction, search
 
 STEP_NETLIST = """inputs 3
 gate 1 NAND x2 x1
@@ -425,17 +425,17 @@ _CNF_LINE = st.one_of(
 
 
 @st.composite
-def _edited_lines(draw, base):
-    """base, or no lines, with up to three lines inserted, replaced or
-    deleted."""
+def _edited_lines(draw, base, line=_CNF_LINE):
+    """base, or no lines, with up to three lines drawn from ``line``
+    inserted, replaced or deleted."""
     lines = list(base) if draw(st.booleans()) else []
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines)))
         edit = draw(st.sampled_from(["insert", "replace", "delete"]))
         if edit == "insert" or i == len(lines):
-            lines.insert(i, draw(_CNF_LINE))
+            lines.insert(i, draw(line))
         elif edit == "replace":
-            lines[i] = draw(_CNF_LINE)
+            lines[i] = draw(line)
         else:
             del lines[i]
     return "\n".join(lines) + "\n"
@@ -596,6 +596,90 @@ def test_duplicate_symmetry_name_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file)])
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
+
+
+def _not_gate_stream() -> list[str]:
+    """The json-lines records ``reduce search`` writes for NOT_GATE_NETLIST."""
+    inst = reduction.build_instance(circuit.parse_netlist(NOT_GATE_NETLIST))
+    res = search.standard_algorithm(inst.y_start, inst.order, inst.gens)
+    return [
+        json.dumps({"type": "instance", "text": reduction.format_instance(inst)}),
+        json.dumps({"type": "result", "word": list(res.word), "string": res.string,
+                    "status": res.status, "steps": res.steps}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"type": "instance", "te',
+        '{"type": "instance"}',
+        '{"type": "instance", "text": 5}',
+        '{"type": "result"}',
+        '{"type": "result", "word": 5}',
+        '{"type": "result", "word": "sigma_1"}',
+        '{"type": "result", "word": [1]}',
+        '[{"type": "result", "word": []}]',
+        '"result"',
+        "[" * 100_000,
+    ],
+    ids=["truncated", "no-text", "text-int", "no-word", "word-int", "word-str", "word-of-int",
+         "array", "string", "deep-nesting"],
+)
+def test_malformed_search_stream_exits_2(tmp_path, capsys, record):
+    stream = tmp_path / "walk.jsonl"
+    stream.write_text("\n".join([*_not_gate_stream(), record]) + "\n")
+    code, out, err = run(capsys, ["reduce", "map", str(stream)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
+_REDUCE_LINE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "inputs 1", "gate 1 NAND x1 x1", "outputs g1", "net inputs 2", "net gate 2 NAND g1 x1",
+        "pos 1 C0.x1.0", "start 01", "order 2 1", "pi_1_0 = (1 2)", "sigma_1 = ()", "N 24 K 3",
+        '{"type": "instance", "te', '{"type": "instance", "text": "N 2 K 0"}',
+        '{"type": "result", "word": 5}', '{"type": "result", "word": ["sigma_1"]}', "[1]", "{}",
+    ]),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["build", "search", "map", "embed"]),
+    st.sampled_from(["netlist", "instance", "stream"]),
+    st.data(),
+    st.none() | st.text(alphabet="sigma_pi0123 ", max_size=12),
+    st.text(alphabet="01x", max_size=3),
+    st.none() | st.sampled_from(["0", "2", "-1", "1_0"]),
+)
+def test_reduce_commands_end_in_exit_status_0_1_or_2(tmp_path, command, source, data, word, target, max_steps):
+    """Whatever the netlist, instance file or search stream and the flags,
+    ``main`` returns 0, 1 or 2 or argparse exits; no other exception
+    escapes."""
+    base = {
+        "netlist": NOT_GATE_NETLIST.splitlines(),
+        "instance": reduction.format_instance(
+            reduction.build_instance(circuit.parse_netlist(NOT_GATE_NETLIST))
+        ).splitlines(),
+        "stream": _not_gate_stream(),
+    }[source]
+    path = tmp_path / "fuzz.in"
+    path.write_text(data.draw(_edited_lines(base, _REDUCE_LINE)))
+    argv = ["reduce", command, str(path)]
+    if command == "map" and word is not None:
+        argv.append(f"--word={word}")
+    elif command == "embed":
+        argv.append(f"--target={target}")
+    elif command == "search" and max_steps is not None:
+        argv.append(f"--max-steps={max_steps}")
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_selftest_list(capsys):

@@ -10,7 +10,7 @@ import pytest
 from lexperm.circuit import random_instance
 from lexperm.cnf import build_formula, format_dimacs
 from lexperm.reduction import Layout, build_instance, format_instance
-from reference_impl import dense_moved
+from reference_impl import dense_moved, reference_layout_generators
 
 # (seed, n, gates, outputs, sha256 of the instance text, sha256 of the DIMACS text)
 GOLDEN = [
@@ -75,3 +75,14 @@ def test_layout_generators_hand_over_their_exact_support(gate_var):
         for name, g in Layout(c, gate_var=gate_var).generators():
             assert g.moved == dense_moved(g), name
             assert sorted(g.image) == list(range(1, g.degree + 1)), name
+
+
+@pytest.mark.parametrize("gate_var", [False, True])
+def test_template_shifted_generators_equal_a_per_copy_build(gate_var):
+    rng = Random(89)
+    for _ in range(30):
+        n, gates = rng.randint(1, 5), rng.randint(1, 10)
+        c = random_instance(rng, n, gates, rng.randint(1, min(3, gates)))
+        layout = Layout(c, gate_var=gate_var)
+        built = [(name, g.image) for name, g in layout.generators()]
+        assert built == [(name, g.image) for name, g in reference_layout_generators(layout)]

@@ -19,7 +19,7 @@ from lexperm.perm import (
     random_permutation,
 )
 
-from reference_impl import reference_orbit_min
+from reference_impl import DensePermutation, dense_power, reference_orbit_min
 
 
 def _gens(p):
@@ -242,3 +242,12 @@ def test_witness_is_the_stated_power():
         p = random_permutation(rng, n)
         res = local_min_one_perm(bits, p)
         assert res.witness == power(p, res.exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_witness_built_from_cycles_matches_power(case):
+    bits, p, _ = case
+    res = local_min_one_perm(bits, p)
+    assert res.witness == power(p, res.exponent)
+    assert res.witness.image == dense_power(DensePermutation(p.image), res.exponent).image

@@ -1,3 +1,4 @@
+import pickle
 from random import Random
 
 import pytest
@@ -34,7 +35,12 @@ from lexperm.perm import (
     random_permutation,
 )
 from reference_impl import (
+    DensePermutation,
+    dense_compose,
+    dense_inverse,
     dense_moved,
+    dense_parse_cycles,
+    dense_power,
     reference_apply_word_to_string,
     reference_format_cycles,
 )
@@ -260,8 +266,69 @@ def test_moved_matches_dense_scan_of_every_constructor(p, data):
     ]
     for r in built:
         assert r.moved == dense_moved(r)
-        # a second read returns the cached support unchanged
-        assert r.moved == dense_moved(r)
+
+
+def _images(n: int):
+    """Images of degree n: any permutation, the identity, or an n-cycle,
+    which moves every point once n > 1."""
+    cycle = tuple(range(2, n + 1)) + (1,) if n else ()
+    return st.one_of(
+        st.permutations(list(range(1, n + 1))).map(tuple),
+        st.just(tuple(range(1, n + 1))),
+        st.just(cycle),
+    )
+
+
+def _assert_sparse_form(p: Permutation) -> None:
+    """``moved`` ascends, holds only moved points, and ``moved_to`` is a
+    rearrangement of it; with every point moved, image is moved_to."""
+    assert list(p.moved) == sorted(set(p.moved))
+    assert sorted(p.moved_to) == list(p.moved)
+    assert all(a != b for a, b in zip(p.moved, p.moved_to))
+    if len(p.moved) == p.degree:
+        assert p.image is p.moved_to
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(_images(n), _images(n))), st.integers(-9, 9))
+@settings(max_examples=300)
+@example(((), ()), 3)
+@example(((2, 3, 1), (1, 2, 3)), -1)
+def test_sparse_permutation_matches_dense_reference(images, k):
+    a_img, b_img = images
+    a, b = Permutation(a_img), Permutation(b_img)
+    da, db = DensePermutation(a_img), DensePermutation(b_img)
+    n = len(a_img)
+    results = [
+        (a, da),
+        (b, db),
+        (compose(a, b), dense_compose(da, db)),
+        (compose(b, a), dense_compose(db, da)),
+        (inverse(a), dense_inverse(da)),
+        (power(a, k), dense_power(da, k)),
+        (parse_cycles(format_cycles(b), n), dense_parse_cycles(reference_format_cycles(db), n)),
+    ]
+    for sparse, dense in results:
+        _assert_sparse_form(sparse)
+        assert sparse.degree == dense.degree
+        assert sparse.image == dense.image
+        assert sparse.moved == dense_moved(dense)
+        assert [sparse(i) for i in range(1, n + 1)] == [dense(i) for i in range(1, n + 1)]
+        assert format_cycles(sparse) == reference_format_cycles(dense)
+        assert repr(sparse) == f"Permutation(image={dense.image!r})"
+        assert sparse == Permutation(dense.image)
+        assert hash(sparse) == hash(Permutation(dense.image))
+    assert (a == b) == (da == db)
+    assert a.is_identity() == (a_img == tuple(range(1, n + 1)))
+
+
+def test_permutation_is_immutable_and_pickles():
+    p = parse_cycles("(1 2)", 3)
+    with pytest.raises(AttributeError):
+        p.moved = (1,)
+    with pytest.raises(AttributeError):
+        del p.degree
+    assert p == parse_cycles("(2 1)", 3)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,111 @@
+"""The circuit ladder: instance size, memory and walk time per rung.
+
+Usage, from the repository root:
+
+    python3 tools/ladder.py [--rungs 6] [--max-gb 8]
+
+A rung is a random NAND circuit ``(n inputs, G gates, m outputs)``.  The
+circuits come from one ``Random(1)``, with ``circuit.random_instance``
+called once per rung in ladder order, so a rung's circuit does not depend
+on how many rungs are run.  Each rung runs in a fresh process, so the RSS
+columns are that rung's own peak (``ru_maxrss``):
+
+- ``build_instance`` and the RSS after it;
+- the RSS after ``build_formula`` as well, with the instance still held;
+- the walk (``standard_algorithm`` from ``y_start``) and its steps.
+
+A rung whose process exceeds ``--max-gb`` of address space (set with
+``RLIMIT_AS`` on that process alone) is reported as not fitting.  The
+report is an ungated measurement: it prints a Markdown table and checks
+nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from random import Random
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNGS = [(4, 8, 3), (6, 20, 4), (8, 40, 6), (10, 80, 8), (12, 120, 10), (14, 160, 12), (16, 200, 14)]
+
+
+def _rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure(index: int) -> dict:
+    """Build, formula and walk of one rung, in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lexperm import circuit, cnf, reduction, search
+
+    warnings.simplefilter("ignore")  # inputs that feed no gate are expected
+    rng = Random(1)
+    for shape in RUNGS[: index + 1]:
+        c = circuit.random_instance(rng, *shape)
+    row: dict = {"rung": RUNGS[index]}
+    t = perf_counter()
+    inst = reduction.build_instance(c)
+    row.update(N=inst.num_positions, K=len(inst.gens), build_s=perf_counter() - t, rss_build_mb=_rss_mb())
+    f = cnf.build_formula(c)
+    row["rss_formula_mb"] = _rss_mb()
+    del f
+    t = perf_counter()
+    res = search.standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+    row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
+    return row
+
+
+def run_rung(index: int, max_gb: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(index), "--max-gb", str(max_gb)],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and lines:
+        return json.loads(lines[-1])
+    tail = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    return {"rung": RUNGS[index], "failed": tail}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rungs", type=int, default=len(RUNGS), help="run the first this many rungs")
+    ap.add_argument("--max-gb", type=float, default=8.0, help="address-space cap of each rung's process")
+    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child is not None:
+        cap = int(args.max_gb * 2**30)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        try:
+            print(json.dumps(measure(args.child)))
+        except MemoryError:
+            print(f"MemoryError: does not fit in {args.max_gb} GB", file=sys.stderr)
+            return 1
+        return 0
+    print("| rung (n,G,m) | N | K | `build_instance` | RSS after build | RSS after `build_formula` | walk (steps) |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    for index in range(min(args.rungs, len(RUNGS))):
+        row = run_rung(index, args.max_gb)
+        rung = ",".join(map(str, row["rung"]))
+        if "failed" in row:
+            print(f"| {rung} | | | {row['failed']} | | | |", flush=True)
+            continue
+        print(
+            f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
+            f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
+            f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) |",
+            flush=True,
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
