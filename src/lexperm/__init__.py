@@ -2,7 +2,7 @@
 permutation groups, with the constructions that make the local problem
 hard: a circuit-based move-set reduction and its CNF realization."""
 
-from .bitlex import PriorityOrder, compare, cost_integer, identity_order, is_local_min
+from .bitlex import PriorityOrder, identity_order, is_local_min
 from .circuit import FlipInstance, eval_circuit, flip_greedy, flip_local_check, parse_netlist
 from .cnf import CnfFormula, build_formula, check_symmetry, local_min_solution
 from .dcr import DcrInstance, Graph, coloring_to_dcr, dcr_to_globalmin1, decode_coloring, solve_bruteforce
@@ -13,12 +13,10 @@ from .perm import (
     StabilizerChain,
     apply_word,
     compose,
-    cycle_decomposition,
     format_cycles,
     identity,
     inverse,
     membership,
-    orbit_of_string,
     parse_cycles,
     permute_string,
 )

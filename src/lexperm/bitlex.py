@@ -2,8 +2,7 @@
 
 A priority order lists positions from most to least significant; at the
 first position where two strings differ, the one holding 0 is smaller.
-``compare`` is the authoritative cost; ``cost_integer`` is a bounded
-cross-check oracle only.
+``sort_key`` realizes that order as plain string comparison.
 """
 
 from __future__ import annotations
@@ -11,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .errors import DegreeMismatch, FormatError, LengthMismatch, WidthExceeded
+from .errors import DegreeMismatch, FormatError, LengthMismatch
 from .perm import GeneratorSet, Permutation, permute_string
 
 T = TypeVar("T")
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True, slots=True)
 class PriorityOrder:
@@ -88,37 +84,6 @@ def sort_key(bits: str, order: PriorityOrder | None = None) -> str:
     if len(bits) != order.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
     return "".join(bits[p - 1] for p in order.rank)
-
-
-def compare(x: str, y: str, order: PriorityOrder | None = None) -> int:
-    """LESS / EQUAL / GREATER for x versus y under the order."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    kx, ky = sort_key(x, order), sort_key(y, order)
-    if kx < ky:
-        return LESS
-    if kx > ky:
-        return GREATER
-    return EQUAL
-
-
-def cost_integer(bits: str, order: PriorityOrder | None = None, max_width: int = 64) -> int:
-    """The cost as an integer: sum of bit(rank r) * 2^(N-r).
-
-    Only intended as a cross-check at small widths; raise beyond
-    max_width rather than silently producing huge numbers.
-    """
-    if len(bits) > max_width:
-        raise WidthExceeded(f"{len(bits)} bits exceed width bound {max_width}")
-    if not bits:
-        return 0
-    return int(sort_key(bits, order), 2)
-
-
-def complement(bits: str) -> str:
-    """Flip every bit; turns minimization into maximization."""
-    check_bits(bits, ValueError)
-    return "".join("1" if b == "0" else "0" for b in bits)
 
 
 class RankSpace:

@@ -70,20 +70,6 @@ def eval_circuit(c: FlipInstance, bits: str) -> tuple[str, tuple[int, ...]]:
     return out, tuple(values)
 
 
-def eval_recursive(c: FlipInstance, bits: str) -> str:
-    """Memo-free recursive evaluator; independent oracle for eval_circuit."""
-    if len(bits) != c.n:
-        raise LengthMismatch(f"{len(bits)} input bits, expected {c.n}")
-
-    def value(src: Source) -> int:
-        if src[0] == "x":
-            return int(bits[src[1] - 1])
-        a, b = c.gates[src[1] - 1]
-        return 1 - (value(a) & value(b))
-
-    return "".join(str(value(("g", gid))) for gid in c.outputs)
-
-
 def flip_local_check(c: FlipInstance, bits: str) -> int | None:
     """Smallest input index whose flip strictly lowers the output, or None
     when bits is a local minimum."""

@@ -10,21 +10,28 @@ import json
 import sys
 from pathlib import Path
 
-from . import acceptance, bitlex, circuit, cnf, dcr, one_perm, perm, reduction, search
-from .errors import FormatError, LexpermError
+from . import bitlex, circuit, cnf, dcr, one_perm, perm, reduction, search
+from .errors import FileError, FormatError, LexpermError
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The UTF-8 text of a file, or of stdin for ``-``."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_one_perm(args) -> int:
@@ -60,7 +67,8 @@ def _cmd_orbit_min(args) -> int:
     return 0
 
 
-def _search_instance(args, inst: reduction.ReducedInstance, default_json: bool) -> int:
+def _cmd_reduce_search(args) -> int:
+    inst = reduction.parse_instance(_read(args.instance))
     start = tuple(_read(args.start_word).split()) if args.start_word else ()
     res = search.standard_algorithm(
         inst.y_start,
@@ -70,8 +78,7 @@ def _search_instance(args, inst: reduction.ReducedInstance, default_json: bool) 
         max_steps=args.max_steps,
         keep_trace=args.trace,
     )
-    fmt = args.format or ("json" if default_json else "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps({"type": "instance", "text": reduction.format_instance(inst)}))
         if args.trace:
             for i, s in enumerate(res.trace):
@@ -92,11 +99,6 @@ def _search_instance(args, inst: reduction.ReducedInstance, default_json: bool) 
             for s in res.trace:
                 print(f"trace {s}")
     return 0
-
-
-def _cmd_search(args) -> int:
-    inst = reduction.parse_instance(_read(args.instance))
-    return _search_instance(args, inst, default_json=False)
 
 
 def _cmd_dcr_solve(args) -> int:
@@ -136,7 +138,8 @@ def _cmd_flip_eval(args) -> int:
 
 def _cmd_flip_check(args) -> int:
     c = circuit.parse_netlist(_read(args.file))
-    bits = sys.stdin.read().split()[-1] if args.input == "-" else args.input
+    words = _read("-").split() if args.input == "-" else [args.input]
+    bits = words[-1] if words else ""
     j = circuit.flip_local_check(c, bits)
     print("LOCALMIN" if j is None else f"improve {j}")
     return 0
@@ -159,11 +162,6 @@ def _cmd_reduce_build(args) -> int:
     inst = reduction.build_instance(c)
     _write(args.output, reduction.format_instance(inst))
     return 0
-
-
-def _cmd_reduce_search(args) -> int:
-    inst = reduction.parse_instance(_read(args.instance))
-    return _search_instance(args, inst, default_json=True)
 
 
 def _load_instance_and_word(args) -> tuple[reduction.ReducedInstance, list[str]]:
@@ -247,23 +245,6 @@ def _cmd_cnf_localmin(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    if args.list:
-        for name, _ in acceptance.CHECKS:
-            print(name)
-        return 0
-
-    def report(res: acceptance.CheckResult) -> None:
-        flag = "PASS" if res.ok else "FAIL"
-        print(f"{flag} {res.name} ({res.seconds:.2f}s): {res.detail}", flush=True)
-
-    names = args.names or None
-    results = acceptance.run_all(names=names, seed=args.seed, report=report)
-    failed = [r for r in results if not r.ok]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 1 if failed else 0
-
-
 def _decimal(text: str) -> int:
     """An integer flag's value: plain ASCII decimal, as in the file formats."""
     value = bitlex.read_decimal(text)
@@ -272,7 +253,7 @@ def _decimal(text: str) -> int:
     return value
 
 
-def _add_format(p: argparse.ArgumentParser, default: str | None = "text") -> None:
+def _add_format(p: argparse.ArgumentParser, default: str = "text") -> None:
     p.add_argument("--format", choices=("text", "json"), default=default)
 
 
@@ -296,14 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_decimal, default=10**6)
     _add_format(p)
     p.set_defaults(func=_cmd_orbit_min)
-
-    p = sub.add_parser("search", help="greedy walk over an instance file")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--start-word", dest="start_word")
-    p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
-    p.add_argument("--trace", action="store_true")
-    _add_format(p, default=None)
-    p.set_defaults(func=_cmd_search)
 
     pd = sub.add_parser(
         "dcr",
@@ -381,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-word", dest="start_word")
     p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.add_argument("--trace", action="store_true")
-    _add_format(p, default=None)
+    _add_format(p, default="json")
     p.set_defaults(func=_cmd_reduce_search)
     p = rsub.add_parser("map")
     p.add_argument("file", nargs="?", default="-",
@@ -421,12 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment")
     p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.set_defaults(func=_cmd_cnf_localmin)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("names", nargs="*", help="run only these checks")
-    p.add_argument("--seed", type=_decimal, default=0)
-    p.add_argument("--list", action="store_true")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -25,7 +25,6 @@ from .errors import (
     DegreeMismatch,
     LengthMismatch,
     MalformedDimacs,
-    OrbitCapExceeded,
     UnsatStart,
 )
 from .perm import (
@@ -160,72 +159,6 @@ def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     rename, count = lit.get, f.clause_counts.get
     touched = set().union(*map(f.clauses_of_var.__getitem__, p.moved))
     return all(count(tuple(sorted(map(rename, k, k)))) == count(k) for k in touched)
-
-
-def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
-    """All satisfying assignments via backtracking with unit propagation
-    (exhaustive oracle; intended for small formulas).  The backtracking
-    keeps an explicit stack of decisions, so its depth is not bounded by
-    the interpreter's recursion limit."""
-    V = f.num_vars
-    assign: list[int | None] = [None] * (V + 1)
-    models: list[str] = []
-
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in f.clauses:
-                unassigned = None
-                count = 0
-                sat = False
-                for l in clause:
-                    val = assign[abs(l)]
-                    if val is None:
-                        unassigned = l
-                        count += 1
-                    elif (val == 1) == (l > 0):
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    assert unassigned is not None
-                    assign[abs(unassigned)] = 1 if unassigned > 0 else 0
-                    trail.append(abs(unassigned))
-                    changed = True
-        return True
-
-    # one trail per decision: the decided variable, then what propagation set
-    decisions: list[list[int]] = []
-    v = 1
-    while True:
-        while v <= V and assign[v] is not None:
-            v += 1
-        if v <= V:
-            assign[v] = 0
-            decisions.append([v])
-            if propagate(decisions[-1]):
-                continue
-        else:
-            if len(models) >= cap:
-                raise OrbitCapExceeded(f"model count exceeds cap {cap}")
-            models.append("".join(str(assign[u]) for u in range(1, V + 1)))
-        # backtrack to the latest decision still at 0 and try 1 there
-        while decisions:
-            trail = decisions.pop()
-            v, value = trail[0], assign[trail[0]]
-            for u in trail:
-                assign[u] = None
-            if value == 0:
-                assign[v] = 1
-                decisions.append([v])
-                if propagate(decisions[-1]):
-                    break
-        else:
-            return models
 
 
 def local_min_solution(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from random import Random
 
 from .bitlex import PriorityOrder, read_decimal
 from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
@@ -196,16 +195,6 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
             return t
         ones = [back[i] for i in ones]
     return None
-
-
-def random_instance(rng: Random, max_constraints: int = 4, max_modulus: int = 7) -> DcrInstance:
-    """Small random system for cross-checking the two solvers."""
-    constraints = []
-    for _ in range(rng.randint(1, max_constraints)):
-        m = rng.randint(1, max_modulus)
-        forbidden = frozenset(r for r in range(m) if rng.random() < 0.4)
-        constraints.append((m, forbidden))
-    return DcrInstance(tuple(constraints))
 
 
 def parse_dcr(text: str) -> DcrInstance:

@@ -33,10 +33,6 @@ class UnknownGenerator(LexpermError):
     pass
 
 
-class OrbitCapExceeded(LexpermError):
-    pass
-
-
 class OrderCapExceeded(LexpermError):
     pass
 
@@ -46,14 +42,6 @@ class LcmCapExceeded(LexpermError):
 
 
 class PrimeCapExceeded(LexpermError):
-    pass
-
-
-class WidthExceeded(LexpermError):
-    pass
-
-
-class TwinViolation(LexpermError):
     pass
 
 
@@ -71,6 +59,10 @@ class UnsatStart(LexpermError):
 
 class MalformedDimacs(LexpermError):
     pass
+
+
+class FileError(LexpermError):
+    """A file that cannot be read or written."""
 
 
 class FormatError(LexpermError):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
-from .perm import Permutation, cycle_decomposition, identity, power_from_cycles
+from .perm import Permutation, _cycles, identity, power_from_cycles
 
 _FLIP = str.maketrans("01", "10")
 
@@ -44,7 +44,7 @@ def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
     check_bits(bits)
-    cycles = cycle_decomposition(p)
+    cycles = _cycles(p)
     chosen = None
     for cyc in cycles:
         values = {bits[i - 1] for i in cyc}
@@ -91,22 +91,21 @@ def orbit_min_one_perm(
     check_bits(bits)
     if order is not None and order.degree != p.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
-    cycles = cycle_decomposition(p)
+    cycles = _cycles(p)
     n_steps = lcm(*map(len, cycles))
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
-    # zero pattern of a cycle of length L > 1: the L-bit int with bit j set
-    # iff the j-th point along the cycle holds a 0; point i -> (its cycle,
-    # its index k in it), so that (bits . p^t)(i) is 0 iff bit (k + t) % L
-    # of the pattern is set
+    # zero pattern of a cycle of length L: the L-bit int with bit j set iff
+    # the j-th point along the cycle holds a 0; point i -> (its cycle, its
+    # index k in it), so that (bits . p^t)(i) is 0 iff bit (k + t) % L of
+    # the pattern is set; fixed points are in no cycle and never change
     patterns: list[tuple[int, int]] = []
     where: dict[int, tuple[int, int]] = {}
     for cyc in cycles:
-        if len(cyc) > 1:
-            zeros = int("".join([bits[i - 1] for i in reversed(cyc)]).translate(_FLIP), 2)
-            for k, i in enumerate(cyc):
-                where[i] = len(patterns), k
-            patterns.append((len(cyc), zeros))
+        zeros = int("".join([bits[i - 1] for i in reversed(cyc)]).translate(_FLIP), 2)
+        for k, i in enumerate(cyc):
+            where[i] = len(patterns), k
+        patterns.append((len(cyc), zeros))
     candidates, modulus = 1, 1
     # cycle -> its pattern repeated out to modulus + L bits, so that the
     # zero mask of the point at index k is this shifted down by k

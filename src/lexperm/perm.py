@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from itertools import compress, count
 from math import lcm
 from operator import ne
-from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatch,
     FormatError,
     IndexOutOfRange,
-    OrbitCapExceeded,
     OverlappingCycles,
     UnknownGenerator,
 )
@@ -162,8 +160,8 @@ def power(p: Permutation, k: int) -> Permutation:
 
 
 def power_from_cycles(p: Permutation, cycles: Iterable[Sequence[int]], k: int) -> Permutation:
-    """p^k, given cycles of p that cover its support (fixed points may be
-    among them, each as a cycle of its own): every cycle turns k places."""
+    """p^k, given the cycles of p that move points: every cycle turns k
+    places."""
     to: dict[int, int] = {}
     for cyc in cycles:
         shift = k % len(cyc)
@@ -193,28 +191,6 @@ def _cycles(p: Permutation) -> list[list[int]]:
 def perm_order(p: Permutation) -> int:
     """Order of p: the lcm of its cycle lengths."""
     return lcm(*map(len, _cycles(p)))
-
-
-def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
-    """All cycles of p, fixed points included.
-
-    Each cycle starts at its smallest member and cycles are sorted by
-    that member, so the output is canonical.
-    """
-    image = p.image
-    seen = [False] * len(image)
-    cycles = []
-    for start, nxt in enumerate(image, start=1):
-        if seen[start - 1]:
-            continue
-        seen[start - 1] = True
-        cyc = [start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt - 1] = True
-            nxt = image[nxt - 1]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -260,8 +236,8 @@ def format_cycles(p: Permutation) -> str:
     """Cycle notation of p, fixed points omitted; identity prints ``()``.
 
     Cycles start at their smallest member and come in the order of that
-    member, as in cycle_decomposition, but only moved points are walked;
-    a point leaves ``at`` once written, so a later start finds it gone."""
+    member; a point leaves ``at`` once written, so a later start finds it
+    gone."""
     at = dict(zip(p.moved, p.moved_to))
     out: list[str] = []
     for start in p.moved:
@@ -283,12 +259,6 @@ def permute_string(x: str, p: Permutation) -> str:
     for i, v in zip(p.moved, p.moved_to):
         chars[i - 1] = x[v - 1]
     return "".join(chars)
-
-
-def random_permutation(rng: Random, degree: int) -> Permutation:
-    img = list(range(1, degree + 1))
-    rng.shuffle(img)
-    return Permutation(tuple(img))
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,44 +352,6 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
 
 def format_generator_file(gens: GeneratorSet) -> str:
     return "\n".join(f"{name} = {format_cycles(p)}" for name, p in gens) + "\n"
-
-
-def enumerate_group(gens: GeneratorSet, cap: int = 10**6) -> set[Permutation]:
-    """Brute-force closure of the generated group (test oracle)."""
-    elements = {identity(gens.degree)}
-    frontier = [identity(gens.degree)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for _, g in gens:
-                q = compose(p, g)
-                if q not in elements:
-                    if len(elements) >= cap:
-                        raise OrbitCapExceeded(f"group closure exceeds cap {cap}")
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return elements
-
-
-def orbit_of_string(gens: GeneratorSet, x: str, cap: int = 10**6) -> set[str]:
-    """BFS closure of x under the generators acting on strings."""
-    if len(x) != gens.degree:
-        raise DegreeMismatch(f"string length {len(x)} vs degree {gens.degree}")
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for _, g in gens:
-                t = permute_string(s, g)
-                if t not in orbit:
-                    if len(orbit) >= cap:
-                        raise OrbitCapExceeded(f"orbit exceeds cap {cap}")
-                    orbit.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return orbit
 
 
 def _zero_based(p: Permutation) -> tuple[int, ...]:

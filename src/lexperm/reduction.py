@@ -36,7 +36,6 @@ from .errors import (
     FormatError,
     LengthMismatch,
     NotWellBehaved,
-    TwinViolation,
 )
 from .perm import (
     GeneratorSet,
@@ -137,31 +136,10 @@ class ReducedInstance:
     def num_positions(self) -> int:
         return self.layout.points
 
-    @cached_property
-    def condensed_order(self) -> PriorityOrder:
-        ranks = []
-        exp = self.order.rank
-        for t in range(0, len(exp), 2):
-            a, b = exp[t], exp[t + 1]
-            if a % 2 == 0 or b != a + 1:
-                raise TwinViolation("priority order does not keep twins adjacent")
-            ranks.append((a + 1) // 2)
-        return PriorityOrder(tuple(ranks))
-
 
 def expand(y_condensed: str) -> str:
     """Each bit b becomes the twin pair (b, not b)."""
     return "".join("01" if b == "0" else "10" for b in y_condensed)
-
-
-def condense(y_expanded: str) -> str:
-    """Inverse of expand; every twin pair must hold complementary bits."""
-    if len(y_expanded) % 2:
-        raise LengthMismatch("expanded string has odd length")
-    for i in range(0, len(y_expanded), 2):
-        if y_expanded[i] == y_expanded[i + 1]:
-            raise TwinViolation(f"twin pair at positions {i + 1}, {i + 2} agree")
-    return y_expanded[0::2]
 
 
 class Layout:
@@ -352,21 +330,6 @@ def build_instance(c: FlipInstance) -> ReducedInstance:
     inst = ReducedInstance(c, layout.generators(), y_start, layout.priority(ranked))
     inst.__dict__["layout"] = layout  # where cached_property keeps its value
     return inst
-
-
-def assemble_well_behaved(
-    inst: ReducedInstance,
-    x: str,
-    gate_outputs: str | None = None,
-) -> str:
-    """Expanded assignment for copy-0 input x and the given gate output
-    bits (circuit-major string over (n+1) * gate_count gates; default all
-    zeros)."""
-    if len(x) != inst.n:
-        raise LengthMismatch(f"{len(x)} input bits, expected {inst.n}")
-    if gate_outputs is not None and len(gate_outputs) != (inst.n + 1) * inst.circuit.gate_count:
-        raise LengthMismatch("one output bit per gate per circuit copy required")
-    return expand(inst.layout.assemble(x, gate_outputs))
 
 
 _SLOT_NAMES = {"in": "input", "quad": "gadget quadrant", "out": "output"}

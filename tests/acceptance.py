@@ -2,21 +2,32 @@
 independent brute-force oracle.
 
 Each check is a plain function that raises AssertionError with a message
-on failure and returns a short summary on success; the CLI `selftest`
-subcommand and the pytest acceptance module both run this list.
+on failure and returns a short summary on success; ``test_acceptance.py``
+runs every entry of ``CHECKS``.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from . import bitlex, circuit, cnf, dcr, one_perm, perm, reduction, search
-from .bitlex import sort_key
-from .perm import GeneratorSet, Permutation
+from lexperm import bitlex, circuit, cnf, dcr, one_perm, perm, reduction, search
+from lexperm.bitlex import sort_key
+from lexperm.perm import GeneratorSet, Permutation
+
+from reference_impl import (
+    compare,
+    condense,
+    condensed_order,
+    cost_integer,
+    enumerate_group,
+    enumerate_models,
+    orbit_of_string,
+    random_dcr_instance,
+    random_permutation,
+)
 
 
 def _random_circuit(rng: Random, max_inputs: int = 4, max_gates: int = 8,
@@ -42,7 +53,7 @@ def check_one_perm(seed: int = 0) -> str:
     for trial in range(500):
         n = rng.randint(2, 14)
         bits = "".join(rng.choice("01") for _ in range(n))
-        p = perm.random_permutation(rng, n)
+        p = random_permutation(rng, n)
         res = one_perm.local_min_one_perm(bits, p)
         gens = _single_gen(p)
         assert bitlex.is_local_min(bits, None, gens, res.witness), f"trial {trial}"
@@ -116,7 +127,7 @@ def check_dcr_decode(seed: int = 0) -> str:
                 assert dcr.is_proper_coloring(g, colors), f"bad coloring for {g}"
                 decoded += 1
     for trial in range(200):
-        inst = dcr.random_instance(rng)
+        inst = random_dcr_instance(rng)
         t = dcr.solve_bruteforce(inst)
         w = dcr.zero_forbidden_witness(dcr.dcr_to_globalmin1(inst))
         assert t == w, f"trial {trial}: solver says {t}, orbit scan says {w}"
@@ -167,7 +178,7 @@ def _minimal_instance() -> reduction.ReducedInstance:
 
 def check_orbit_characterization(seed: int = 0) -> str:
     inst = _minimal_instance()
-    orbit = perm.orbit_of_string(inst.gens, inst.y_start, cap=1000)
+    orbit = orbit_of_string(inst.gens, inst.y_start, cap=1000)
     behaved = set()
     for mask in range(2 ** len(inst.condensed)):
         cond = format(mask, f"0{len(inst.condensed)}b")
@@ -220,11 +231,11 @@ def check_view_equivalence(seed: int = 0) -> str:
     while samples < 1000:
         c = _random_circuit(rng, max_inputs=3, max_gates=5, max_outputs=2)
         inst = reduction.build_instance(c)
-        cond_order = inst.condensed_order
+        cond_order = condensed_order(inst)
         for _ in range(50):
             word = [rng.choice(inst.gens.names) for _ in range(rng.randint(0, 8))]
             y = perm.apply_word_to_string(inst.gens, inst.y_start, word)
-            y_cond = reduction.condense(y)
+            y_cond = condense(y)
             key_exp = sort_key(y, inst.order)
             key_cond = sort_key(y_cond, cond_order)
             exp_min = True
@@ -233,7 +244,7 @@ def check_view_equivalence(seed: int = 0) -> str:
                 y2 = perm.permute_string(y, g)
                 if sort_key(y2, inst.order) < key_exp:
                     exp_min = False
-                if sort_key(reduction.condense(y2), cond_order) < key_cond:
+                if sort_key(condense(y2), cond_order) < key_cond:
                     cond_min = False
             assert exp_min == cond_min, "local-optimality differs between views"
             samples += 1
@@ -250,7 +261,7 @@ def check_cnf(seed: int = 0) -> str:
     assert f.initial is not None and cnf.satisfies(f, f.initial), "initial assignment fails"
 
     t0 = time.perf_counter()
-    models = set(cnf.enumerate_models(f))
+    models = set(enumerate_models(f))
     sat_elapsed = time.perf_counter() - t0
     assert sat_elapsed < 120.0, f"model enumeration took {sat_elapsed:.2f}s"
 
@@ -302,9 +313,9 @@ def check_membership(seed: int = 0) -> str:
         k = rng.randint(1, 3)
         gens = GeneratorSet.from_pairs(
             degree,
-            [(f"g{i}", perm.random_permutation(rng, degree)) for i in range(k)],
+            [(f"g{i}", random_permutation(rng, degree)) for i in range(k)],
         )
-        closure = perm.enumerate_group(gens, cap=6000)
+        closure = enumerate_group(gens, cap=6000)
         chain = perm.StabilizerChain.from_generators(gens)
         assert chain.order() == len(closure), f"trial {trial}: order mismatch"
         sample = list(closure)
@@ -313,7 +324,7 @@ def check_membership(seed: int = 0) -> str:
         for q in sample:
             assert chain.contains(q), f"trial {trial}: member rejected"
         for _ in range(20):
-            q = perm.random_permutation(rng, degree)
+            q = random_permutation(rng, degree)
             assert chain.contains(q) == (q in closure), f"trial {trial}: verdict differs"
     return "200 random generator sets: chain agrees with exhaustive closure"
 
@@ -324,9 +335,9 @@ def check_cost_consistency(seed: int = 0) -> str:
         n = rng.randint(1, 20)
         x = "".join(rng.choice("01") for _ in range(n))
         y = "".join(rng.choice("01") for _ in range(n))
-        order = bitlex.PriorityOrder(perm.random_permutation(rng, n).image)
-        cmp_result = bitlex.compare(x, y, order)
-        cx, cy = bitlex.cost_integer(x, order), bitlex.cost_integer(y, order)
+        order = bitlex.PriorityOrder(random_permutation(rng, n).image)
+        cmp_result = compare(x, y, order)
+        cx, cy = cost_integer(x, order), cost_integer(y, order)
         assert cmp_result == (cx > cy) - (cx < cy), f"trial {trial}: orders disagree"
     return "10^4 random pairs: compare matches the integer cost"
 
@@ -345,38 +356,3 @@ CHECKS: tuple[tuple[str, Callable[[int], str]], ...] = (
     ("criterion-11-membership", check_membership),
     ("criterion-12-cost-consistency", check_cost_consistency),
 )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
-
-
-def run_check(name: str, seed: int = 0) -> CheckResult:
-    func = dict(CHECKS)[name]
-    t0 = time.perf_counter()
-    try:
-        detail = func(seed)
-        ok = True
-    except AssertionError as exc:
-        detail, ok = str(exc) or "assertion failed", False
-    except Exception as exc:  # a crashed check is a failed check
-        detail, ok = f"{type(exc).__name__}: {exc}", False
-    return CheckResult(name, ok, detail, time.perf_counter() - t0)
-
-
-def run_all(
-    names: list[str] | None = None,
-    seed: int = 0,
-    report: Callable[[CheckResult], None] | None = None,
-) -> list[CheckResult]:
-    results = []
-    for name, _ in CHECKS:
-        if names is None or name in names:
-            results.append(run_check(name, seed))
-            if report:
-                report(results[-1])
-    return results

@@ -17,6 +17,14 @@ whole-string join per letter, and supports and cycle text come from a
 scan of every entry of the image.  A permutation is its whole image
 (``DensePermutation``), and the reduction's generators are built copy by
 copy from transpositions on a full image.
+
+The brute-force oracles and random generators the library does not ship
+live here too: group and string-orbit closure, the dense cycle
+decomposition (fixed points included), random permutations and random
+constraint systems, the three-way ``compare`` and the integer cost, the
+recursive circuit evaluator, model enumeration, and the condensed view of
+a reduced instance (``condense``, ``condensed_order``) with direct
+assembly of a well-behaved string.
 """
 
 from __future__ import annotations
@@ -26,12 +34,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
+from random import Random
 from typing import Sequence
 
-from lexperm.bitlex import PriorityOrder, sort_key
+from lexperm.bitlex import PriorityOrder, check_bits, sort_key
+from lexperm.circuit import FlipInstance, Source
 from lexperm.cnf import CnfFormula
-from lexperm.dcr import GlobalMinOneInstance
-from lexperm.errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
+from lexperm.dcr import DcrInstance, GlobalMinOneInstance
+from lexperm.errors import DegreeMismatch, LengthMismatch, LexpermError, OrderCapExceeded
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -50,6 +60,7 @@ from lexperm.reduction import (
     Position,
     ReducedInstance,
     decode_gate_state,
+    expand,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
 
@@ -413,3 +424,243 @@ def reference_is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
         if xj != [b ^ (i == j) for i, b in enumerate(x0, start=1)]:
             return BehaviorReport(False, f"inputs of C{j} are not C0 with bit {j} flipped")
     return BehaviorReport(True)
+
+
+class OrbitCapExceeded(LexpermError):
+    pass
+
+
+class WidthExceeded(LexpermError):
+    pass
+
+
+class TwinViolation(LexpermError):
+    pass
+
+
+def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+    """All cycles of p, fixed points included.
+
+    Each cycle starts at its smallest member and cycles are sorted by
+    that member, so the output is canonical.
+    """
+    image = p.image
+    seen = [False] * len(image)
+    cycles = []
+    for start, nxt in enumerate(image, start=1):
+        if seen[start - 1]:
+            continue
+        seen[start - 1] = True
+        cyc = [start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt - 1] = True
+            nxt = image[nxt - 1]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def random_permutation(rng: Random, degree: int) -> Permutation:
+    img = list(range(1, degree + 1))
+    rng.shuffle(img)
+    return Permutation(tuple(img))
+
+
+def enumerate_group(gens: GeneratorSet, cap: int = 10**6) -> set[Permutation]:
+    """Brute-force closure of the generated group."""
+    elements = {identity(gens.degree)}
+    frontier = [identity(gens.degree)]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for _, g in gens:
+                q = compose(p, g)
+                if q not in elements:
+                    if len(elements) >= cap:
+                        raise OrbitCapExceeded(f"group closure exceeds cap {cap}")
+                    elements.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return elements
+
+
+def orbit_of_string(gens: GeneratorSet, x: str, cap: int = 10**6) -> set[str]:
+    """BFS closure of x under the generators acting on strings."""
+    if len(x) != gens.degree:
+        raise DegreeMismatch(f"string length {len(x)} vs degree {gens.degree}")
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for _, g in gens:
+                t = permute_string(s, g)
+                if t not in orbit:
+                    if len(orbit) >= cap:
+                        raise OrbitCapExceeded(f"orbit exceeds cap {cap}")
+                    orbit.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return orbit
+
+
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
+def compare(x: str, y: str, order: PriorityOrder | None = None) -> int:
+    """LESS / EQUAL / GREATER for x versus y under the order."""
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    kx, ky = sort_key(x, order), sort_key(y, order)
+    if kx < ky:
+        return LESS
+    if kx > ky:
+        return GREATER
+    return EQUAL
+
+
+def cost_integer(bits: str, order: PriorityOrder | None = None, max_width: int = 64) -> int:
+    """The cost as an integer: sum of bit(rank r) * 2^(N-r).
+
+    Only intended as a cross-check at small widths; raise beyond
+    max_width rather than silently producing huge numbers.
+    """
+    if len(bits) > max_width:
+        raise WidthExceeded(f"{len(bits)} bits exceed width bound {max_width}")
+    if not bits:
+        return 0
+    return int(sort_key(bits, order), 2)
+
+
+def complement(bits: str) -> str:
+    """Flip every bit; turns minimization into maximization."""
+    check_bits(bits, ValueError)
+    return "".join("1" if b == "0" else "0" for b in bits)
+
+
+def eval_recursive(c: FlipInstance, bits: str) -> str:
+    """Memo-free recursive evaluator; independent oracle for eval_circuit."""
+    if len(bits) != c.n:
+        raise LengthMismatch(f"{len(bits)} input bits, expected {c.n}")
+
+    def value(src: Source) -> int:
+        if src[0] == "x":
+            return int(bits[src[1] - 1])
+        a, b = c.gates[src[1] - 1]
+        return 1 - (value(a) & value(b))
+
+    return "".join(str(value(("g", gid))) for gid in c.outputs)
+
+
+def enumerate_models(f: CnfFormula, cap: int = 10**6) -> list[str]:
+    """All satisfying assignments via backtracking with unit propagation
+    (exhaustive oracle; intended for small formulas).  The backtracking
+    keeps an explicit stack of decisions, so its depth is not bounded by
+    the interpreter's recursion limit."""
+    V = f.num_vars
+    assign: list[int | None] = [None] * (V + 1)
+    models: list[str] = []
+
+    def propagate(trail: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for clause in f.clauses:
+                unassigned = None
+                count = 0
+                sat = False
+                for l in clause:
+                    val = assign[abs(l)]
+                    if val is None:
+                        unassigned = l
+                        count += 1
+                    elif (val == 1) == (l > 0):
+                        sat = True
+                        break
+                if sat:
+                    continue
+                if count == 0:
+                    return False
+                if count == 1:
+                    assert unassigned is not None
+                    assign[abs(unassigned)] = 1 if unassigned > 0 else 0
+                    trail.append(abs(unassigned))
+                    changed = True
+        return True
+
+    # one trail per decision: the decided variable, then what propagation set
+    decisions: list[list[int]] = []
+    v = 1
+    while True:
+        while v <= V and assign[v] is not None:
+            v += 1
+        if v <= V:
+            assign[v] = 0
+            decisions.append([v])
+            if propagate(decisions[-1]):
+                continue
+        else:
+            if len(models) >= cap:
+                raise OrbitCapExceeded(f"model count exceeds cap {cap}")
+            models.append("".join(str(assign[u]) for u in range(1, V + 1)))
+        # backtrack to the latest decision still at 0 and try 1 there
+        while decisions:
+            trail = decisions.pop()
+            v, value = trail[0], assign[trail[0]]
+            for u in trail:
+                assign[u] = None
+            if value == 0:
+                assign[v] = 1
+                decisions.append([v])
+                if propagate(decisions[-1]):
+                    break
+        else:
+            return models
+
+
+def random_dcr_instance(rng: Random, max_constraints: int = 4, max_modulus: int = 7) -> DcrInstance:
+    """Small random system for cross-checking the two solvers."""
+    constraints = []
+    for _ in range(rng.randint(1, max_constraints)):
+        m = rng.randint(1, max_modulus)
+        forbidden = frozenset(r for r in range(m) if rng.random() < 0.4)
+        constraints.append((m, forbidden))
+    return DcrInstance(tuple(constraints))
+
+
+def condense(y_expanded: str) -> str:
+    """Inverse of expand; every twin pair must hold complementary bits."""
+    if len(y_expanded) % 2:
+        raise LengthMismatch("expanded string has odd length")
+    for i in range(0, len(y_expanded), 2):
+        if y_expanded[i] == y_expanded[i + 1]:
+            raise TwinViolation(f"twin pair at positions {i + 1}, {i + 2} agree")
+    return y_expanded[0::2]
+
+
+def assemble_well_behaved(
+    inst: ReducedInstance,
+    x: str,
+    gate_outputs: str | None = None,
+) -> str:
+    """Expanded assignment for copy-0 input x and the given gate output
+    bits (circuit-major string over (n+1) * gate_count gates; default all
+    zeros)."""
+    if len(x) != inst.n:
+        raise LengthMismatch(f"{len(x)} input bits, expected {inst.n}")
+    if gate_outputs is not None and len(gate_outputs) != (inst.n + 1) * inst.circuit.gate_count:
+        raise LengthMismatch("one output bit per gate per circuit copy required")
+    return expand(inst.layout.assemble(x, gate_outputs))
+
+
+def condensed_order(inst: ReducedInstance) -> PriorityOrder:
+    """The instance's priority order on the condensed view, one rank per
+    twin pair; the expanded order must keep twins adjacent."""
+    ranks = []
+    exp = inst.order.rank
+    for t in range(0, len(exp), 2):
+        a, b = exp[t], exp[t + 1]
+        if a % 2 == 0 or b != a + 1:
+            raise TwinViolation("priority order does not keep twins adjacent")
+        ranks.append((a + 1) // 2)
+    return PriorityOrder(tuple(ranks))

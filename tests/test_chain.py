@@ -13,17 +13,15 @@ from lexperm.perm import (
     StabilizerChain,
     apply_word,
     compose,
-    enumerate_group,
     identity,
     inverse,
     membership,
     parse_cycles,
     power,
-    random_permutation,
 )
 from lexperm.search import standard_algorithm, verify_local_opt
 
-from reference_impl import ReferenceChain
+from reference_impl import ReferenceChain, enumerate_group, random_permutation
 
 
 def sparse_permutation(rng: Random, degree: int) -> Permutation:

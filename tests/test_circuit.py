@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lexperm.circuit import (
     FlipInstance,
     eval_circuit,
-    eval_recursive,
     flip_greedy,
     flip_local_check,
     format_netlist,
@@ -17,6 +16,8 @@ from lexperm.circuit import (
     random_instance,
 )
 from lexperm.errors import FormatError, LengthMismatch, LexpermError
+
+from reference_impl import eval_recursive
 
 # inputs (x, y, z); first gate reads (y, x), second reads (z, first)
 STEP_CIRCUIT = FlipInstance(

