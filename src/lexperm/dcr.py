@@ -113,10 +113,6 @@ def decode_coloring(t: int, primes: tuple[int, ...]) -> str:
     return "".join(out)
 
 
-def is_proper_coloring(g: Graph, colors: str) -> bool:
-    return all(colors[u - 1] != colors[v - 1] for u, v in g.edges)
-
-
 def three_colorable_bruteforce(g: Graph) -> bool:
     """Independent ground truth: try all 3^n colorings."""
     def extend(partial: list[str]) -> bool:
@@ -262,9 +258,3 @@ def parse_graph(text: str) -> Graph:
         return Graph(n, tuple(edges))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def format_graph(g: Graph) -> str:
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines += [f"e {u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"

@@ -10,14 +10,16 @@ Conventions fixed here and inherited by every other module:
 Membership in a finitely generated subgroup is decided with a
 deterministic incremental Schreier-Sims stabilizer chain (fixed base
 choice and processing order), so repeated runs build identical
-structures.
+structures.  A generator set builds its chain once, on its first
+membership query, and keeps it; every later membership or
+raw-permutation check only sifts through it.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count
 from math import lcm
 from operator import ne
@@ -263,11 +265,16 @@ def permute_string(x: str, p: Permutation) -> str:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorSet:
-    """Named generators of a permutation group, all of one degree."""
+    """Named generators of a permutation group, all of one degree.
+
+    ``_chain`` is the group's stabilizer chain, built by the first
+    ``membership`` query and kept for the set's lifetime; it takes no
+    part in equality, hashing, ``repr`` or pickling."""
 
     degree: int
     names: tuple[str, ...]
     perms: tuple[Permutation, ...]
+    _chain: StabilizerChain | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.perms):
@@ -279,6 +286,9 @@ class GeneratorSet:
                 raise DegreeMismatch(
                     f"generator degree {p.degree} differs from {self.degree}"
                 )
+
+    def __reduce__(self):
+        return GeneratorSet, (self.degree, self.names, self.perms)
 
     @classmethod
     def from_pairs(cls, degree: int, pairs: Sequence[tuple[str, Permutation]]) -> "GeneratorSet":
@@ -435,10 +445,6 @@ class StabilizerChain:
         """The base points, 1-based, outermost level first."""
         return tuple(level.base + 1 for level in self._levels)
 
-    @property
-    def orbit_lengths(self) -> tuple[int, ...]:
-        return tuple(len(level.orbit) for level in self._levels)
-
     def add_generator(self, g: Permutation) -> None:
         if g.degree != self.degree:
             raise DegreeMismatch(f"degree {g.degree} vs chain degree {self.degree}")
@@ -539,7 +545,12 @@ class StabilizerChain:
 
 
 def membership(gens: GeneratorSet, p: Permutation) -> bool:
-    """True iff p lies in the group generated by gens."""
+    """True iff p lies in the group generated by gens.  The first query
+    on a set builds its chain; later ones only sift p through it."""
     if p.degree != gens.degree:
         raise DegreeMismatch(f"degree {p.degree} vs generators {gens.degree}")
-    return StabilizerChain.from_generators(gens).contains(p)
+    chain = gens._chain
+    if chain is None:
+        chain = StabilizerChain.from_generators(gens)
+        _set(gens, "_chain", chain)
+    return chain.contains(p)

@@ -56,10 +56,6 @@ class GateState:
     a2: int
     b: int
 
-    @property
-    def is_correct(self) -> bool:
-        return self.b == 1 - (self.a1 & self.a2)
-
 
 def encode_gate_state(state: GateState) -> tuple[int, int, int, int]:
     """Labels for quadrants 00, 01, 10, 11: the quadrant named by the

@@ -27,8 +27,8 @@ from .errors import DegreeMismatch, NotInGroup
 from .perm import (
     GeneratorSet,
     Permutation,
-    StabilizerChain,
     apply_word,
+    membership,
     permute_string,
 )
 
@@ -99,9 +99,10 @@ def verify_local_opt(
     perm: Permutation | None = None,
 ) -> bool:
     """Local-optimality check for a solution given as a word or as a raw
-    permutation; raw permutations must first pass the membership test."""
+    permutation; raw permutations must first pass the membership test,
+    which sifts through the chain ``gens`` keeps."""
     if perm is not None:
-        if not StabilizerChain.from_generators(gens).contains(perm):
+        if not membership(gens, perm):
             raise NotInGroup("permutation is not in the generated group")
         current = perm
     else:

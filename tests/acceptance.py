@@ -24,6 +24,8 @@ from reference_impl import (
     cost_integer,
     enumerate_group,
     enumerate_models,
+    is_correct,
+    is_proper_coloring,
     orbit_of_string,
     random_dcr_instance,
     random_permutation,
@@ -124,7 +126,7 @@ def check_dcr_decode(seed: int = 0) -> str:
             t = dcr.solve_bruteforce(inst)
             if t is not None:
                 colors = dcr.decode_coloring(t, primes)
-                assert dcr.is_proper_coloring(g, colors), f"bad coloring for {g}"
+                assert is_proper_coloring(g, colors), f"bad coloring for {g}"
                 decoded += 1
     for trial in range(200):
         inst = random_dcr_instance(rng)
@@ -142,7 +144,7 @@ def check_gate_gadget(seed: int = 0) -> str:
         labels = reduction.encode_gate_state(state)
         assert sum(labels) in (1, 3)
         assert reduction.decode_gate_state(labels) == state
-        assert state.is_correct == (labels[3] == 0), f"control bit wrong for {state}"
+        assert is_correct(state) == (labels[3] == 0), f"control bit wrong for {state}"
     rejected = sum(
         1
         for labels in itertools.product((0, 1), repeat=4)

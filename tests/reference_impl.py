@@ -22,9 +22,10 @@ The brute-force oracles and random generators the library does not ship
 live here too: group and string-orbit closure, the dense cycle
 decomposition (fixed points included), random permutations and random
 constraint systems, the three-way ``compare`` and the integer cost, the
-recursive circuit evaluator, model enumeration, and the condensed view of
+recursive circuit evaluator, model enumeration, the condensed view of
 a reduced instance (``condense``, ``condensed_order``) with direct
-assembly of a well-behaved string.
+assembly of a well-behaved string, the NAND check of a gate state, a
+chain's orbit lengths, and the graph writer and coloring check.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from typing import Sequence
 from lexperm.bitlex import PriorityOrder, check_bits, sort_key
 from lexperm.circuit import FlipInstance, Source
 from lexperm.cnf import CnfFormula
-from lexperm.dcr import DcrInstance, GlobalMinOneInstance
+from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph
 from lexperm.errors import DegreeMismatch, LengthMismatch, LexpermError, OrderCapExceeded
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
+    StabilizerChain,
     apply_word,
     compose,
     identity,
@@ -664,3 +666,24 @@ def condensed_order(inst: ReducedInstance) -> PriorityOrder:
             raise TwinViolation("priority order does not keep twins adjacent")
         ranks.append((a + 1) // 2)
     return PriorityOrder(tuple(ranks))
+
+
+def is_correct(state: GateState) -> bool:
+    """The gate's output bit is the NAND of its inputs."""
+    return state.b == 1 - (state.a1 & state.a2)
+
+
+def orbit_lengths(chain: StabilizerChain) -> tuple[int, ...]:
+    """The orbit length of every level, outermost first."""
+    return tuple(len(level.orbit) for level in chain._levels)
+
+
+def format_graph(g: Graph) -> str:
+    """DIMACS-style graph text, the format ``dcr.parse_graph`` reads."""
+    lines = [f"p edge {g.n} {len(g.edges)}"]
+    lines += [f"e {u} {v}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def is_proper_coloring(g: Graph, colors: str) -> bool:
+    return all(colors[u - 1] != colors[v - 1] for u, v in g.edges)

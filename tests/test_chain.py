@@ -1,12 +1,16 @@
 """The incremental stabilizer chain against the recursive reference chain,
-the brute-force closure and sympy's ``PermutationGroup``."""
+the brute-force closure and sympy's ``PermutationGroup``, and the one
+chain a generator set keeps for ``membership`` and raw-permutation
+verification."""
 
+import pickle
 from random import Random
 
 import pytest
 
 from lexperm import circuit, reduction
-from lexperm.errors import DegreeMismatch
+from lexperm.bitlex import is_local_min
+from lexperm.errors import DegreeMismatch, NotInGroup
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -21,7 +25,7 @@ from lexperm.perm import (
 )
 from lexperm.search import standard_algorithm, verify_local_opt
 
-from reference_impl import ReferenceChain, enumerate_group, random_permutation
+from reference_impl import ReferenceChain, enumerate_group, orbit_lengths, random_permutation
 
 
 def sparse_permutation(rng: Random, degree: int) -> Permutation:
@@ -77,6 +81,16 @@ def members(rng: Random, inst: reduction.ReducedInstance, count: int) -> list[Pe
     return out
 
 
+def assert_verify_agrees(bits, order, gens, q, member):
+    """``verify_local_opt(perm=q)`` rejects a non-member and judges a
+    member as ``is_local_min`` does."""
+    if member:
+        assert verify_local_opt(bits, order, gens, perm=q) == is_local_min(bits, order, gens, q)
+    else:
+        with pytest.raises(NotInGroup):
+            verify_local_opt(bits, order, gens, perm=q)
+
+
 def test_chain_matches_reference_and_closure_on_random_sets():
     rng = Random(4401)
     for trial in range(150):
@@ -92,8 +106,11 @@ def test_chain_matches_reference_and_closure_on_random_sets():
                 assert chain.contains(q), f"trial {trial}"
             for q in probes:
                 assert chain.contains(q) == (q in closure), f"trial {trial}"
+        bits = "".join(rng.choice("01") for _ in range(gens.degree))
         for q in probes:
             assert chain.contains(q) == ref.contains(q), f"trial {trial}"
+            assert membership(gens, q) == chain.contains(q), f"trial {trial}"
+            assert_verify_agrees(bits, None, gens, q, chain.contains(q))
 
 
 def test_chain_matches_reference_on_reduced_instances():
@@ -105,8 +122,12 @@ def test_chain_matches_reference_on_reduced_instances():
         assert chain.order() == ref.order()
         for q in members(rng, inst, 5):
             assert chain.contains(q) and ref.contains(q)
+            assert membership(inst.gens, q)
+            assert_verify_agrees(inst.y_start, inst.order, inst.gens, q, True)
         for q in twin_breakers(rng, inst, 5):
             assert not chain.contains(q) and not ref.contains(q)
+            assert not membership(inst.gens, q)
+            assert_verify_agrees(inst.y_start, inst.order, inst.gens, q, False)
 
 
 def test_chain_matches_sympy_on_reduced_instances():
@@ -132,7 +153,7 @@ def test_chain_is_deterministic():
         a = StabilizerChain.from_generators(inst.gens)
         b = StabilizerChain.from_generators(inst.gens)
         assert a.base == b.base and a.base
-        assert a.orbit_lengths == b.orbit_lengths
+        assert orbit_lengths(a) == orbit_lengths(b)
         # the first level opens at the first generator's smallest moved point
         assert a.base[0] == min(i for i, v in enumerate(inst.gens.perms[0].image, 1) if i != v)
 
@@ -172,3 +193,53 @@ def test_products_skip_validation_but_stay_permutations():
             assert r == Permutation(r.image)
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+
+
+def test_generator_set_builds_its_chain_once(monkeypatch):
+    builds = []
+    build = StabilizerChain.from_generators.__func__
+
+    def counting(cls, gens):
+        builds.append(gens)
+        return build(cls, gens)
+
+    monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(counting))
+    inst = reduced_instance(3)
+    walk = standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+    assert not builds  # a walk that never verifies builds nothing
+    rng = Random(4406)
+    for _ in range(3):
+        assert verify_local_opt(inst.y_start, inst.order, inst.gens, perm=walk.permutation)
+        for q in twin_breakers(rng, inst, 2):
+            assert not membership(inst.gens, q)
+        assert membership(inst.gens, walk.permutation)
+    assert len(builds) == 1 and builds[0] is inst.gens
+
+
+def test_generator_set_value_is_unchanged_by_its_chain():
+    inst = reduced_instance(5)
+    gens = inst.gens
+    twin = GeneratorSet(gens.degree, gens.names, gens.perms)
+    before = (repr(gens), hash(gens), pickle.dumps(gens))
+    probe = twin_breakers(Random(4407), inst, 1)[0]
+    assert not membership(gens, probe)
+    assert (repr(gens), hash(gens), pickle.dumps(gens)) == before
+    assert gens == twin and twin == gens and hash(gens) == hash(twin)
+    copy = pickle.loads(pickle.dumps(gens))
+    assert copy == gens and repr(copy) == repr(gens)
+    assert not membership(copy, probe) and membership(copy, gens.perms[0])
+
+
+def test_caller_chain_does_not_change_membership():
+    inst = reduced_instance(6)
+    probe = twin_breakers(Random(4408), inst, 1)[0]
+    own = StabilizerChain.from_generators(inst.gens)
+    assert not membership(inst.gens, probe)
+    own.add_generator(probe)
+    assert own.contains(probe)
+    assert not membership(inst.gens, probe)
+    again = StabilizerChain.from_generators(inst.gens)
+    again.add_generator(probe)
+    assert not membership(inst.gens, probe)
+    with pytest.raises(NotInGroup):
+        verify_local_opt(inst.y_start, inst.order, inst.gens, perm=probe)

@@ -18,6 +18,7 @@ from lexperm.circuit import (
 from lexperm.errors import FormatError, LengthMismatch, LexpermError
 
 from reference_impl import eval_recursive
+from strategies import small_circuits
 
 # inputs (x, y, z); first gate reads (y, x), second reads (z, first)
 STEP_CIRCUIT = FlipInstance(
@@ -142,6 +143,13 @@ def test_netlist_round_trip():
     text = format_netlist(STEP_CIRCUIT)
     assert parse_netlist(text) == STEP_CIRCUIT
     assert "gate 1 NAND x2 x1" in text
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+@settings(max_examples=25)
+@given(small_circuits())
+def test_netlist_format_parse_round_trip(c):
+    assert parse_netlist(format_netlist(c)) == c
 
 
 def test_netlist_rejects_constants_and_junk():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -26,6 +27,7 @@ from lexperm.perm import (
 )
 
 from reference_impl import OrbitCapExceeded, enumerate_models, orbit_of_string
+from strategies import small_circuits
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -138,6 +140,14 @@ def test_dimacs_round_trip():
     assert parsed.priority == f.priority
     assert parsed.initial == f.initial
     assert format_dimacs(parsed) == text
+
+
+@settings(max_examples=25)
+@given(small_circuits())
+def test_dimacs_format_parse_round_trip(c):
+    f = build_formula(c)
+    # DIMACS carries every field but the source circuit
+    assert parse_dimacs(format_dimacs(f)) == replace(f, circuit=None)
 
 
 def test_sidecar_round_trip():

@@ -40,9 +40,11 @@ from reference_impl import (
     condense,
     condensed_order,
     dense_moved,
+    is_correct,
     orbit_of_string,
     reference_is_well_behaved,
 )
+from strategies import small_circuits
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
 STEP_CIRCUIT = FlipInstance(3, ((("x", 2), ("x", 1)), (("x", 3), ("g", 1))), (2,))
@@ -68,7 +70,7 @@ def test_encode_decode_all_states():
         labels = encode_gate_state(state)
         assert sum(labels) in (1, 3)
         assert decode_gate_state(labels) == state
-        assert state.is_correct == (labels[3] == 0)
+        assert is_correct(state) == (labels[3] == 0)
 
 
 def test_decode_rejects_even_weights():
@@ -280,6 +282,14 @@ def test_instance_file_round_trip():
     assert parsed.order == inst.order
     assert parsed.gens == inst.gens
     assert format_instance(parsed) == text
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+@settings(max_examples=25)
+@given(small_circuits())
+def test_instance_format_parse_round_trip(c):
+    inst = build_instance(c)
+    assert parse_instance(format_instance(inst)) == inst
 
 
 def test_parse_instance_rejects_non_bit_start():
