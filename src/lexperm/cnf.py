@@ -19,7 +19,7 @@ from operator import neg
 from types import MappingProxyType
 from typing import Mapping
 
-from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal
+from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal, read_decimals
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
@@ -48,7 +48,6 @@ class CnfFormula:
     symmetries: GeneratorSet
     priority: PriorityOrder | None = None
     initial: str | None = None
-    circuit: FlipInstance | None = None
 
     @cached_property
     def clause_counts(self) -> Mapping[tuple[int, ...], int]:
@@ -130,7 +129,6 @@ def build_formula(c: FlipInstance) -> CnfFormula:
         symmetries=layout.generators(),
         priority=layout.priority(ranked),
         initial=expand(layout.assemble("0" * n)),
-        circuit=c,
     )
 
 
@@ -250,8 +248,8 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             continue
         if line.startswith("p"):
             fields = line.split()
-            sizes = [read_decimal(tok) for tok in fields[2:]]
-            if len(fields) != 4 or fields[1] != "cnf" or None in sizes:
+            sizes = read_decimals(fields[2:])
+            if len(fields) != 4 or fields[1] != "cnf" or sizes is None:
                 raise MalformedDimacs(f"line {lineno}: bad problem line {line[:40]!r}")
             num_vars, announced = sizes
             continue
@@ -294,5 +292,4 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
         symmetries=symmetries,
         priority=priority,
         initial=alpha,
-        circuit=None,
     )

@@ -10,9 +10,9 @@ cycle per constraint, one 1 per cycle, forbidden labels ranked first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
-from .bitlex import PriorityOrder, read_decimal
+from .bitlex import PriorityOrder, read_decimal, read_decimals
 from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
 from .perm import Permutation, inverse, perm_order
 
@@ -33,10 +33,7 @@ class DcrInstance:
 
     @property
     def lcm(self) -> int:
-        out = 1
-        for m, _ in self.constraints:
-            out = out * m // gcd(out, m)
-        return out
+        return lcm(*[m for m, _ in self.constraints])
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +200,8 @@ def parse_dcr(text: str) -> DcrInstance:
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"line {lineno}: expected 'm: s1 s2 ...'")
-        numbers = [read_decimal(tok) for tok in [head.strip(), *tail.split()]]
-        if None in numbers:
+        numbers = read_decimals([head.strip(), *tail.split()])
+        if numbers is None:
             raise FormatError(f"line {lineno}: not a plain decimal integer")
         constraints.append((numbers[0], frozenset(numbers[1:])))
     try:
@@ -243,8 +240,8 @@ def parse_graph(text: str) -> Graph:
             if m is None:
                 raise FormatError(f"line {lineno}: bad edge count {fields[3][:40]!r}")
         elif fields[0] == "e":
-            ends = [read_decimal(tok) for tok in fields[1:]]
-            if len(ends) != 2 or None in ends:
+            ends = read_decimals(fields[1:])
+            if ends is None or len(ends) != 2:
                 raise FormatError(f"line {lineno}: expected 'e u v'")
             u, v = ends
             edges.append((min(u, v), max(u, v)))

@@ -20,11 +20,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import lcm
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
+from .bitlex import read_decimals
 from .errors import (
     DegreeMismatch,
     FormatError,
@@ -34,6 +35,7 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Permutation:
     """A bijection on {1..N}, stored by its support: ``moved`` lists the
     points it moves in ascending order and ``moved_to[k]`` is where
@@ -43,8 +45,6 @@ class Permutation:
     sent; it is built on each read, except that when every point moves it
     is ``moved_to`` itself.  ``Permutation(image)`` validates a dense
     image.  Equality, hashing and ``repr`` mean "the same map on 1..N"."""
-
-    __slots__ = ("degree", "moved", "moved_to")
 
     degree: int
     moved: tuple[int, ...]
@@ -80,26 +80,8 @@ class Permutation:
         _set(p, "moved_to", moved_to)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a Permutation")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a Permutation")
-
     def __reduce__(self):
         return Permutation._unchecked, (self.degree, self.moved, self.moved_to)
-
-    def __eq__(self, other):
-        if other.__class__ is not Permutation:
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.moved == other.moved
-            and self.moved_to == other.moved_to
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.moved, self.moved_to))
 
     def __repr__(self) -> str:
         return f"Permutation(image={self.image!r})"
@@ -209,20 +191,17 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     stripped = _CYCLE_RE.sub("", text).strip()
     if stripped:
         raise FormatError(f"unparseable cycle text near {stripped[:20]!r}")
-    # one check of every point at once, so each cycle only converts
-    digits = "".join(text.replace("(", " ").replace(")", " ").replace(",", " ").split())
-    if digits and not (digits.isascii() and digits.isdecimal()):
+    bodies = [match.group(1).replace(",", " ").split() for match in _CYCLE_RE.finditer(text)]
+    # every point is read before any is placed, so a malformed point is
+    # reported before a range or overlap fault in an earlier cycle
+    points = read_decimals([token for body in bodies for token in body])
+    if points is None:
         raise FormatError(f"cycle points are not plain decimal in {text[:40]!r}")
     to: dict[int, int] = {}
-    for match in _CYCLE_RE.finditer(text):
-        body = match.group(1).replace(",", " ").split()
-        if not body:
-            continue
-        try:
-            points = list(map(int, body))
-        except ValueError:  # more digits than int() converts
-            raise FormatError(f"bad cycle token in {match.group(0)[:40]!r}") from None
-        for a, b in zip(points, points[1:] + points[:1]):
+    unplaced = iter(points)
+    for body in bodies:
+        cycle = list(islice(unplaced, len(body)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if not 1 <= a <= degree:
                 raise IndexOutOfRange(f"point {a} outside 1..{degree}")
             if a in to:

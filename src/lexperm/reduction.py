@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .bitlex import PriorityOrder, format_order
+from .bitlex import PriorityOrder, check_bits, format_order
 from .circuit import FlipInstance, format_netlist, parse_netlist
 from .errors import (
     FormatError,
@@ -380,6 +380,7 @@ def embed_flip_solution(inst: ReducedInstance, target: str) -> list[str]:
     each sigma_i toggles copy-0 input bit i."""
     if len(target) != inst.n:
         raise LengthMismatch(f"{len(target)} bits, expected {inst.n}")
+    check_bits(target)
     start_x = extract_flip_input(inst, inst.y_start)
     return [f"sigma_{i}" for i in range(1, inst.n + 1) if start_x[i - 1] != target[i - 1]]
 

@@ -1,29 +1,21 @@
-"""Greedy best-improvement walk over a generated permutation group.
+"""The greedy walk engine: best-improvement search over a generated
+permutation group and the local-optimality test it stops at.
 
 At every step all neighbors current * g are evaluated; the walk moves to
 the strictly best one and stops at a local optimum or at the step cap,
-never silently.
-
-The walk runs in rank space (see ``bitlex.RankSpace``): the current
-string is held as its sort key and every generator g is conjugated once
-by the priority order.  A neighbor's key first leaves the current key at
-g's *decisive rank*, the smallest rank r that g moves with
-``key[r] != key[h(r)]`` (h is g acting on ranks).  The neighbor improves
-iff ``key[r]`` is 1, and the best neighbor is the improving one with the
-smallest decisive rank.  Neighbors that tie on the decisive rank are
-compared on the union of their two supports above it; if they are still
-equal, the lower generator index wins.  A candidate costs at most
-O(|supp g|) instead of two O(N) string joins, a move costs O(|supp g|),
-and position-order strings are built only for the trace and the result.
+never silently.  It runs in rank space, where the current string is held
+as its sort key and each generator is conjugated once by the priority
+order; ``RankSpace`` states the decisive-rank rule that picks the best
+neighbor in O(|supp g|) per candidate, without building any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
-from .bitlex import PriorityOrder, RankSpace, check_bits, is_local_min
-from .errors import DegreeMismatch, NotInGroup
+from .bitlex import PriorityOrder, check_bits
+from .errors import DegreeMismatch, LengthMismatch, NotInGroup
 from .perm import (
     GeneratorSet,
     Permutation,
@@ -34,6 +26,98 @@ from .perm import (
 
 LOCAL_OPT = "local_opt"
 STEP_CAP = "step_cap"
+
+T = TypeVar("T")
+
+
+class RankSpace:
+    """Generators conjugated into rank space by a priority order.
+
+    A sequence indexed by position is held *in rank order*: entry r
+    belongs to the position inspected at importance level r+1, so a
+    string held this way is its sort key.  Acting by a generator g then
+    sets ``seq[r] = seq[h(r)]`` with h = rank^-1 . g . rank, and only on
+    the ranks that g moves.  ``moves[i]`` maps each rank moved by the
+    i-th generator to h(rank), in ascending rank order.
+
+    Acting by g changes a key first at its *decisive rank*: the smallest
+    moved rank r with ``key[r] != key[h(r)]``.  The move improves the key
+    iff ``key[r]`` is 1, and of two improving moves the one with the
+    smaller decisive rank gives the smaller key.  This holds for any
+    permutation, not only for involutions, and needs the characters of
+    the key to be 0 and 1 only.
+    """
+
+    __slots__ = ("rank", "rinv", "moves")
+
+    def __init__(self, order: PriorityOrder | None, gens: GeneratorSet):
+        n = gens.degree
+        if order is not None and order.degree != n:
+            raise LengthMismatch(f"{n} generator degree vs order degree {order.degree}")
+        self.rank = [p - 1 for p in order.rank] if order is not None else list(range(n))
+        self.rinv = [0] * n
+        for r, p in enumerate(self.rank):
+            self.rinv[p] = r
+        at = (None, *self.rinv)  # the rank of each 1-based point
+        self.moves = tuple(
+            [dict(sorted([(at[i], at[j]) for i, j in zip(g.moved, g.moved_to)])) for g in gens.perms]
+        )
+
+    def in_ranks(self, seq: Sequence[T]) -> list[T]:
+        """A position-indexed sequence rearranged into rank order."""
+        return [seq[p] for p in self.rank]
+
+    def in_positions(self, seq: Sequence[T]) -> list[T]:
+        """Inverse of ``in_ranks``."""
+        return [seq[r] for r in self.rinv]
+
+    def act(self, seq: list[T], i: int) -> None:
+        """Act on a rank-ordered sequence by the i-th generator, in place."""
+        moves = self.moves[i]
+        values = [seq[h] for h in moves.values()]
+        for r, v in zip(moves, values):
+            seq[r] = v
+
+    def best_move(self, key: Sequence[str]) -> int | None:
+        """Index of the generator whose action gives the smallest key below
+        ``key``, the lowest index among equals; None if no action lowers it."""
+        best, best_r = None, len(key)
+        for i, moves in enumerate(self.moves):
+            for r, h in moves.items():
+                if r > best_r:
+                    break
+                if key[r] != key[h]:
+                    if key[r] == "1" and (r < best_r or self._beats(key, i, best, r)):
+                        best, best_r = i, r
+                    break
+        return best
+
+    def _beats(self, key: Sequence[str], i: int, j: int, r: int) -> bool:
+        """True iff acting by generator i gives a smaller key than acting by
+        generator j, when both first change ``key`` at rank r.  Above r the
+        two results can differ only on the union of the two supports."""
+        a, b = self.moves[i], self.moves[j]
+        for s in sorted(a.keys() | b.keys()):
+            if s > r:
+                x, y = key[a.get(s, s)], key[b.get(s, s)]
+                if x != y:
+                    return x < y
+        return False
+
+
+def is_local_min(
+    bits: str,
+    order: PriorityOrder | None,
+    gens: GeneratorSet,
+    current: Permutation,
+) -> bool:
+    """True iff no single generator applied after ``current`` improves
+    the acted string."""
+    if current.degree != gens.degree or len(bits) != gens.degree:
+        raise DegreeMismatch("string, generators and current permutation disagree")
+    check_bits(bits)
+    space = RankSpace(order, gens)
+    return space.best_move(space.in_ranks(permute_string(bits, current))) is None
 
 
 @dataclass(frozen=True)
@@ -101,10 +185,8 @@ def verify_local_opt(
     """Local-optimality check for a solution given as a word or as a raw
     permutation; raw permutations must first pass the membership test,
     which sifts through the chain ``gens`` keeps."""
-    if perm is not None:
-        if not membership(gens, perm):
-            raise NotInGroup("permutation is not in the generated group")
-        current = perm
-    else:
-        current = apply_word(gens, word or ())
-    return is_local_min(bits, order, gens, current)
+    if perm is None:
+        perm = apply_word(gens, word or ())
+    elif not membership(gens, perm):
+        raise NotInGroup("permutation is not in the generated group")
+    return is_local_min(bits, order, gens, perm)

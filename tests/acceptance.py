@@ -49,7 +49,7 @@ def check_one_perm(seed: int = 0) -> str:
     p = perm.parse_cycles("(1 2 5)(3 4)(7 8)", 8)
     res = one_perm.local_min_one_perm("00100001", p)
     assert res.exponent == 1 and res.cycle_id == 3, f"got k={res.exponent}, cycle={res.cycle_id}"
-    assert bitlex.is_local_min("00100001", None, _single_gen(p), res.witness)
+    assert search.is_local_min("00100001", None, _single_gen(p), res.witness)
 
     rng = Random(101 + seed)
     for trial in range(500):
@@ -58,7 +58,7 @@ def check_one_perm(seed: int = 0) -> str:
         p = random_permutation(rng, n)
         res = one_perm.local_min_one_perm(bits, p)
         gens = _single_gen(p)
-        assert bitlex.is_local_min(bits, None, gens, res.witness), f"trial {trial}"
+        assert search.is_local_min(bits, None, gens, res.witness), f"trial {trial}"
         here = perm.permute_string(bits, res.witness)
         nxt = perm.permute_string(here, p)
         assert here <= nxt, f"trial {trial}: witness not at a descent boundary"

@@ -5,9 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import bitlex
-from lexperm.bitlex import PriorityOrder, identity_order, is_local_min, sort_key
+from lexperm.bitlex import PriorityOrder, identity_order, sort_key
 from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, LexpermError
 from lexperm.perm import GeneratorSet, identity, inverse, parse_cycles, permute_string
+from lexperm.search import is_local_min
 
 from reference_impl import EQUAL, LESS, WidthExceeded, compare, complement, cost_integer, random_permutation
 
@@ -149,6 +150,38 @@ def test_parse_order_rejects_non_integer_rank():
 def test_parse_order_reads_plain_decimal_only(text):
     with pytest.raises(FormatError):
         bitlex.parse_order(text, 3)
+
+
+def _per_token_decimals(tokens):
+    """The reader ``read_decimals`` replaces: each token on its own."""
+    out = []
+    for token in tokens:
+        if not (token and token.isascii() and token.isdecimal()):
+            return None
+        try:
+            out.append(int(token))
+        except ValueError:  # more digits than int() converts
+            return None
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.text(alphabet="0123456789", max_size=4),
+            st.sampled_from(["", "+1", "-2", "1_0", "\u0663", "\u00b2", "7" * 5000]),
+            st.text(max_size=4),
+        ),
+        max_size=5,
+    )
+)
+@example(["1", "", "2"])
+@example(["12", "7" * 5000])
+def test_read_decimals_matches_a_per_token_reader(tokens):
+    assert bitlex.read_decimals(tokens) == _per_token_decimals(tokens)
+    for token in tokens:
+        assert [bitlex.read_decimal(token)] == (_per_token_decimals([token]) or [None])
 
 
 def test_parse_order_reads_leading_zeros_and_any_spacing():

@@ -9,7 +9,6 @@ from random import Random
 import pytest
 
 from lexperm import circuit, reduction
-from lexperm.bitlex import is_local_min
 from lexperm.errors import DegreeMismatch, NotInGroup
 from lexperm.perm import (
     GeneratorSet,
@@ -23,7 +22,7 @@ from lexperm.perm import (
     parse_cycles,
     power,
 )
-from lexperm.search import standard_algorithm, verify_local_opt
+from lexperm.search import is_local_min, standard_algorithm, verify_local_opt
 
 from reference_impl import ReferenceChain, enumerate_group, orbit_lengths, random_permutation
 

@@ -407,6 +407,17 @@ def test_reduce_embed(tmp_path, capsys):
     assert out.split() == ["sigma_1", "sigma_2"]
 
 
+def test_reduce_embed_rejects_a_target_that_is_not_bits(tmp_path, capsys):
+    net = tmp_path / "nand.net"
+    net.write_text("inputs 2\ngate 1 NAND x1 x2\noutputs g1\n")
+    code, built, _ = run(capsys, ["reduce", "build", str(net)])
+    inst_file = tmp_path / "nand.inst"
+    inst_file.write_text(built)
+    code, out, err = run(capsys, ["reduce", "embed", str(inst_file), "--target", "2a"])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError:")
+
+
 def test_search_command_text_output(tmp_path, capsys):
     net = tmp_path / "toy.net"
     net.write_text(STEP_NETLIST)

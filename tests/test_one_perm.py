@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexperm import bitlex, dcr
+from lexperm import bitlex, dcr, search
 from lexperm.errors import DegreeMismatch, FormatError, LengthMismatch, OrderCapExceeded
 from lexperm.one_perm import local_min_one_perm, orbit_min_one_perm
 from lexperm.perm import (
@@ -37,7 +37,7 @@ def test_figure_instance():
     assert res.exponent == 1
     assert res.cycle_id == 3
     assert res.witness == p
-    assert bitlex.is_local_min("00100001", None, _gens(p), res.witness)
+    assert search.is_local_min("00100001", None, _gens(p), res.witness)
 
 
 def test_constant_string_needs_no_steps():
@@ -65,7 +65,7 @@ def test_witness_is_at_descent_boundary():
         res = local_min_one_perm(bits, p)
         here = permute_string(bits, res.witness)
         assert here <= permute_string(here, p)
-        assert bitlex.is_local_min(bits, None, _gens(p), res.witness)
+        assert search.is_local_min(bits, None, _gens(p), res.witness)
 
 
 def test_distinct_local_minima_can_coexist():
@@ -75,8 +75,8 @@ def test_distinct_local_minima_can_coexist():
     res = local_min_one_perm("001", p)
     assert res.exponent == 1
     assert permute_string("001", res.witness) == "010"
-    assert bitlex.is_local_min("001", None, _gens(p), res.witness)
-    assert bitlex.is_local_min("001", None, _gens(p), parse_cycles("", 3))
+    assert search.is_local_min("001", None, _gens(p), res.witness)
+    assert search.is_local_min("001", None, _gens(p), parse_cycles("", 3))
 
 
 def test_prefix_before_decisive_cycle_is_orbit_constant():

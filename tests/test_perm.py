@@ -150,6 +150,13 @@ def test_parse_rejects_overlap_and_range():
         parse_cycles("(1 2) junk", 3)
 
 
+def test_parse_cycles_reports_a_malformed_point_before_an_earlier_fault():
+    with pytest.raises(FormatError):
+        parse_cycles("(1 5)(3 x)", 2)
+    with pytest.raises(FormatError):
+        parse_cycles("(1 2)(2 x)", 3)
+
+
 @pytest.mark.parametrize(
     "text",
     ["(+1 2 3)", "(1_0 2)", "(1 2 \uff13)", "(\u0661 2)", "(1 \u00b2)", "(-1 2)", "(1 2)(1" + "0" * 5000 + ")"],

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import circuit, cnf, reduction
-from lexperm.bitlex import PriorityOrder, is_local_min
+from lexperm.bitlex import PriorityOrder
 from lexperm.errors import LengthMismatch
 from lexperm.perm import GeneratorSet, Permutation, apply_word, compose, parse_cycles, perm_order, power
-from lexperm.search import standard_algorithm
+from lexperm.search import is_local_min, standard_algorithm
 
 from acceptance import _random_circuit
 from reference_impl import (

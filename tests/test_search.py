@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from lexperm import bitlex, one_perm
+from lexperm import one_perm, search
 from lexperm.bitlex import sort_key
 from lexperm.errors import FormatError, NotInGroup
 from lexperm.perm import (
@@ -92,9 +92,9 @@ def test_single_generator_endpoint_is_local_min_like_cycle_walk():
         gens = _gens(("p", p))
         res = standard_algorithm(bits, None, gens)
         assert res.status == LOCAL_OPT
-        assert bitlex.is_local_min(bits, None, gens, res.permutation)
+        assert search.is_local_min(bits, None, gens, res.permutation)
         wit = one_perm.local_min_one_perm(bits, p)
-        assert bitlex.is_local_min(bits, None, gens, wit.witness)
+        assert search.is_local_min(bits, None, gens, wit.witness)
 
 
 def test_verify_local_opt_with_raw_permutation():
