@@ -141,6 +141,8 @@ def parse_netlist(text: str) -> FlipInstance:
             continue
         fields = line.split()
         if fields[0] == "inputs":
+            if n is not None:
+                raise FormatError(f"line {lineno}: second 'inputs' line")
             n = read_decimal(fields[1]) if len(fields) == 2 else None
             if n is None:
                 raise FormatError(f"line {lineno}: expected 'inputs n'")

@@ -401,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if [] in vars(args).values():  # argparse reads an option value of '--' as []
+            raise FormatError("an option value of '--' is not accepted")
         return args.func(args)
     except LexpermError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

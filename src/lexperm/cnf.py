@@ -222,7 +222,7 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     announced = None
     clauses: list[tuple[int, ...]] = []
     body: list[str] = []  # the clause lines
-    labels: dict[int, str] = {}
+    var_linenos, var_tokens, var_names = [], [], []  # of the 'c var' lines
     alpha = None
     priority_text = None
     sym_lines: list[str] = []
@@ -233,11 +233,10 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
         if line.startswith("c"):
             fields = line.split(None, 2)
             if len(fields) >= 3 and fields[1] == "var":
-                idx_str, _, label = fields[2].partition(" ")
-                idx = read_decimal(idx_str)
-                if idx is None:
-                    raise MalformedDimacs(f"line {lineno}: bad variable index {idx_str!r}")
-                labels[idx] = label.strip()
+                token, _, label = fields[2].partition(" ")
+                var_linenos.append(lineno)
+                var_tokens.append(token)
+                var_names.append(label.strip())
             elif len(fields) >= 3 and fields[1] == "alpha":
                 alpha = fields[2].strip()
                 check_bits(alpha, MalformedDimacs)
@@ -254,6 +253,11 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
             num_vars, announced = sizes
             continue
         body.append(line)
+    indices = read_decimals(var_tokens)
+    if indices is None:  # name the first 'c var' line at fault
+        k = next(k for k, token in enumerate(var_tokens) if read_decimal(token) is None)
+        raise MalformedDimacs(f"line {var_linenos[k]}: bad variable index {var_tokens[k]!r}")
+    labels = dict(zip(indices, var_names))
     literals = _read_literals(" ".join(body).split())
     if literals is None:  # name the first clause line at fault
         lineno = next(

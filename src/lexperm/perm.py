@@ -332,6 +332,8 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
         if not sep:
             raise FormatError(f"line {lineno}: missing '=' in generator line")
         name = name.strip()
+        if name.split() != [name]:
+            raise FormatError(f"line {lineno}: generator name {name!r} is empty or holds whitespace")
         if name in names:
             raise FormatError(f"line {lineno}: generator {name!r} is defined twice")
         names.add(name)

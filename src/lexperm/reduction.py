@@ -25,7 +25,7 @@ ranks, which preserves local optimality between the one-position-per-bit
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -108,17 +108,31 @@ class BehaviorReport:
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Generators, start string and priority order of the instance built
-    from a circuit; its positions are the circuit's ``Layout``."""
+    """The instance built from a circuit: its positions (the circuit's
+    ``Layout``), generators, start string and priority order are derived
+    from the circuit when the instance is made."""
 
     circuit: FlipInstance
-    gens: GeneratorSet
-    y_start: str
-    order: PriorityOrder
+    layout: Layout = field(init=False, compare=False, repr=False)
+    gens: GeneratorSet = field(init=False, compare=False, repr=False)
+    y_start: str = field(init=False, compare=False, repr=False)
+    order: PriorityOrder = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def layout(self) -> Layout:
-        return Layout(self.circuit)
+    def __post_init__(self):
+        c = self.circuit
+        layout = Layout(c)
+        n, G = c.n, c.gate_count
+        ranked: list[int] = []
+        for j in range(n + 1):
+            ranked += [layout.pair(j, "quad", gid, CONTROL) for gid in range(1, G + 1)]
+            ranked += [layout.pair(j, "out", k) for k in range(1, c.output_count + 1)]
+            for gid in range(1, G + 1):
+                ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
+            ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "gens", layout.generators())
+        object.__setattr__(self, "y_start", expand(layout.assemble("0" * n)))
+        object.__setattr__(self, "order", layout.priority(ranked))
 
     @property
     def n(self) -> int:
@@ -313,19 +327,7 @@ class Layout:
 
 
 def build_instance(c: FlipInstance) -> ReducedInstance:
-    layout = Layout(c)
-    n, G = c.n, c.gate_count
-    ranked: list[int] = []
-    for j in range(n + 1):
-        ranked += [layout.pair(j, "quad", gid, CONTROL) for gid in range(1, G + 1)]
-        ranked += [layout.pair(j, "out", k) for k in range(1, c.output_count + 1)]
-        for gid in range(1, G + 1):
-            ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
-        ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
-    y_start = expand(layout.assemble("0" * n))
-    inst = ReducedInstance(c, layout.generators(), y_start, layout.priority(ranked))
-    inst.__dict__["layout"] = layout  # where cached_property keeps its value
-    return inst
+    return ReducedInstance(c)
 
 
 _SLOT_NAMES = {"in": "input", "quad": "gadget quadrant", "out": "output"}
@@ -377,28 +379,22 @@ def map_solution(inst: ReducedInstance, word: Sequence[str]) -> str:
 
 def embed_flip_solution(inst: ReducedInstance, target: str) -> list[str]:
     """A word of at most n circuit swaps whose mapped solution is target:
-    each sigma_i toggles copy-0 input bit i."""
+    the start string's copy-0 input is all zeros, and each sigma_i toggles
+    its bit i."""
     if len(target) != inst.n:
         raise LengthMismatch(f"{len(target)} bits, expected {inst.n}")
     check_bits(target)
-    start_x = extract_flip_input(inst, inst.y_start)
-    return [f"sigma_{i}" for i in range(1, inst.n + 1) if start_x[i - 1] != target[i - 1]]
+    return [f"sigma_{i}" for i in range(1, inst.n + 1) if target[i - 1] == "1"]
 
 
-def _catalog(layout: Layout) -> list[str]:
-    """The ``pos`` lines of an instance file: both points of every twin
-    pair, in point order."""
-    return [
-        f"pos {2 * k - 1 + t} {pos.label(t)}"
-        for k, pos in enumerate(layout.positions, start=1)
-        for t in (0, 1)
-    ]
-
-
-def _verified_lines(inst: ReducedInstance) -> list[str]:
-    """The lines of an instance file that parse_instance compares as text:
-    the header, ``start``, ``order`` and the generators, in file order."""
+def _file_lines(inst: ReducedInstance) -> list[str]:
+    """Every line of the instance file, in file order: the ``N``/``K``
+    header, the netlist as ``net`` lines, the ``pos`` catalog (every point
+    in order), ``start``, ``order`` and the generators."""
     lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
+    lines += [f"net {line}" for line in format_netlist(inst.circuit).splitlines()]
+    points = (pos.label(t) for pos in inst.condensed for t in (0, 1))
+    lines += [f"pos {i} {label}" for i, label in enumerate(points, start=1)]
     lines.append(f"start {inst.y_start}")
     lines.append(f"order {format_order(inst.order)}")
     lines += [f"{name} = {format_cycles(p)}" for name, p in inst.gens]
@@ -406,9 +402,7 @@ def _verified_lines(inst: ReducedInstance) -> list[str]:
 
 
 def format_instance(inst: ReducedInstance) -> str:
-    header, *body = _verified_lines(inst)
-    net = [f"net {line}" for line in format_netlist(inst.circuit).strip().splitlines()]
-    return "\n".join([header, *net, *_catalog(inst.layout), *body]) + "\n"
+    return "\n".join(_file_lines(inst)) + "\n"
 
 
 def parse_instance(text: str) -> ReducedInstance:
@@ -442,13 +436,15 @@ def parse_instance(text: str) -> ReducedInstance:
     if not net_lines:
         raise FormatError("instance file carries no 'net' lines")
     inst = build_instance(parse_netlist("\n".join(net_lines)))
-    catalog = _catalog(inst.layout)
+    built = _file_lines(inst)
+    catalog = [line for line in built if line.startswith("pos ")]
     stray = pos_lines != catalog and (
         (Counter(pos_lines) - Counter(catalog)) or (Counter(catalog) - Counter(pos_lines))
     )
     if stray:
         raise FormatError(f"position catalog is not the netlist's layout at {next(iter(stray))!r}")
-    for lineno, line, want in zip_longest(linenos, written, _verified_lines(inst)):
+    verified = [line for line in built if not line.startswith(("net ", "pos "))]
+    for lineno, line, want in zip_longest(linenos, written, verified):
         if line != want:
             where = "end of file" if lineno is None else f"line {lineno}"
             raise FormatError(f"{where}: found {line!r:.40}, the netlist builds {want!r:.40}")

@@ -179,14 +179,11 @@ def verify_local_opt(
     bits: str,
     order: PriorityOrder | None,
     gens: GeneratorSet,
-    word: Sequence[str] | None = None,
-    perm: Permutation | None = None,
+    perm: Permutation,
 ) -> bool:
-    """Local-optimality check for a solution given as a word or as a raw
-    permutation; raw permutations must first pass the membership test,
-    which sifts through the chain ``gens`` keeps."""
-    if perm is None:
-        perm = apply_word(gens, word or ())
-    elif not membership(gens, perm):
+    """Local-optimality check for a solution given as a raw permutation,
+    which must first pass the membership test; that sifts through the
+    chain ``gens`` keeps."""
+    if not membership(gens, perm):
         raise NotInGroup("permutation is not in the generated group")
     return is_local_min(bits, order, gens, perm)

@@ -161,6 +161,8 @@ def test_netlist_rejects_constants_and_junk():
         parse_netlist("gate 1 NAND x1 x1\noutputs g1\n")
     with pytest.raises(FormatError):
         parse_netlist("inputs 1\ngate 1 NAND x1 x1\noutputs x1\n")
+    with pytest.raises(FormatError, match="line 3: second 'inputs' line"):
+        parse_netlist("inputs 2\ngate 1 NAND x1 x2\ninputs 3\noutputs g1\n")
 
 
 def test_netlist_warns_on_dangling_input():

@@ -190,6 +190,7 @@ _ARG_TEXT = st.one_of(st.text(max_size=10), st.text(alphabet="0123456789() ,+-_x
 @example("orbit-min", "010", "(1 2 3)", "+1 2 3", None, False)
 @example("one-perm", "010", "(+1 2 3)", None, None, True)
 @example("orbit-min", "1010101", "(1 2 3 4 5 6 7)", None, "3", False)
+@example("orbit-min", "", "--", None, None, False)
 def test_orbit_commands_end_in_exit_status_0_1_or_2(command, string, perm_text, order, cap, as_json):
     """Whatever the arguments, ``main`` returns 0, 1 or 2 or argparse exits;
     no other exception escapes."""
@@ -649,6 +650,25 @@ def test_duplicate_symmetry_name_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file)])
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
+
+
+def test_second_inputs_line_exits_2(tmp_path, capsys):
+    net = tmp_path / "twice.net"
+    net.write_text("inputs 2\ngate 1 NAND x1 x2\ninputs 3\noutputs g1\n")
+    code, out, err = run(capsys, ["reduce", "build", str(net)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError: line 3:")
+
+
+def test_empty_symmetry_name_exits_2(tmp_path, capsys):
+    net = tmp_path / "toy.net"
+    net.write_text(STEP_NETLIST)
+    cnf_file, sym_file = tmp_path / "toy.cnf", tmp_path / "toy.sym"
+    run(capsys, ["cnf", "build", str(net), "-o", str(cnf_file)])
+    sym_file.write_text(" = (1 2)\n")
+    code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file), "--sym", str(sym_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError: line 1:")
 
 
 def _not_gate_stream() -> list[str]:

@@ -196,6 +196,12 @@ def test_generator_file_rejects_duplicate_names():
         perm.parse_generator_file("a = (1 2)\nb = ()\na = (2 3)\n", 3)
 
 
+@pytest.mark.parametrize("line", [" = (1 2)", "a b = (1 2)", "a\tb = ()"])
+def test_generator_file_rejects_names_no_word_can_spell(line):
+    with pytest.raises(FormatError, match="line 2: generator name .* is empty or holds whitespace"):
+        perm.parse_generator_file(f"x = ()\n{line}\n", 3)
+
+
 def test_power_and_order():
     p = parse_cycles("(1 2 5)(3 4)(7 8)", 8)
     assert perm.perm_order(p) == 6

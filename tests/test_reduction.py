@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -434,13 +435,15 @@ def test_parse_instance_returns_the_rebuilt_instance():
         assert g.moved == dense_moved(g)
 
 
-def test_build_instance_hands_over_the_layout_it_built():
+def test_reduced_instance_is_built_from_its_circuit_alone():
+    init = [f.name for f in dataclasses.fields(reduction.ReducedInstance) if f.init]
+    assert init == ["circuit"]
     inst = build_instance(STEP_CIRCUIT)
-    assert "layout" in vars(inst)
-    fresh = reduction.ReducedInstance(inst.circuit, inst.gens, inst.y_start, inst.order)
-    assert "layout" not in vars(fresh)
-    assert format_instance(inst) == format_instance(fresh)
-    assert inst.layout.positions == fresh.layout.positions
+    assert reduction.ReducedInstance(STEP_CIRCUIT) == inst == parse_instance(format_instance(inst))
+    assert hash(reduction.ReducedInstance(STEP_CIRCUIT)) == hash(inst)
+    assert inst.layout.circuit is inst.circuit
+    with pytest.raises(TypeError):
+        reduction.ReducedInstance(inst.circuit, inst.gens, inst.y_start, inst.order)
 
 
 _FUZZ_TEXTS = [format_instance(build_instance(c)) for c in (MINIMAL, STEP_CIRCUIT)]

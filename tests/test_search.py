@@ -7,10 +7,11 @@ from lexperm.bitlex import sort_key
 from lexperm.errors import FormatError, NotInGroup
 from lexperm.perm import (
     GeneratorSet,
+    apply_word,
     identity,
     parse_cycles,
 )
-from lexperm.search import LOCAL_OPT, STEP_CAP, standard_algorithm, verify_local_opt
+from lexperm.search import LOCAL_OPT, STEP_CAP, is_local_min, standard_algorithm, verify_local_opt
 
 from reference_impl import random_permutation
 
@@ -51,7 +52,7 @@ def test_trace_strictly_decreases():
         assert res.status == LOCAL_OPT
         keys = [sort_key(s, None) for s in res.trace]
         assert all(a > b for a, b in zip(keys, keys[1:]))
-        assert verify_local_opt(bits, None, gens, word=res.word)
+        assert is_local_min(bits, None, gens, apply_word(gens, res.word))
 
 
 def test_deterministic_runs():
@@ -109,7 +110,7 @@ def test_verify_local_opt_with_raw_permutation():
 
 def test_verify_local_opt_identity_word_on_constant_string():
     gens = _gens(("p", parse_cycles("(1 2)", 2)))
-    assert verify_local_opt("11", None, gens, word=())
+    assert is_local_min("11", None, gens, apply_word(gens, ()))
 
 
 def test_walk_rejects_non_bits():
