@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -180,10 +181,14 @@ def _load_instance_and_word(args) -> tuple[reduction.ReducedInstance, list[str]]
             if not isinstance(record, dict):
                 raise FormatError(f"line {lineno}: JSON record is not an object")
             if record.get("type") == "instance":
+                if inst is not None:
+                    raise FormatError(f"line {lineno}: a second instance record")
                 if not isinstance(record.get("text"), str):
                     raise FormatError(f"line {lineno}: instance record carries no 'text' string")
                 inst = reduction.parse_instance(record["text"])
             elif record.get("type") == "result":
+                if word is not None:
+                    raise FormatError(f"line {lineno}: a second result record")
                 word = record.get("word")
                 if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
                     raise FormatError(f"line {lineno}: result record's 'word' is not a list of strings")
@@ -216,13 +221,11 @@ def _cmd_cnf_build(args) -> int:
     c = circuit.parse_netlist(_read(args.file))
     f = cnf.build_formula(c)
     _write(args.output, cnf.format_dimacs(f))
-    if args.sym:
-        _write(args.sym, perm.format_generator_file(f.symmetries))
     return 0
 
 
 def _cmd_cnf_check_sym(args) -> int:
-    f = cnf.parse_dimacs(_read(args.file), _read(args.sym) if args.sym else None)
+    f = cnf.parse_dimacs(_read(args.file))
     failures = 0
     for name, p in f.symmetries:
         if cnf.check_symmetry(f, p):
@@ -234,7 +237,7 @@ def _cmd_cnf_check_sym(args) -> int:
 
 
 def _cmd_cnf_localmin(args) -> int:
-    f = cnf.parse_dimacs(_read(args.file), _read(args.sym) if args.sym else None)
+    f = cnf.parse_dimacs(_read(args.file))
     res = cnf.local_min_solution(f, alpha=args.assignment, max_steps=args.max_steps)
     print(f"assignment {res.string}")
     print(f"status {res.status}")
@@ -337,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
             "source netlist on 'net ' lines, a 'pos <index> <label>'\n"
             "catalog, 'start <bits>', 'order <rank list>', then generator\n"
             "lines 'pi_<gate>_<circuit> = (cycles)' / 'sigma_<i> = (cycles)'.\n"
-            "Instance files are rebuilt from their netlist on reading: only\n"
-            "the 'pos' lines may differ from what `reduce build` writes\n"
-            "(in order and spacing).\n"
+            "Instance files are rebuilt from their netlist on reading: they\n"
+            "may differ from what `reduce build` writes only in spacing.\n"
             "`reduce search` emits json-lines records (instance, steps,\n"
             "result) so stages chain through pipes."
         ),
@@ -373,24 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "DIMACS 'p cnf V C' with the variable catalog, initial\n"
             "assignment, priority and symmetries carried as 'c var',\n"
-            "'c alpha', 'c priority' and 'c sym' comments; --sym writes the\n"
-            "generators to a sidecar of 'name = (cycles)' lines over\n"
-            "1-based variable indices"
+            "'c alpha', 'c priority' and 'c sym' comments; a 'c sym' line\n"
+            "holds one generator as 'name = (cycles)' over 1-based variable\n"
+            "indices, and check-sym and localmin use exactly these"
         ),
     )
     csub = pc.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("build")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("-o", "--output")
-    p.add_argument("--sym", help="also write a symmetry sidecar file")
     p.set_defaults(func=_cmd_cnf_build)
     p = csub.add_parser("check-sym")
     p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--sym")
     p.set_defaults(func=_cmd_cnf_check_sym)
     p = csub.add_parser("localmin")
     p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--sym")
     p.add_argument("--assignment")
     p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.set_defaults(func=_cmd_cnf_localmin)
@@ -403,9 +402,17 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse reads an option value of '--' as []
             raise FormatError("an option value of '--' is not accepted")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except LexpermError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed stdout: end as for a file that cannot be
+        # written, with stdout on devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error FileError: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

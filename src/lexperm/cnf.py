@@ -19,19 +19,20 @@ from operator import neg
 from types import MappingProxyType
 from typing import Mapping
 
-from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal, read_decimals
+from .bitlex import PriorityOrder, format_order, parse_order, read_decimal, read_decimals
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
     LengthMismatch,
+    LexpermError,
     MalformedDimacs,
     UnsatStart,
 )
 from .perm import (
     GeneratorSet,
     Permutation,
-    format_cycles,
-    parse_generator_file,
+    generator_lines,
+    parse_generator_lines,
 )
 from .reduction import QUADRANTS, GateState, Layout, encode_gate_state, expand
 from .search import SearchResult, standard_algorithm
@@ -197,8 +198,7 @@ def format_dimacs(f: CnfFormula) -> str:
         lines.append(f"c alpha {f.initial}")
     if f.priority is not None:
         lines.append(f"c priority {format_order(f.priority)}")
-    for name, p in f.symmetries:
-        lines.append(f"c sym {name} = {format_cycles(p)}")
+    lines += ["c sym " + line for line in generator_lines(f.symmetries)]
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
     for clause in f.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
@@ -217,33 +217,35 @@ def _read_literals(tokens: list[str]) -> list[int] | None:
         return None
 
 
-def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
+def parse_dimacs(text: str) -> CnfFormula:
+    """The formula of a DIMACS file and its ``c var``, ``c alpha``, ``c
+    priority`` and ``c sym`` comment lines.  Every fault is a
+    MalformedDimacs, and a fault of a metadata line names that line."""
     num_vars = None
     announced = None
     clauses: list[tuple[int, ...]] = []
     body: list[str] = []  # the clause lines
     var_linenos, var_tokens, var_names = [], [], []  # of the 'c var' lines
-    alpha = None
-    priority_text = None
-    sym_lines: list[str] = []
+    meta: dict[str, tuple[int, str]] = {}  # the 'c alpha' and 'c priority' lines
+    sym_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("c"):
             fields = line.split(None, 2)
-            if len(fields) >= 3 and fields[1] == "var":
+            key = fields[1] if len(fields) == 3 else None
+            if key == "var":
                 token, _, label = fields[2].partition(" ")
                 var_linenos.append(lineno)
                 var_tokens.append(token)
                 var_names.append(label.strip())
-            elif len(fields) >= 3 and fields[1] == "alpha":
-                alpha = fields[2].strip()
-                check_bits(alpha, MalformedDimacs)
-            elif len(fields) >= 3 and fields[1] == "priority":
-                priority_text = fields[2]
-            elif len(fields) >= 3 and fields[1] == "sym":
-                sym_lines.append(fields[2])
+            elif key in ("alpha", "priority"):
+                if key in meta:
+                    raise MalformedDimacs(f"line {lineno}: a second 'c {key}' line")
+                meta[key] = (lineno, fields[2])
+            elif key == "sym":
+                sym_lines.append((lineno, fields[2]))
             continue
         if line.startswith("p"):
             fields = line.split()
@@ -257,7 +259,6 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     if indices is None:  # name the first 'c var' line at fault
         k = next(k for k, token in enumerate(var_tokens) if read_decimal(token) is None)
         raise MalformedDimacs(f"line {var_linenos[k]}: bad variable index {var_tokens[k]!r}")
-    labels = dict(zip(indices, var_names))
     literals = _read_literals(" ".join(body).split())
     if literals is None:  # name the first clause line at fault
         lineno = next(
@@ -282,13 +283,28 @@ def parse_dimacs(text: str, symmetries_text: str | None = None) -> CnfFormula:
     if literals and max(map(abs, literals)) > num_vars:
         bad = next(lit for lit in literals if abs(lit) > num_vars)
         raise MalformedDimacs(f"literal {bad} outside variable range")
-    symmetries = parse_generator_file(
-        "\n".join(sym_lines) if symmetries_text is None else symmetries_text, num_vars
-    )
+    if indices and (len(set(indices)) < len(indices) or min(indices) < 1 or max(indices) > num_vars):
+        seen: set[int] = set()  # name the first 'c var' line at fault
+        k = next(k for k, v in enumerate(indices) if not 1 <= v <= num_vars or v in seen or seen.add(v))
+        why = "repeated" if 1 <= indices[k] <= num_vars else f"outside 1..{num_vars}"
+        raise MalformedDimacs(f"line {var_linenos[k]}: variable index {indices[k]} is {why}")
+    labels = dict(zip(indices, var_names))
     var_labels = tuple(labels.get(v, f"v{v}") for v in range(1, num_vars + 1))
-    priority = None
-    if priority_text is not None:
-        priority = parse_order(priority_text, num_vars)
+    alpha = priority = None
+    if "alpha" in meta:
+        lineno, alpha = meta["alpha"]
+        if alpha.strip("01") or len(alpha) != num_vars:
+            raise MalformedDimacs(f"line {lineno}: 'c alpha' {alpha[:40]!r} is not {num_vars} bits")
+    if "priority" in meta:
+        lineno, order = meta["priority"]
+        try:
+            priority = parse_order(order, num_vars)
+        except LexpermError as exc:
+            raise MalformedDimacs(f"line {lineno}: {exc}") from None
+    try:  # its faults already name their lines
+        symmetries = parse_generator_lines(sym_lines, num_vars)
+    except LexpermError as exc:
+        raise MalformedDimacs(str(exc)) from None
     return CnfFormula(
         num_vars=num_vars,
         clauses=tuple(clauses),

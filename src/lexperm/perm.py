@@ -30,6 +30,7 @@ from .errors import (
     DegreeMismatch,
     FormatError,
     IndexOutOfRange,
+    LexpermError,
     OverlappingCycles,
     UnknownGenerator,
 )
@@ -319,15 +320,13 @@ def apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str
     return "".join(chars)
 
 
-def parse_generator_file(text: str, degree: int) -> GeneratorSet:
-    """One generator per line: ``name = (a b)(c d)``.  Blank lines and
-    lines starting with '#' are ignored."""
+def parse_generator_lines(lines: Iterable[tuple[int, str]], degree: int) -> GeneratorSet:
+    """Generators from ``(line number, text)`` pairs, one ``name = (a b)(c
+    d)`` per text; every fault, the cycle faults included, keeps its error
+    class and names the line number it was given."""
     pairs = []
     names: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         name, sep, cycles = line.partition("=")
         if not sep:
             raise FormatError(f"line {lineno}: missing '=' in generator line")
@@ -337,12 +336,16 @@ def parse_generator_file(text: str, degree: int) -> GeneratorSet:
         if name in names:
             raise FormatError(f"line {lineno}: generator {name!r} is defined twice")
         names.add(name)
-        pairs.append((name, parse_cycles(cycles, degree)))
+        try:
+            pairs.append((name, parse_cycles(cycles, degree)))
+        except LexpermError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return GeneratorSet.from_pairs(degree, pairs)
 
 
-def format_generator_file(gens: GeneratorSet) -> str:
-    return "\n".join(f"{name} = {format_cycles(p)}" for name, p in gens) + "\n"
+def generator_lines(gens: GeneratorSet) -> list[str]:
+    """One ``name = (cycles)`` line per generator, in order."""
+    return [f"{name} = {format_cycles(p)}" for name, p in gens]
 
 
 def _zero_based(p: Permutation) -> tuple[int, ...]:

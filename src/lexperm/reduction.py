@@ -24,7 +24,6 @@ ranks, which preserves local optimality between the one-position-per-bit
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
@@ -41,7 +40,7 @@ from .perm import (
     GeneratorSet,
     Permutation,
     apply_word_to_string,
-    format_cycles,
+    generator_lines,
 )
 
 QUADRANTS = ("00", "01", "10", "11")
@@ -397,7 +396,7 @@ def _file_lines(inst: ReducedInstance) -> list[str]:
     lines += [f"pos {i} {label}" for i, label in enumerate(points, start=1)]
     lines.append(f"start {inst.y_start}")
     lines.append(f"order {format_order(inst.order)}")
-    lines += [f"{name} = {format_cycles(p)}" for name, p in inst.gens]
+    lines += generator_lines(inst.gens)
     return lines
 
 
@@ -409,14 +408,12 @@ def parse_instance(text: str) -> ReducedInstance:
     """Read an instance file by rebuilding it from its netlist.
 
     The ``net`` lines are required, and the instance is ``build_instance``
-    of that netlist.  The ``pos`` lines must be the netlist layout's
-    catalog, in any line order and with any spacing.  Every other line must
-    be what ``format_instance`` writes, in the same order, up to runs of
-    spacing: the ``N``/``K`` header, ``start``, ``order`` and the generator
+    of that netlist.  Every other line must be what ``format_instance``
+    writes, in the same order, up to runs of spacing: the ``N``/``K``
+    header, the ``pos`` catalog, ``start``, ``order`` and the generator
     lines.  Blank lines and ``#`` comments are skipped.  Any difference is
     a FormatError."""
     net_lines: list[str] = []
-    pos_lines: list[str] = []
     written: list[str] = []
     linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -428,22 +425,13 @@ def parse_instance(text: str) -> ReducedInstance:
             if not value:
                 raise FormatError(f"line {lineno}: 'net' line carries no value")
             net_lines.append(value)
-        elif kind == "pos":
-            pos_lines.append(line)
         else:
             written.append(line)
             linenos.append(lineno)
     if not net_lines:
         raise FormatError("instance file carries no 'net' lines")
     inst = build_instance(parse_netlist("\n".join(net_lines)))
-    built = _file_lines(inst)
-    catalog = [line for line in built if line.startswith("pos ")]
-    stray = pos_lines != catalog and (
-        (Counter(pos_lines) - Counter(catalog)) or (Counter(catalog) - Counter(pos_lines))
-    )
-    if stray:
-        raise FormatError(f"position catalog is not the netlist's layout at {next(iter(stray))!r}")
-    verified = [line for line in built if not line.startswith(("net ", "pos "))]
+    verified = [line for line in _file_lines(inst) if not line.startswith("net ")]
     for lineno, line, want in zip_longest(linenos, written, verified):
         if line != want:
             where = "end of file" if lineno is None else f"line {lineno}"

@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -450,13 +452,10 @@ def test_cnf_pipeline(tmp_path, capsys):
     net = tmp_path / "toy.net"
     net.write_text(STEP_NETLIST)
     cnf_file = tmp_path / "toy.cnf"
-    sym_file = tmp_path / "toy.sym"
-    code, out, _ = run(
-        capsys, ["cnf", "build", str(net), "-o", str(cnf_file), "--sym", str(sym_file)]
-    )
-    assert code == 0
+    code, out, _ = run(capsys, ["cnf", "build", str(net), "-o", str(cnf_file)])
+    assert code == 0 and out == ""
     assert cnf_file.read_text().splitlines()[-1].endswith(" 0")
-    assert "pi_1_0 = " in sym_file.read_text()
+    assert "c sym pi_1_0 = " in cnf_file.read_text()
 
     code, out, _ = run(capsys, ["cnf", "check-sym", str(cnf_file)])
     assert code == 0
@@ -469,7 +468,6 @@ def test_cnf_pipeline(tmp_path, capsys):
 
 
 _STEP_DIMACS_LINES = cnf.format_dimacs(cnf.build_formula(circuit.parse_netlist(STEP_NETLIST))).splitlines()
-_STEP_SYM_LINES = [line.removeprefix("c sym ") for line in _STEP_DIMACS_LINES if line.startswith("c sym ")]
 _CNF_LINE = st.one_of(
     st.text(max_size=12),
     st.text(alphabet="pcnfvarlhsym=() -0123456789", max_size=16),
@@ -499,20 +497,17 @@ def _edited_lines(draw, base, line=_CNF_LINE):
 @given(
     st.sampled_from(["check-sym", "localmin"]),
     _edited_lines(_STEP_DIMACS_LINES),
-    st.none() | _edited_lines(_STEP_SYM_LINES),
     st.none() | st.text(alphabet="01x", max_size=4),
     st.none() | st.sampled_from(["0", "3", "-1", "1_0"]),
 )
-@example(command="localmin", text="1 -2 0\np cnf 2 1\n", sym_text=None, assignment=None, max_steps=None)
-def test_cnf_commands_end_in_exit_status_0_1_or_2(tmp_path, command, text, sym_text, assignment, max_steps):
-    """Whatever the DIMACS file, symmetry file and flags, ``main`` returns
-    0, 1 or 2 or argparse exits; no other exception escapes."""
+@example(command="localmin", text="1 -2 0\np cnf 2 1\n", assignment=None, max_steps=None)
+def test_cnf_commands_end_in_exit_status_0_1_or_2(tmp_path, command, text, assignment, max_steps):
+    """Whatever the DIMACS file, its 'c sym' lines included, and the
+    flags, ``main`` returns 0, 1 or 2 or argparse exits; no other
+    exception escapes."""
     cnf_file = tmp_path / "fuzz.cnf"
     cnf_file.write_text(text)
     argv = ["cnf", command, str(cnf_file)]
-    if sym_text is not None:
-        (tmp_path / "fuzz.sym").write_text(sym_text)
-        argv += ["--sym", str(tmp_path / "fuzz.sym")]
     if command == "localmin":
         argv += [] if assignment is None else [f"--assignment={assignment}"]
         argv += [] if max_steps is None else [f"--max-steps={max_steps}"]
@@ -649,7 +644,7 @@ def test_duplicate_symmetry_name_exits_2(tmp_path, capsys):
     cnf_file.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file)])
     assert code == 2 and out == ""
-    assert err.startswith("error FormatError:")
+    assert err.startswith(f"error MalformedDimacs: line {first + 2}: generator 'pi_1_0' is defined twice")
 
 
 def test_second_inputs_line_exits_2(tmp_path, capsys):
@@ -663,12 +658,23 @@ def test_second_inputs_line_exits_2(tmp_path, capsys):
 def test_empty_symmetry_name_exits_2(tmp_path, capsys):
     net = tmp_path / "toy.net"
     net.write_text(STEP_NETLIST)
-    cnf_file, sym_file = tmp_path / "toy.cnf", tmp_path / "toy.sym"
-    run(capsys, ["cnf", "build", str(net), "-o", str(cnf_file)])
-    sym_file.write_text(" = (1 2)\n")
-    code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file), "--sym", str(sym_file)])
+    _, built, _ = run(capsys, ["cnf", "build", str(net)])
+    lines = built.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("c sym "))
+    lines[first] = "c sym  = (1 2)"
+    cnf_file = tmp_path / "toy.cnf"
+    cnf_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["cnf", "check-sym", str(cnf_file)])
     assert code == 2 and out == ""
-    assert err.startswith("error FormatError: line 1:")
+    assert err.startswith(f"error MalformedDimacs: line {first + 1}: generator name '' is empty")
+
+
+@pytest.mark.parametrize("command", ["build", "check-sym", "localmin"])
+def test_cnf_commands_take_no_symmetry_sidecar(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cnf", command, "-", "--sym", "toy.sym"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sym" in capsys.readouterr().err
 
 
 def _not_gate_stream() -> list[str]:
@@ -705,6 +711,76 @@ def test_malformed_search_stream_exits_2(tmp_path, capsys, record):
     code, out, err = run(capsys, ["reduce", "map", str(stream)])
     assert code == 2 and out == ""
     assert err.startswith("error FormatError:")
+
+
+@pytest.mark.parametrize("kind", ["instance", "result"])
+def test_repeated_search_stream_record_exits_2(tmp_path, capsys, kind):
+    records = _not_gate_stream()
+    again = next(record for record in records if json.loads(record)["type"] == kind)
+    stream = tmp_path / "walk.jsonl"
+    stream.write_text("\n".join([*records, again]) + "\n")
+    code, out, err = run(capsys, ["reduce", "map", str(stream)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error FormatError: line 3: a second {kind} record")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    c = circuit.random_instance(Random(1), 6, 20, 4)
+    inst_file = tmp_path / "rung.inst"
+    inst_file.write_text(reduction.format_instance(reduction.build_instance(c)))
+    env = {**os.environ, "PYTHONPATH": str(Path(lexperm.__file__).parents[1])}
+    argv = [sys.executable, "-m", "lexperm", "reduce", "search", str(inst_file), "--trace", "--format", "text"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"word ")
+    proc.stdout.close()  # the rest of the trace, about 150 kB, exceeds a pipe buffer
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error FileError: cannot write stdout: Broken pipe"
+
+
+def _readme_tour() -> list[tuple[str, list[str]]]:
+    """The README's CLI tour: each ``$ lexperm ...`` line with the output
+    lines shown under it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI tour\n")[1].split("\n## ")[0]
+    tour: list[tuple[str, list[str]]] = []
+    in_block = False
+    for line in section.splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("$ "):
+            tour.append((line[2:], []))
+        elif in_block and line:
+            tour[-1][1].append(line)
+    return tour
+
+
+def test_readme_cli_tour_runs(tmp_path, capsys, monkeypatch):
+    """Every tour line exits 0 and prints every shown line that holds no
+    '...'; pipes chain through stdin and a ``printf`` head feeds its
+    literal."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "step.net").write_text(STEP_NETLIST)
+    (tmp_path / "k4.col").write_text(K4_GRAPH)
+    tour = _readme_tour()
+    assert len(tour) >= 14
+    for command, shown in tour:
+        piped = None
+        for stage in command.split(" | "):
+            argv = shlex.split(stage)
+            if argv[0] == "printf":
+                piped = argv[1].replace("\\n", "\n")
+                continue
+            assert argv[0] == "lexperm"
+            if piped is not None:
+                monkeypatch.setattr("sys.stdin", io.StringIO(piped))
+            code = cli.main(argv[1:])
+            piped = capsys.readouterr().out
+            assert code == 0, command
+        printed = piped.splitlines()
+        for line in shown:
+            assert "..." in line or line in printed, (command, line)
 
 
 _REDUCE_LINE = st.one_of(

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -19,9 +20,7 @@ from lexperm.cnf import (
 from lexperm.errors import LexpermError, MalformedDimacs, UnsatStart
 from lexperm.perm import (
     GeneratorSet,
-    format_generator_file,
     parse_cycles,
-    parse_generator_file,
     permute_string,
 )
 
@@ -148,14 +147,6 @@ def test_dimacs_format_parse_round_trip(c):
     assert parse_dimacs(format_dimacs(f)) == f
 
 
-def test_sidecar_round_trip():
-    f = build_formula(MINIMAL)
-    gens = parse_generator_file(format_generator_file(f.symmetries), f.num_vars)
-    assert gens == f.symmetries
-    for _, p in gens:
-        assert check_symmetry(f, p)
-
-
 def test_empty_formula_dimacs():
     empty = CnfFormula(0, (), (), GeneratorSet(0, (), ()))
     assert format_dimacs(empty) == "p cnf 0 0\n"
@@ -182,6 +173,35 @@ def test_malformed_dimacs():
         parse_dimacs("p cnf a 0\n")
     with pytest.raises(MalformedDimacs):
         parse_dimacs("p cnf 2 b\n")
+
+
+@pytest.mark.parametrize(
+    "meta, lineno, message",
+    [
+        (["c var 1 a", "c var 2 b", "c sym s = (1 2)", "c sym s = (1 2)"], 4, "generator 's' is defined twice"),
+        (["c sym s = (1 3)"], 1, "point 3 outside 1..2"),
+        (["c var 1 a", "c sym s = (1 2)(2 1)"], 2, "point 2 appears in two cycles"),
+        (["c sym s (1 2)"], 1, "missing '='"),
+        (["c sym t = ()", "c sym = (1 2)"], 2, "generator name '' is empty"),
+        (["c priority 2 x"], 1, "rank in order '2 x' is not plain decimal"),
+        (["c alpha 01", "c priority 1"], 2, "order lists 1 ranks, expected 2"),
+        (["c priority 1 1"], 1, "rank is not a permutation"),
+        (["c alpha 011"], 1, "'c alpha' '011' is not 2 bits"),
+        (["c alpha 0x"], 1, "'c alpha' '0x' is not 2 bits"),
+        (["c alpha 01", "c var 1 a", "c alpha 10"], 3, "a second 'c alpha' line"),
+        (["c priority 1 2", "c priority 2 1"], 2, "a second 'c priority' line"),
+        (["c var 1 a", "c var 2 b", "c var 1 c"], 3, "variable index 1 is repeated"),
+        (["c var 1 a", "c var 3 c"], 2, "variable index 3 is outside 1..2"),
+        (["c var 0 z"], 1, "variable index 0 is outside 1..2"),
+    ],
+    ids=["sym-defined-twice", "sym-out-of-range", "sym-overlap", "sym-no-equals", "sym-empty-name",
+         "priority-token", "priority-short", "priority-repeat", "alpha-length", "alpha-bits",
+         "alpha-twice", "priority-twice", "var-repeated", "var-too-large", "var-zero"],
+)
+def test_dimacs_metadata_faults_name_their_line(meta, lineno, message):
+    text = "\n".join([*meta, "p cnf 2 1", "1 2 0"]) + "\n"
+    with pytest.raises(MalformedDimacs, match=f"^line {lineno}: {re.escape(message)}"):
+        parse_dimacs(text)
 
 
 def test_enumerate_models_is_not_bounded_by_recursion_depth():

@@ -192,14 +192,23 @@ def test_cycle_text_round_trip_matches_validated_permutation(image):
 
 
 def test_generator_file_rejects_duplicate_names():
-    with pytest.raises(FormatError):
-        perm.parse_generator_file("a = (1 2)\nb = ()\na = (2 3)\n", 3)
+    with pytest.raises(FormatError, match="^line 9: generator 'a' is defined twice$"):
+        perm.parse_generator_lines([(3, "a = (1 2)"), (5, "b = ()"), (9, "a = (2 3)")], 3)
 
 
 @pytest.mark.parametrize("line", [" = (1 2)", "a b = (1 2)", "a\tb = ()"])
 def test_generator_file_rejects_names_no_word_can_spell(line):
-    with pytest.raises(FormatError, match="line 2: generator name .* is empty or holds whitespace"):
-        perm.parse_generator_file(f"x = ()\n{line}\n", 3)
+    with pytest.raises(FormatError, match="^line 7: generator name .* is empty or holds whitespace"):
+        perm.parse_generator_lines([(1, "x = ()"), (7, line)], 3)
+
+
+@pytest.mark.parametrize(
+    "cycles, error",
+    [("(1 4)", IndexOutOfRange), ("(1 2)(2 3)", OverlappingCycles), ("(1 x)", FormatError), ("(1 2) junk", FormatError)],
+)
+def test_generator_lines_name_the_line_of_a_cycle_fault(cycles, error):
+    with pytest.raises(error, match="^line 12: "):
+        perm.parse_generator_lines([(10, "x = ()"), (12, f"y = {cycles}")], 3)
 
 
 def test_power_and_order():
@@ -240,8 +249,9 @@ def test_generator_file_round_trip():
     gens = GeneratorSet.from_pairs(
         4, [("a", parse_cycles("(1 2)", 4)), ("b", parse_cycles("(3 4)", 4))]
     )
-    text = perm.format_generator_file(gens)
-    assert perm.parse_generator_file(text, 4) == gens
+    lines = perm.generator_lines(gens)
+    assert lines == ["a = (1 2)", "b = (3 4)"]
+    assert perm.parse_generator_lines(enumerate(lines, start=1), 4) == gens
 
 
 def test_membership_examples():
@@ -424,24 +434,25 @@ def test_apply_word_to_string_errors():
         apply_word_to_string(gens, "01", ["zzz", "a"])
 
 
-_GENERATOR_FILE_LINES = st.lists(
+_GENERATOR_LINES = st.lists(
     st.one_of(
         st.text(max_size=14),
         st.text(alphabet="ab=() ,#0123456789-", max_size=16),
         st.sampled_from(["a = (1 2)", "b = ()", "c = (1 2 3)", "a = (2 3)", "# x", "d =", ""]),
     ),
     max_size=6,
-).map("\n".join)
+)
 
 
 @settings(max_examples=300)
-@given(_GENERATOR_FILE_LINES, st.integers(0, 4))
-@example("a = (" + "1" * 5000 + ")", 3)
-@example("a = (1 \u00b2)", 3)
-def test_parse_generator_file_fuzz_yields_generators_or_lexperm_error(text, degree):
+@given(_GENERATOR_LINES, st.integers(0, 4))
+@example(["a = (" + "1" * 5000 + ")"], 3)
+@example(["a = (1 \u00b2)"], 3)
+def test_parse_generator_lines_fuzz_yields_generators_or_lexperm_error(lines, degree):
     try:
-        gens = perm.parse_generator_file(text, degree)
-    except LexpermError:
+        gens = perm.parse_generator_lines(enumerate(lines, start=1), degree)
+    except LexpermError as exc:
+        assert str(exc).startswith("line ")
         return
     assert isinstance(gens, GeneratorSet)
-    assert perm.parse_generator_file(perm.format_generator_file(gens), degree) == gens
+    assert perm.parse_generator_lines(enumerate(perm.generator_lines(gens)), degree) == gens

@@ -317,15 +317,20 @@ def test_parse_instance_rejects_malformed_lines(bad_line):
         parse_instance(text)
 
 
-def test_parse_instance_accepts_reordered_catalog_with_loose_whitespace():
+def test_parse_instance_accepts_loose_whitespace_but_not_a_reordered_catalog():
     text = format_instance(build_instance(STEP_CIRCUIT))
     lines = text.splitlines()
     pos = [i for i, line in enumerate(lines) if line.startswith("pos ")]
-    shuffled = [lines[i].replace(" ", "  ") + " " for i in pos]
-    Random(5).shuffle(shuffled)
-    for i, line in zip(pos, shuffled):
+    loose = [lines[i].replace(" ", "  ") + " " for i in pos]
+    for i, line in zip(pos, loose):
         lines[i] = line
     assert parse_instance("\n".join(lines)) == parse_instance(text)
+    Random(5).shuffle(loose)
+    for i, line in zip(pos, loose):
+        lines[i] = line
+    first = next(i for i, line in zip(pos, loose) if line.split() != text.splitlines()[i].split())
+    with pytest.raises(FormatError, match=f"^line {first + 1}: found 'pos "):
+        parse_instance("\n".join(lines))
 
 
 def _edit_lines(text, edit):
