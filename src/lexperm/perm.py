@@ -7,12 +7,14 @@ Conventions fixed here and inherited by every other module:
   acting by p first and then by q, and appending a generator g to a word
   maps the current product w to w * g.
 
-Membership in a finitely generated subgroup is decided with a
+Membership in a finitely generated subgroup is decided by the test a
+generator set keeps.  A set whose builder knows its group gets a
+structural test from that builder: the reduction's ``Layout.generators``
+gives its sets one that needs no chain.  Every other set builds a
 deterministic incremental Schreier-Sims stabilizer chain (fixed base
-choice and processing order), so repeated runs build identical
-structures.  A generator set builds its chain once, on its first
-membership query, and keeps it; every later membership or
-raw-permutation check only sifts through it.
+choice and processing order, so repeated runs build identical
+structures) on its first membership query and keeps it; every later
+membership or raw-permutation check only sifts through it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, islice
 from math import lcm
 from operator import ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .bitlex import read_decimals
 from .errors import (
@@ -243,18 +245,27 @@ def permute_string(x: str, p: Permutation) -> str:
     return "".join(chars)
 
 
+class MembershipTest(Protocol):
+    """What a generator set keeps to decide membership in its group."""
+
+    def contains(self, p: Permutation) -> bool: ...
+
+
 @dataclass(frozen=True, slots=True)
 class GeneratorSet:
     """Named generators of a permutation group, all of one degree.
 
-    ``_chain`` is the group's stabilizer chain, built by the first
-    ``membership`` query and kept for the set's lifetime; it takes no
-    part in equality, hashing, ``repr`` or pickling."""
+    ``_membership`` decides ``membership`` for the set and is kept for
+    its lifetime: the group's stabilizer chain, built by the first query,
+    unless the set's builder put a test that knows the group's structure
+    there (``Layout.generators`` does).  It takes no part in equality,
+    hashing, ``repr`` or pickling, so an equal set built elsewhere or
+    unpickled builds a chain."""
 
     degree: int
     names: tuple[str, ...]
     perms: tuple[Permutation, ...]
-    _chain: StabilizerChain | None = field(default=None, init=False, compare=False, repr=False)
+    _membership: MembershipTest | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.perms):
@@ -529,12 +540,14 @@ class StabilizerChain:
 
 
 def membership(gens: GeneratorSet, p: Permutation) -> bool:
-    """True iff p lies in the group generated by gens.  The first query
-    on a set builds its chain; later ones only sift p through it."""
+    """True iff p lies in the group generated by gens, decided by the
+    set's own test when its builder gave it one.  Otherwise the first
+    query on a set builds its chain and later ones only sift p through
+    it."""
     if p.degree != gens.degree:
         raise DegreeMismatch(f"degree {p.degree} vs generators {gens.degree}")
-    chain = gens._chain
-    if chain is None:
-        chain = StabilizerChain.from_generators(gens)
-        _set(gens, "_chain", chain)
-    return chain.contains(p)
+    test = gens._membership
+    if test is None:
+        test = StabilizerChain.from_generators(gens)
+        _set(gens, "_membership", test)
+    return test.contains(p)

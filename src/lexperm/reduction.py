@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 from .bitlex import PriorityOrder, check_bits, format_order
 from .circuit import FlipInstance, format_netlist, parse_netlist
 from .errors import (
+    DegreeMismatch,
     FormatError,
     LengthMismatch,
     NotWellBehaved,
@@ -45,6 +46,9 @@ from .perm import (
 
 QUADRANTS = ("00", "01", "10", "11")
 CONTROL = "11"
+
+# a move's ``moved`` points and their images ``moved_to``
+Support = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,12 +204,12 @@ class Layout:
         pair's two points at adjacent ranks."""
         return PriorityOrder(tuple(r for k in pairs for r in (2 * k - 1, 2 * k)))
 
-    def generators(self) -> GeneratorSet:
-        """``pi_<gate>_<copy>`` for every gadget, then ``sigma_<i>`` for
-        every input.  Copy j is copy 0 shifted by 2 * j * per points, so
-        each gate's ``pi`` and each input's flip are built once, in copy 0,
-        and shifted to the other copies."""
-        c, n, total = self.circuit, self.circuit.n, self.points
+    def _copy0_moves(self) -> tuple[list[Support], list[Support]]:
+        """Copy 0's part of every move, each as the ``moved`` and
+        ``moved_to`` of a ``Permutation``: a gate's pi for every gate, in
+        gate order, and for every input the flip of that input with its
+        successor swaps, which sigma makes in the copies it does not trade."""
+        c = self.circuit
 
         def flip(k: int) -> list[tuple[int, int]]:
             return [(2 * k - 1, 2 * k)]
@@ -222,14 +226,14 @@ class Layout:
             for src, axis in zip(sources, axes):
                 fed.setdefault(src, []).append((hid, axis))
 
-        def feed_swaps(j: int, source) -> list[tuple[int, int]]:
+        def feed_swaps(source) -> list[tuple[int, int]]:
             ops: list[tuple[int, int]] = []
             for hid, axis in fed.get(source, ()):
                 for qa, qb in axis:
-                    ops += swap(self.pair(j, "quad", hid, qa), self.pair(j, "quad", hid, qb))
+                    ops += swap(self.pair(0, "quad", hid, qa), self.pair(0, "quad", hid, qb))
             return ops
 
-        def support(ops: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        def support(ops: list[tuple[int, int]]) -> Support:
             """``moved`` and ``moved_to`` of a product of transpositions; it
             moves at most the points they name."""
             img: dict[int, int] = {}
@@ -238,26 +242,36 @@ class Layout:
             moved = tuple(sorted([a for a, b in img.items() if a != b]))
             return moved, tuple([img[a] for a in moved])
 
-        width = 2 * self.per  # points per copy
-
-        def shifted(template, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-            """A copy-0 support moved to copy j."""
-            d = j * width
-            return tuple([a + d for a in template[0]]), tuple([a + d for a in template[1]])
-
-        # copy 0's part of every move: a gate's pi, and the flip of an
-        # input with its successor swaps that sigma makes in the other copies
         gate_moves = []
         for gid in range(1, c.gate_count + 1):
             slots = [("quad", gid, q) for q in QUADRANTS]
             if gid in self.gate_output:
                 slots.append(self.gate_output[gid])
             ops = [op for slot in slots for op in flip(self.pair(0, *slot))]
-            gate_moves.append(support(ops + feed_swaps(0, ("g", gid))))
+            gate_moves.append(support(ops + feed_swaps(("g", gid))))
         input_moves = [
-            support(flip(self.pair(0, "in", i)) + feed_swaps(0, ("x", i)))
-            for i in range(1, n + 1)
+            support(flip(self.pair(0, "in", i)) + feed_swaps(("x", i)))
+            for i in range(1, c.n + 1)
         ]
+        return gate_moves, input_moves
+
+    def generators(self) -> GeneratorSet:
+        """``pi_<gate>_<copy>`` for every gadget, then ``sigma_<i>`` for
+        every input.  Copy j is copy 0 shifted by 2 * j * per points, so
+        each gate's ``pi`` and each input's flip are built once, in copy 0,
+        and shifted to the other copies.
+
+        The set decides ``membership`` with a ``ReductionGroup`` of this
+        layout, not with a stabilizer chain."""
+        n, total = self.circuit.n, self.points
+        width = 2 * self.per  # points per copy
+
+        def shifted(template: Support, j: int) -> Support:
+            """A copy-0 support moved to copy j."""
+            d = j * width
+            return tuple([a + d for a in template[0]]), tuple([a + d for a in template[1]])
+
+        gate_moves, input_moves = self._copy0_moves()
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
             for gid, template in enumerate(gate_moves, start=1):
@@ -274,7 +288,10 @@ class Layout:
                 moved += part[0]
                 moved_to += part[1]
             pairs.append((f"sigma_{i}", Permutation._unchecked(total, tuple(moved), tuple(moved_to))))
-        return GeneratorSet.from_pairs(total, pairs)
+        gens = GeneratorSet.from_pairs(total, pairs)
+        # the test holds the layout only, so the set and its test form no cycle
+        object.__setattr__(gens, "_membership", ReductionGroup(self))
+        return gens
 
     def assemble(self, x: str, gate_outputs: str | None = None) -> str:
         """Condensed values in pair order for copy-0 input x and the given
@@ -323,6 +340,131 @@ class Layout:
                     return None
                 outs.append(str(state.b))
         return x, "".join(outs)
+
+
+class ReductionGroup:
+    """Membership in the group G that a ``Layout``'s generators generate,
+    decided from the construction rather than by a stabilizer chain.
+
+    Write w for the 2 * per points of one copy; copy j is the block of
+    points j*w+1 .. (j+1)*w.  ``pi_g_j`` fixes every block and
+    ``sigma_i`` trades blocks 0 and i, so G permutes the n+1 copies, and
+    as all of S_{n+1}, since the transpositions (0 i) generate it.  Let
+    F_i be input i's move (its flip with the successor swaps) made in
+    every copy, and F_d the product of the F_i over a set d of inputs.
+    The pi and F_i are commuting involutions: a twin flip commutes with a
+    swap of whole twin pairs, and swaps along quadrant axes commute.  No
+    pi flips an input pair, and F_i flips exactly input i's.
+
+    The copy-fixing subgroup K of G is {prod pi_g_j * F_d : |d| even}:
+
+    * K holds each such element.  Every pi_g_j is a generator, and
+      k_ij = (sigma_i sigma_j)^3 equals F_i * F_j, so the n-1 products
+      F_1 * F_j give every F_d with |d| even.
+    * K holds no other.  ``sigma_i`` is the block trade times input i's
+      move in every copy but 0 and i, and a block trade only renumbers
+      the copies of a move, so an element of G that fixes every copy is
+      a product of pi moves and of input moves made in single copies.  G
+      keeps strings well-behaved, so copy j's input stays copy 0's with
+      bit j flipped; each input's move is thus made in every copy or in
+      none, and the element is prod pi * F_d.  Each sigma in a word flips
+      one copy-0 input bit and is one transposition of copies, so the
+      copy-0 input that an element writes over the start string, which
+      is d for prod pi * F_d, has the parity of its copy permutation:
+      |d| is even in K.
+
+    Hence |G| = |K| * (n+1)! = 2^((n+1)G + n-1) * (n+1)!, and p lies in
+    G iff it maps every copy block onto one block and, with its copy
+    permutation undone by sigmas, lies in K (the block-system argument:
+    Seress, *Permutation Group Algorithms*, 2003).  ``contains`` needs
+    no Schreier generators and no basis: it multiplies one image list in
+    place by moves, each touching only its own support.
+
+    The test holds only its layout and builds its tables on the first
+    query, so a set that is never queried pays nothing."""
+
+    __slots__ = ("layout", "_tables")
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self._tables = None
+
+    def _build(self):
+        layout = self.layout
+        width, copies = 2 * layout.per, layout.circuit.n + 1
+        gate_moves, input_moves = layout._copy0_moves()
+
+        def at(template: Support, j: int) -> tuple[list[int], list[int]]:
+            """A copy-0 support moved to copy j, 0-based."""
+            d = j * width - 1
+            return [a + d for a in template[0]], [b + d for b in template[1]]
+
+        # 0-based first point of each input's copy-0 pair, with the input's
+        # move in every copy, in copy order
+        inputs = [
+            (2 * layout.pair(0, "in", i) - 2, [at(t, j) for j in range(copies)])
+            for i, t in enumerate(input_moves, start=1)
+        ]
+        # 0-based first point of each gadget's quadrant-00 pair, with its pi
+        gadgets = [
+            (2 * layout.pair(j, "quad", gid, "00") - 2, at(t, j))
+            for j in range(copies)
+            for gid, t in enumerate(gate_moves, start=1)
+        ]
+        self._tables = (width, inputs, gadgets, list(range(layout.points)))
+        return self._tables
+
+    def contains(self, p: Permutation) -> bool:
+        """True iff p lies in the group the layout's generators generate."""
+        if p.degree != self.layout.points:
+            raise DegreeMismatch(f"degree {p.degree} vs layout degree {self.layout.points}")
+        width, inputs, gadgets, ident = self._tables or self._build()
+        img = ident[:]  # 0-based; each move below multiplies it on the right
+        for i, v in zip(p.moved, p.moved_to):
+            img[i - 1] = v - 1
+        tau = []  # the copy permutation
+        for lo in range(0, len(img), width):
+            block = img[lo : lo + width]
+            t = min(block) // width
+            if max(block) // width != t:
+                return False
+            tau.append(t)
+        # undo tau by sigma_a, with a = tau(0), which sigma_a makes a fixed
+        # copy, or the first moved copy when copy 0 is fixed
+        while True:
+            a = tau[0] or next((b for b, t in enumerate(tau) if b != t), 0)
+            if not a:
+                break
+            lo, hi = a * width, (a + 1) * width
+            img[:width], img[lo:hi] = img[lo:hi], img[:width]
+            for j, move in enumerate(inputs[a - 1][1]):
+                if j and j != a:
+                    _act(img, move)
+            tau[0], tau[a] = tau[a], tau[0]
+        # The residue fixes every copy.  In K, F_d is the only factor that
+        # flips copy-0 input pairs and pi_g_j the only one that flips
+        # gadget (g, j)'s quadrant-00 pair; the others swap whole twin
+        # pairs.  A pair's first point x is even, so x's pair is flipped
+        # iff img[x] is odd.
+        odd = False
+        for x, moves in inputs:
+            if img[x] & 1:
+                odd = not odd
+                for move in moves:
+                    _act(img, move)
+        for x, move in gadgets:
+            if img[x] & 1:
+                _act(img, move)
+        return not odd and img == ident
+
+
+def _act(img: list[int], move: tuple[list[int], list[int]]) -> None:
+    """Multiply a 0-based image list on the right by a move given as its
+    0-based support: img[x] becomes img[m(x)]."""
+    moved, moved_to = move
+    values = [img[v] for v in moved_to]
+    for x, v in zip(moved, values):
+        img[x] = v
 
 
 def build_instance(c: FlipInstance) -> ReducedInstance:

@@ -182,8 +182,8 @@ def verify_local_opt(
     perm: Permutation,
 ) -> bool:
     """Local-optimality check for a solution given as a raw permutation,
-    which must first pass the membership test; that sifts through the
-    chain ``gens`` keeps."""
+    which must first pass ``membership``: the structural test of a set
+    from ``Layout.generators``, else the chain ``gens`` keeps."""
     if not membership(gens, perm):
         raise NotInGroup("permutation is not in the generated group")
     return is_local_min(bits, order, gens, perm)

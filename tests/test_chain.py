@@ -1,7 +1,7 @@
 """The incremental stabilizer chain against the recursive reference chain,
 the brute-force closure and sympy's ``PermutationGroup``, and the one
 chain a generator set keeps for ``membership`` and raw-permutation
-verification."""
+verification when its builder gave it no structural test."""
 
 import pickle
 from random import Random
@@ -194,7 +194,11 @@ def test_products_skip_validation_but_stay_permutations():
         Permutation((1, 1, 3))
 
 
-def test_generator_set_builds_its_chain_once(monkeypatch):
+def test_reduced_set_builds_no_chain_and_a_rebuilt_set_builds_one(monkeypatch):
+    """The set ``Layout.generators`` returns decides membership from its
+    structure; an equal set rebuilt from its fields, or unpickled, builds
+    one chain on its first query and keeps it, and both give the same
+    verdicts."""
     builds = []
     build = StabilizerChain.from_generators.__func__
 
@@ -204,15 +208,21 @@ def test_generator_set_builds_its_chain_once(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(counting))
     inst = reduced_instance(3)
-    walk = standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
-    assert not builds  # a walk that never verifies builds nothing
+    gens = inst.gens
+    walk = standard_algorithm(inst.y_start, inst.order, gens, keep_trace=False)
     rng = Random(4406)
-    for _ in range(3):
-        assert verify_local_opt(inst.y_start, inst.order, inst.gens, perm=walk.permutation)
-        for q in twin_breakers(rng, inst, 2):
-            assert not membership(inst.gens, q)
-        assert membership(inst.gens, walk.permutation)
-    assert len(builds) == 1 and builds[0] is inst.gens
+    probes = [walk.permutation, *twin_breakers(rng, inst, 3), *members(rng, inst, 3)[1:]]
+    rebuilt = GeneratorSet(gens.degree, gens.names, gens.perms)
+    unpickled = pickle.loads(pickle.dumps(gens))
+    verdicts = []
+    for s in (gens, rebuilt, unpickled):
+        for _ in range(3):
+            assert verify_local_opt(inst.y_start, inst.order, s, perm=walk.permutation)
+            verdicts.append([membership(s, q) for q in probes])
+        if s is gens:
+            assert not builds  # walk, verify and membership on the reduced set
+    assert len(builds) == 2 and builds[0] is rebuilt and builds[1] is unpickled
+    assert verdicts == [[True, False, False, False, True, True, True]] * 9
 
 
 def test_generator_set_value_is_unchanged_by_its_chain():

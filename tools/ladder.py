@@ -12,7 +12,12 @@ columns are that rung's own peak (``ru_maxrss``):
 
 - ``build_instance`` and the RSS after it;
 - the RSS after ``build_formula`` as well, with the instance still held;
-- the walk (``standard_algorithm`` from ``y_start``) and its steps.
+- the walk (``standard_algorithm`` from ``y_start``) and its steps;
+- the first ``membership`` query of the walk endpoint on the instance's
+  generators, which the reduction's structural test answers;
+- on the first ``CHAIN_RUNGS`` rungs only, the same query on an equal
+  set rebuilt from the generators' fields, which builds a stabilizer
+  chain (about 10 s at the third rung and growing about as K squared).
 
 A rung whose process exceeds ``--max-gb`` of address space (set with
 ``RLIMIT_AS`` on that process alone) is reported as not fitting.  The
@@ -34,6 +39,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = [(4, 8, 3), (6, 20, 4), (8, 40, 6), (10, 80, 8), (12, 120, 10), (14, 160, 12), (16, 200, 14)]
+CHAIN_RUNGS = 2
 
 
 def _rss_mb() -> float:
@@ -43,7 +49,7 @@ def _rss_mb() -> float:
 def measure(index: int) -> dict:
     """Build, formula and walk of one rung, in this process."""
     sys.path.insert(0, str(ROOT / "src"))
-    from lexperm import circuit, cnf, reduction, search
+    from lexperm import circuit, cnf, perm, reduction, search
 
     warnings.simplefilter("ignore")  # inputs that feed no gate are expected
     rng = Random(1)
@@ -59,6 +65,15 @@ def measure(index: int) -> dict:
     t = perf_counter()
     res = search.standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
     row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
+    gens = inst.gens
+    t = perf_counter()
+    perm.membership(gens, res.permutation)
+    row["membership_s"] = perf_counter() - t
+    if index < CHAIN_RUNGS:
+        rebuilt = perm.GeneratorSet(gens.degree, gens.names, gens.perms)
+        t = perf_counter()
+        perm.membership(rebuilt, res.permutation)
+        row["chain_membership_s"] = perf_counter() - t
     return row
 
 
@@ -90,18 +105,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"MemoryError: does not fit in {args.max_gb} GB", file=sys.stderr)
             return 1
         return 0
-    print("| rung (n,G,m) | N | K | `build_instance` | RSS after build | RSS after `build_formula` | walk (steps) |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+    print(
+        "| rung (n,G,m) | N | K | `build_instance` | RSS after build | RSS after `build_formula` "
+        "| walk (steps) | first `membership` | with a chain |"
+    )
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for index in range(min(args.rungs, len(RUNGS))):
         row = run_rung(index, args.max_gb)
         rung = ",".join(map(str, row["rung"]))
+        chain = f"{row['chain_membership_s']:.2f} s" if "chain_membership_s" in row else ""
         if "failed" in row:
-            print(f"| {rung} | | | {row['failed']} | | | |", flush=True)
+            print(f"| {rung} | | | {row['failed']} | | | | | |", flush=True)
             continue
         print(
             f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
-            f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) |",
+            f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) | "
+            f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
             flush=True,
         )
     return 0
