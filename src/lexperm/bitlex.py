@@ -73,10 +73,10 @@ def read_decimal(token: str) -> int | None:
     return None if values is None else values[0]
 
 
-def check_bits(bits: str, error: type[Exception] = FormatError) -> None:
-    """Raise ``error`` unless every character of bits is 0 or 1."""
+def check_bits(bits: str) -> None:
+    """Raise ``FormatError`` unless every character of bits is 0 or 1."""
     if bits.strip("01"):
-        raise error(f"not a bitstring: {bits!r}")
+        raise FormatError(f"not a bitstring: {bits!r}")
 
 
 def sort_key(bits: str, order: PriorityOrder | None = None) -> str:

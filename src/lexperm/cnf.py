@@ -19,7 +19,7 @@ from operator import neg
 from types import MappingProxyType
 from typing import Mapping
 
-from .bitlex import PriorityOrder, format_order, parse_order, read_decimal, read_decimals
+from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal, read_decimals
 from .circuit import FlipInstance
 from .errors import (
     DegreeMismatch,
@@ -116,12 +116,7 @@ def build_formula(c: FlipInstance) -> CnfFormula:
     for j in range(1, n + 1):
         ranked += [layout.pair(j, "quad", gid, "11") for gid in range(1, G + 1)]
     first = set(ranked)
-    for j in range(n + 1):
-        rest = [layout.pair(j, "in", i) for i in range(1, n + 1)]
-        for gid in range(1, G + 1):
-            rest.append(layout.pair(j, "w", gid))
-            rest += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
-        ranked += [k for k in rest if k not in first]
+    ranked += [k for k in range(1, layout.points // 2 + 1) if k not in first]
 
     return CnfFormula(
         num_vars=layout.points,
@@ -173,6 +168,7 @@ def local_min_solution(
     start = alpha if alpha is not None else f.initial
     if start is None:
         raise UnsatStart("no assignment given and the formula has no initial one")
+    check_bits(start)
     if not satisfies(f, start):
         raise UnsatStart("starting assignment does not satisfy the formula")
     return standard_algorithm(start, f.priority, f.symmetries, max_steps=max_steps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Iterable
 
 from .bitlex import PriorityOrder, read_decimal, read_decimals
 from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
@@ -64,6 +65,16 @@ def solve_bruteforce(inst: DcrInstance, cap: int = 10**6) -> int | None:
     return None
 
 
+def _check_moduli(moduli: Iterable[int]) -> None:
+    """Raise ``LcmCapExceeded`` at the first modulus above 10**6: an
+    encoder spends at least one item per residue of each modulus, and the
+    system's lcm is at least that modulus, so ``solve_bruteforce`` and
+    ``orbit_min_one_perm`` refuse the system at their default caps too."""
+    for m in moduli:
+        if m > 10**6:
+            raise LcmCapExceeded(f"modulus {m} exceeds cap {10**6}")
+
+
 def first_odd_primes(count: int, cap: int = 10**6) -> tuple[int, ...]:
     """The first ``count`` primes greater than 2, by trial division."""
     primes: list[int] = []
@@ -82,9 +93,12 @@ def coloring_to_dcr(g: Graph) -> tuple[DcrInstance, tuple[int, ...]]:
 
     Vertex i gets the i-th odd prime; color classes are residue 0, residue
     1, and everything >= 2.  For each edge the forbidden residues modulo
-    p_u * p_v are exactly those whose residue pair means equal colors.
+    p_u * p_v are exactly those whose residue pair means equal colors;
+    an edge whose modulus exceeds 10**6 raises ``LcmCapExceeded`` before
+    any is listed.
     """
     primes = first_odd_primes(g.n)
+    _check_moduli(primes[u - 1] * primes[v - 1] for u, v in g.edges)
     constraints = []
     for u, v in g.edges:
         pu, pv = primes[u - 1], primes[v - 1]
@@ -148,8 +162,10 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
     per cycle at label 0, and all forbidden-label positions ranked first.
 
     The cycle rotates labels downward so that start . p^t carries its 1 at
-    label t mod m in every cycle.
+    label t mod m in every cycle.  A modulus above 10**6 raises
+    ``LcmCapExceeded`` before any point is made.
     """
+    _check_moduli(m for m, _ in inst.constraints)
     image: list[int] = []
     bits: list[str] = []
     ranked_first: list[int] = []

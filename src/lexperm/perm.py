@@ -325,10 +325,17 @@ def apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str
     for g in _resolve(gens, word):
         if len(chars) - 1 != g.degree:
             raise DegreeMismatch(f"string length {len(chars) - 1} vs degree {g.degree}")
-        values = list(map(chars.__getitem__, g.moved_to))
-        for i, v in zip(g.moved, values):
-            chars[i] = v
+        permute_in_place(chars, g.moved, g.moved_to)
     return "".join(chars)
+
+
+def permute_in_place(values: list, moved: Sequence[int], moved_to: Sequence[int]) -> None:
+    """Act on a list indexed by 1-based points (entry 0 a pad) by the
+    permutation with that support: values[i] becomes values[p(i)], which
+    multiplies an image list on the right by p."""
+    taken = list(map(values.__getitem__, moved_to))
+    for i, v in zip(moved, taken):
+        values[i] = v
 
 
 def parse_generator_lines(lines: Iterable[tuple[int, str]], degree: int) -> GeneratorSet:

@@ -42,6 +42,7 @@ from .perm import (
     Permutation,
     apply_word_to_string,
     generator_lines,
+    permute_in_place,
 )
 
 QUADRANTS = ("00", "01", "10", "11")
@@ -255,27 +256,26 @@ class Layout:
         ]
         return gate_moves, input_moves
 
+    def shifted(self, template: Support, j: int) -> Support:
+        """A copy-0 support moved to copy j: copy j is copy 0 shifted by
+        2 * j * per points."""
+        d = 2 * j * self.per
+        return tuple([a + d for a in template[0]]), tuple([a + d for a in template[1]])
+
     def generators(self) -> GeneratorSet:
-        """``pi_<gate>_<copy>`` for every gadget, then ``sigma_<i>`` for
-        every input.  Copy j is copy 0 shifted by 2 * j * per points, so
-        each gate's ``pi`` and each input's flip are built once, in copy 0,
-        and shifted to the other copies.
+        """``pi_<gate>_<copy>`` for every gadget, copy-major, then
+        ``sigma_<i>`` for every input.  Each gate's ``pi`` and each input's
+        flip are built once, in copy 0, and shifted to the other copies.
 
         The set decides ``membership`` with a ``ReductionGroup`` of this
-        layout, not with a stabilizer chain."""
+        layout and its generators, not with a stabilizer chain."""
         n, total = self.circuit.n, self.points
         width = 2 * self.per  # points per copy
-
-        def shifted(template: Support, j: int) -> Support:
-            """A copy-0 support moved to copy j."""
-            d = j * width
-            return tuple([a + d for a in template[0]]), tuple([a + d for a in template[1]])
-
         gate_moves, input_moves = self._copy0_moves()
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
             for gid, template in enumerate(gate_moves, start=1):
-                pairs.append((f"pi_{gid}_{j}", Permutation._unchecked(total, *shifted(template, j))))
+                pairs.append((f"pi_{gid}_{j}", Permutation._unchecked(total, *self.shifted(template, j))))
         copy0 = range(1, width + 1)
         for i, template in enumerate(input_moves, start=1):
             # copy 0 and copy i trade places; the other copies flip input i.
@@ -284,13 +284,14 @@ class Layout:
             own = range(i * width + 1, (i + 1) * width + 1)
             moved, moved_to = [*copy0], [*own]
             for j in range(1, n + 1):
-                part = (own, copy0) if j == i else shifted(template, j)
+                part = (own, copy0) if j == i else self.shifted(template, j)
                 moved += part[0]
                 moved_to += part[1]
             pairs.append((f"sigma_{i}", Permutation._unchecked(total, tuple(moved), tuple(moved_to))))
         gens = GeneratorSet.from_pairs(total, pairs)
-        # the test holds the layout only, so the set and its test form no cycle
-        object.__setattr__(gens, "_membership", ReductionGroup(self))
+        # the test holds the set's generator tuple, not the set, so the two
+        # form no cycle
+        object.__setattr__(gens, "_membership", ReductionGroup(self, gens.perms))
         return gens
 
     def assemble(self, x: str, gate_outputs: str | None = None) -> str:
@@ -380,38 +381,36 @@ class ReductionGroup:
     no Schreier generators and no basis: it multiplies one image list in
     place by moves, each touching only its own support.
 
-    The test holds only its layout and builds its tables on the first
-    query, so a set that is never queried pays nothing."""
+    The test holds its layout and the set's generator tuple, whose
+    ``pi_g_j`` come first, copy-major, and strip the gate flips.  It
+    builds its tables, the input moves F_i of every copy and the pairs it
+    reads, on the first query, so a set that is never queried pays
+    nothing, and it never holds the set, so the two form no cycle."""
 
-    __slots__ = ("layout", "_tables")
+    __slots__ = ("layout", "perms", "_tables")
 
-    def __init__(self, layout: Layout):
+    def __init__(self, layout: Layout, perms: Sequence[Permutation]):
         self.layout = layout
+        self.perms = perms
         self._tables = None
 
     def _build(self):
         layout = self.layout
-        width, copies = 2 * layout.per, layout.circuit.n + 1
-        gate_moves, input_moves = layout._copy0_moves()
-
-        def at(template: Support, j: int) -> tuple[list[int], list[int]]:
-            """A copy-0 support moved to copy j, 0-based."""
-            d = j * width - 1
-            return [a + d for a in template[0]], [b + d for b in template[1]]
-
-        # 0-based first point of each input's copy-0 pair, with the input's
-        # move in every copy, in copy order
+        copies = layout.circuit.n + 1
+        _, input_moves = layout._copy0_moves()
+        # first point of each input's copy-0 pair, with the input's move in
+        # every copy, in copy order
         inputs = [
-            (2 * layout.pair(0, "in", i) - 2, [at(t, j) for j in range(copies)])
+            (2 * layout.pair(0, "in", i) - 1, [layout.shifted(t, j) for j in range(copies)])
             for i, t in enumerate(input_moves, start=1)
         ]
-        # 0-based first point of each gadget's quadrant-00 pair, with its pi
+        # first point of each gadget's quadrant-00 pair, in the order of the pi
         gadgets = [
-            (2 * layout.pair(j, "quad", gid, "00") - 2, at(t, j))
+            2 * layout.pair(j, "quad", gid, "00") - 1
             for j in range(copies)
-            for gid, t in enumerate(gate_moves, start=1)
+            for gid in range(1, layout.circuit.gate_count + 1)
         ]
-        self._tables = (width, inputs, gadgets, list(range(layout.points)))
+        self._tables = (2 * layout.per, inputs, gadgets, list(range(layout.points + 1)))
         return self._tables
 
     def contains(self, p: Permutation) -> bool:
@@ -419,14 +418,13 @@ class ReductionGroup:
         if p.degree != self.layout.points:
             raise DegreeMismatch(f"degree {p.degree} vs layout degree {self.layout.points}")
         width, inputs, gadgets, ident = self._tables or self._build()
-        img = ident[:]  # 0-based; each move below multiplies it on the right
-        for i, v in zip(p.moved, p.moved_to):
-            img[i - 1] = v - 1
+        img = ident[:]  # 1-based, entry 0 a pad; each move multiplies it on the right
+        permute_in_place(img, p.moved, p.moved_to)  # now img is p
         tau = []  # the copy permutation
-        for lo in range(0, len(img), width):
+        for lo in range(1, len(img), width):
             block = img[lo : lo + width]
-            t = min(block) // width
-            if max(block) // width != t:
+            t = (min(block) - 1) // width
+            if (max(block) - 1) // width != t:
                 return False
             tau.append(t)
         # undo tau by sigma_a, with a = tau(0), which sigma_a makes a fixed
@@ -435,36 +433,27 @@ class ReductionGroup:
             a = tau[0] or next((b for b, t in enumerate(tau) if b != t), 0)
             if not a:
                 break
-            lo, hi = a * width, (a + 1) * width
-            img[:width], img[lo:hi] = img[lo:hi], img[:width]
+            lo, hi = a * width + 1, (a + 1) * width + 1
+            img[1 : width + 1], img[lo:hi] = img[lo:hi], img[1 : width + 1]
             for j, move in enumerate(inputs[a - 1][1]):
                 if j and j != a:
-                    _act(img, move)
+                    permute_in_place(img, *move)
             tau[0], tau[a] = tau[a], tau[0]
         # The residue fixes every copy.  In K, F_d is the only factor that
         # flips copy-0 input pairs and pi_g_j the only one that flips
         # gadget (g, j)'s quadrant-00 pair; the others swap whole twin
-        # pairs.  A pair's first point x is even, so x's pair is flipped
-        # iff img[x] is odd.
+        # pairs.  A pair's first point x is odd, so x's pair is flipped
+        # iff img[x] is even.
         odd = False
         for x, moves in inputs:
-            if img[x] & 1:
+            if not img[x] & 1:
                 odd = not odd
                 for move in moves:
-                    _act(img, move)
-        for x, move in gadgets:
-            if img[x] & 1:
-                _act(img, move)
+                    permute_in_place(img, *move)
+        for x, pi in zip(gadgets, self.perms):
+            if not img[x] & 1:
+                permute_in_place(img, pi.moved, pi.moved_to)
         return not odd and img == ident
-
-
-def _act(img: list[int], move: tuple[list[int], list[int]]) -> None:
-    """Multiply a 0-based image list on the right by a move given as its
-    0-based support: img[x] becomes img[m(x)]."""
-    moved, moved_to = move
-    values = [img[v] for v in moved_to]
-    for x, v in zip(moved, values):
-        img[x] = v
 
 
 def build_instance(c: FlipInstance) -> ReducedInstance:
@@ -483,6 +472,7 @@ def is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
     bit j flipped, each gadget as the state of its sources and its own
     output bit, and each circuit output from its gate, and
     encode_gate_state is injective."""
+    check_bits(y)
     if len(y) != inst.num_positions:
         raise LengthMismatch(f"{len(y)} bits, expected {inst.num_positions}")
     for i in range(0, len(y), 2):

@@ -536,7 +536,7 @@ def cost_integer(bits: str, order: PriorityOrder | None = None, max_width: int =
 
 def complement(bits: str) -> str:
     """Flip every bit; turns minimization into maximization."""
-    check_bits(bits, ValueError)
+    check_bits(bits)
     return "".join("1" if b == "0" else "0" for b in bits)
 
 

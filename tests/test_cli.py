@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -517,6 +518,39 @@ def test_cnf_commands_end_in_exit_status_0_1_or_2(tmp_path, command, text, assig
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["dcr", "to-perm"], "3000000: 0\n"),
+        (["dcr", "from-graph"], "p edge 600 1\ne 599 600\n"),
+        (["dcr", "from-graph"], "p edge 3000 1\ne 2999 3000\n"),
+        (["dcr", "from-graph"], "p edge 200 1\ne 199 200\n"),
+    ],
+    ids=["to-perm-3000000", "from-graph-600", "from-graph-3000", "from-graph-200"],
+)
+def test_dcr_encoders_refuse_a_modulus_above_the_cap(capsys, monkeypatch, argv, text):
+    """A modulus above 10**6 is refused before any residue or point is
+    made, so the refusal is quick and writes nothing."""
+    t = perf_counter()
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert perf_counter() - t < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error LcmCapExceeded: modulus ")
+
+
+def test_cnf_localmin_rejects_a_non_bit_assignment(tmp_path, capsys):
+    net = tmp_path / "one.net"
+    net.write_text("inputs 1\ngate 1 NAND x1 x1\noutputs g1\n")
+    code, dimacs, _ = run(capsys, ["cnf", "build", str(net)])
+    assert code == 0
+    cnf_file = tmp_path / "one.cnf"
+    cnf_file.write_text(dimacs)
+    num_vars = cnf.parse_dimacs(dimacs).num_vars
+    code, out, err = run(capsys, ["cnf", "localmin", str(cnf_file), "--assignment", "x" * num_vars])
+    assert code == 2 and out == ""
+    assert err.startswith("error FormatError: not a bitstring")
 
 
 def test_cnf_localmin_without_a_start_exits_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from lexperm.cnf import (
     parse_dimacs,
     satisfies,
 )
-from lexperm.errors import LexpermError, MalformedDimacs, UnsatStart
+from lexperm.errors import FormatError, LexpermError, MalformedDimacs, UnsatStart
 from lexperm.perm import (
     GeneratorSet,
     parse_cycles,
@@ -116,6 +116,12 @@ def test_local_min_solution_decodes_to_circuit_local_min():
         for v, label in enumerate(f.var_labels, start=1):
             if label.endswith(".q11"):
                 assert res.string[v - 1] == "0", label
+
+
+def test_local_min_solution_rejects_a_non_bit_start():
+    f = build_formula(MINIMAL)
+    with pytest.raises(FormatError, match="not a bitstring"):
+        local_min_solution(f, alpha="x" * f.num_vars)
 
 
 def test_local_min_solution_rejects_unsat_start():

@@ -49,6 +49,14 @@ def test_solve_cap():
         solve_bruteforce(inst, cap=10**4)
 
 
+def test_encoders_refuse_a_modulus_above_the_cap():
+    with pytest.raises(LcmCapExceeded, match="modulus 1000001 exceeds cap 1000000"):
+        dcr_to_globalmin1(DcrInstance(((3, frozenset({1})), (10**6 + 1, frozenset({0})))))
+    # vertices 199 and 200 get the primes 1223 and 1229
+    with pytest.raises(LcmCapExceeded, match="modulus 1503067 exceeds"):
+        coloring_to_dcr(Graph(200, ((1, 2), (199, 200))))
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         DcrInstance(((3, frozenset({3})),))

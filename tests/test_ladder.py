@@ -1,0 +1,23 @@
+"""Smoke test of ``tools/ladder.py``: its first rung runs end to end and
+fills every column of its row."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+
+
+def test_first_rung_fills_its_row():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--rungs", "1"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.strip().splitlines()
+    assert header.startswith("| rung (n,G,m) |") and rule.startswith("| --- |")
+    assert len(rows) == 1
+    cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    assert len(cells) == 9 and cells[0] == "4,8,3"
+    assert "local_opt" in cells[6]
+    membership, chain = cells[7:]
+    assert membership.endswith(" ms") and chain.endswith(" s")

@@ -532,6 +532,15 @@ def test_is_well_behaved_agrees_with_reference():
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
+def test_non_bit_strings_are_format_errors():
+    inst = build_instance(MINIMAL)
+    y = "ab" * (inst.num_positions // 2)
+    with pytest.raises(FormatError, match="not a bitstring"):
+        is_well_behaved(inst, y)
+    with pytest.raises(FormatError, match="not a bitstring"):
+        extract_flip_input(inst, y)
+
+
 def test_word_application_equals_generator_composition():
     inst = build_instance(MINIMAL)
     from lexperm.perm import apply_word

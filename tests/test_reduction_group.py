@@ -34,11 +34,11 @@ def rung(index: int):
     return c
 
 
-def chain_verify_shapes(seed: int) -> list:
-    """Circuits shaped like the chain-verify benchmark corpus: n = 2,
-    2 to 4 gates, one or two outputs."""
+def chain_verify_shapes(seed: int, n: int = 2) -> list:
+    """Circuits shaped like the chain-verify benchmark corpus: n inputs
+    (2 there), 2 to 4 gates, one or two outputs."""
     rng = Random(seed)
-    return [random_instance(rng, 2, gates, outputs) for gates in (2, 3, 4) for outputs in (1, 2)]
+    return [random_instance(rng, n, gates, outputs) for gates in (2, 3, 4) for outputs in (1, 2)]
 
 
 def sets_of(c) -> list[tuple[Layout, GeneratorSet]]:
@@ -80,7 +80,7 @@ def probes(rng: Random, layout: Layout, gens: GeneratorSet) -> list[Permutation]
     """Members and near-members: random words, twin-breaking
     transpositions, a member times a twin flip, a quadrant swap or a pair
     swap inside one copy, the bare trade of copies 0 and 1, and F_d for
-    two odd and then two even |d| (needs n >= 2)."""
+    two odd and then two even |d| (only when n >= 2)."""
     c, N = layout.circuit, layout.points
     pairs = N // 2
 
@@ -107,6 +107,8 @@ def probes(rng: Random, layout: Layout, gens: GeneratorSet) -> list[Permutation]
     trade = list(range(1, N + 1))
     trade[:width], trade[width : 2 * width] = trade[width : 2 * width], trade[:width]
     out.append(compose(word(), Permutation(tuple(trade))))
+    if c.n < 2:
+        return out
     moves = [input_move(layout, gens, i) for i in range(1, c.n + 1)]
     for first in (1, 1, 2, 2):  # two odd and two even |d|
         d = rng.sample(range(c.n), rng.choice(range(first, c.n + 1, 2)))
@@ -150,8 +152,15 @@ def test_sigma_commutator_cubes_are_products_of_input_moves():
 
 @pytest.mark.parametrize(
     "circuits",
-    [[rung(1)], [rung(2)], chain_verify_shapes(4520), chain_verify_shapes(4521)],
-    ids=["rung1", "rung2", "chain-verify-a", "chain-verify-b"],
+    [
+        [rung(1)],
+        [rung(2)],
+        chain_verify_shapes(4520),
+        chain_verify_shapes(4521),
+        chain_verify_shapes(4522, n=1),
+        chain_verify_shapes(4523, n=3),
+    ],
+    ids=["rung1", "rung2", "chain-verify-a", "chain-verify-b", "n1", "n3"],
 )
 def test_structural_test_agrees_with_the_chain(circuits):
     rng = Random(4530 + circuits[0].gate_count)
@@ -165,8 +174,13 @@ def test_structural_test_agrees_with_the_chain(circuits):
                 assert membership(gens, q) == verdicts[-1]
             # the corpus holds members and non-members of each kind: words,
             # then twin breakers, twin flips, quadrant and pair swaps, the
-            # copy trade, F_d of odd and of even |d|
-            assert verdicts == [True] * 6 + [False] * 19 + [True] * 2
+            # copy trade, F_d of odd and of even |d|.  At n = 1 the copy
+            # trade is sigma_1 itself, and there is no F_d: with no k_ij,
+            # the one flip of input 1 is a non-member.
+            if c.n == 1:
+                assert verdicts == [True] * 6 + [False] * 16 + [True]
+            else:
+                assert verdicts == [True] * 6 + [False] * 19 + [True] * 2
 
 
 def test_walk_endpoints_verify_without_a_chain(monkeypatch):
