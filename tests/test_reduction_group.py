@@ -175,8 +175,7 @@ def test_structural_test_agrees_with_the_chain(circuits):
             # the corpus holds members and non-members of each kind: words,
             # then twin breakers, twin flips, quadrant and pair swaps, the
             # copy trade, F_d of odd and of even |d|.  At n = 1 the copy
-            # trade is sigma_1 itself, and there is no F_d: with no k_ij,
-            # the one flip of input 1 is a non-member.
+            # trade is sigma_1 itself, and probes makes no F_d.
             if c.n == 1:
                 assert verdicts == [True] * 6 + [False] * 16 + [True]
             else:
