@@ -34,7 +34,7 @@ from .perm import (
     generator_lines,
     parse_generator_lines,
 )
-from .reduction import QUADRANTS, GateState, Layout, encode_gate_state, expand
+from .reduction import GADGET, QUADRANTS, Layout, expand
 from .search import SearchResult, standard_algorithm
 
 
@@ -80,9 +80,7 @@ def build_formula(c: FlipInstance) -> CnfFormula:
         # the primary 2k-1 when value is 1, of the twin 2k when 0
         return 2 * k - value
 
-    labels: list[str] = []
-    for pos in layout.positions:
-        labels += [pos.label(), f"{pos.label()}.t"]
+    labels = [label for pair in layout.labels() for label in (pair, f"{pair}.t")]
 
     clauses: list[tuple[int, ...]] = []
     for j in range(n + 1):
@@ -97,9 +95,8 @@ def build_formula(c: FlipInstance) -> CnfFormula:
                 for a2 in (1, 0):
                     for b in (1, 0):
                         premise = {-lit(u, a1), -lit(v, a2), -lit(w, b)}
-                        state = encode_gate_state(GateState(a1, a2, b))
-                        for k, lab in zip(quads, state):
-                            clauses.append(tuple(sorted(premise | {lit(k, lab)})))
+                        for k, lab in zip(quads, GADGET[f"{a1}{a2}{b}"]):
+                            clauses.append(tuple(sorted(premise | {lit(k, int(lab))})))
     for v in range(1, layout.points + 1, 2):
         clauses.append((v, v + 1))
         clauses.append((-(v + 1), -v))

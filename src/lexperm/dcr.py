@@ -10,7 +10,8 @@ cycle per constraint, one 1 per cycle, forbidden labels ranked first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import compress
+from math import isqrt, lcm, log
 from typing import Iterable
 
 from .bitlex import PriorityOrder, read_decimal, read_decimals
@@ -76,16 +77,21 @@ def _check_moduli(moduli: Iterable[int]) -> None:
 
 
 def first_odd_primes(count: int, cap: int = 10**6) -> tuple[int, ...]:
-    """The first ``count`` primes greater than 2, by trial division."""
-    primes: list[int] = []
-    candidate = 3
-    while len(primes) < count:
-        if candidate > cap:
-            raise PrimeCapExceeded(f"prime search passed cap {cap}")
-        if all(candidate % q for q in range(2, int(candidate**0.5) + 1)):
-            primes.append(candidate)
-        candidate += 2
-    return tuple(primes)
+    """The first ``count`` primes greater than 2, from a sieve of
+    Eratosthenes up to cap, or up to Rosser's bound k(ln k + ln ln k) on
+    the k-th prime, k = count + 1 >= 6, when that is lower."""
+    if count <= 0:
+        return ()
+    k = count + 1
+    limit = max(2, min(cap, 13 if k < 6 else int(k * (log(k) + log(log(k))))))
+    sieve = bytearray([1]) * (limit + 1)  # for i >= 2, sieve[i] ends 1 iff i is prime
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    primes = list(compress(range(3, limit + 1, 2), sieve[3::2]))
+    if len(primes) < count:
+        raise PrimeCapExceeded(f"prime search passed cap {cap}")
+    return tuple(primes[:count])
 
 
 def coloring_to_dcr(g: Graph) -> tuple[DcrInstance, tuple[int, ...]]:
@@ -162,10 +168,14 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
     per cycle at label 0, and all forbidden-label positions ranked first.
 
     The cycle rotates labels downward so that start . p^t carries its 1 at
-    label t mod m in every cycle.  A modulus above 10**6 raises
-    ``LcmCapExceeded`` before any point is made.
+    label t mod m in every cycle.  A modulus above 10**6, or moduli that
+    sum to more than 10**6 points, raise ``LcmCapExceeded`` before any
+    point is made.
     """
     _check_moduli(m for m, _ in inst.constraints)
+    points = sum(m for m, _ in inst.constraints)
+    if points > 10**6:
+        raise LcmCapExceeded(f"moduli sum to {points} points, above cap {10**6}")
     image: list[int] = []
     bits: list[str] = []
     ranked_first: list[int] = []

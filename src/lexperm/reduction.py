@@ -25,7 +25,6 @@ ranks, which preserves local optimality between the one-position-per-bit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -51,54 +50,20 @@ CONTROL = "11"
 # a move's ``moved`` points and their images ``moved_to``
 Support = tuple[tuple[int, ...], tuple[int, ...]]
 
+# gate state "<in1><in2><out>" -> the labels of quadrants 00, 01, 10, 11:
+# the quadrant named by the inputs carries the output bit, the other three
+# its complement
+GADGET = {
+    f"{a1}{a2}{b}": "".join(b if q == f"{a1}{a2}" else "10"[int(b)] for q in QUADRANTS)
+    for a1 in "01"
+    for a2 in "01"
+    for b in "01"
+}
+# a valid gadget has exactly one or three 1s; any other encodes no state
+STATE_OF = {code: state for state, code in GADGET.items()}
 
-@dataclass(frozen=True, slots=True)
-class GateState:
-    """Two input bits and the output bit of one gate."""
-
-    a1: int
-    a2: int
-    b: int
-
-
-def encode_gate_state(state: GateState) -> tuple[int, int, int, int]:
-    """Labels for quadrants 00, 01, 10, 11: the quadrant named by the
-    inputs carries the output bit, the other three its complement."""
-    own = f"{state.a1}{state.a2}"
-    return tuple(state.b if q == own else 1 - state.b for q in QUADRANTS)
-
-
-def decode_gate_state(labels: Sequence[int]) -> GateState | None:
-    """Inverse of encode_gate_state; None when the labels encode nothing
-    (a valid encoding has exactly one or three 1s)."""
-    ones = sum(labels)
-    if ones not in (1, 3):
-        return None
-    minority = 1 if ones == 1 else 0
-    q = QUADRANTS[list(labels).index(minority)]
-    return GateState(int(q[0]), int(q[1]), minority)
-
-
-@dataclass(frozen=True, slots=True)
-class Position:
-    """One condensed position: an input, a gate quadrant, a gate output
-    variable, or a circuit output of one circuit copy."""
-
-    circuit: int
-    kind: str  # "in" | "quad" | "w" | "out"
-    index: int
-    quadrant: str = ""
-
-    def label(self, twin: int | None = None) -> str:
-        if self.kind == "in":
-            base = f"C{self.circuit}.x{self.index}"
-        elif self.kind == "quad":
-            base = f"C{self.circuit}.g{self.index}.q{self.quadrant}"
-        elif self.kind == "w":
-            base = f"C{self.circuit}.g{self.index}.w"
-        else:
-            base = f"C{self.circuit}.c{self.index}"
-        return base if twin is None else f"{base}.{twin}"
+_EXPAND = str.maketrans({"0": "01", "1": "10"})
+_COMPLEMENT = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -125,26 +90,21 @@ class ReducedInstance:
     def __post_init__(self):
         c = self.circuit
         layout = Layout(c)
-        n, G = c.n, c.gate_count
-        ranked: list[int] = []
-        for j in range(n + 1):
-            ranked += [layout.pair(j, "quad", gid, CONTROL) for gid in range(1, G + 1)]
-            ranked += [layout.pair(j, "out", k) for k in range(1, c.output_count + 1)]
-            for gid in range(1, G + 1):
-                ranked += [layout.pair(j, "quad", gid, q) for q in ("00", "01", "10")]
-            ranked += [layout.pair(j, "in", i) for i in range(1, n + 1)]
+        gates = range(1, c.gate_count + 1)
+        # copy 0's pairs in rank order; copy j ranks the same slots, shifted
+        first = [layout.pair(0, "quad", gid, CONTROL) for gid in gates]
+        first += [layout.pair(0, "out", k) for k in range(1, c.output_count + 1)]
+        first += [layout.pair(0, "quad", gid, q) for gid in gates for q in ("00", "01", "10")]
+        first += [layout.pair(0, "in", i) for i in range(1, c.n + 1)]
+        ranked = [k + j * layout.per for j in range(c.n + 1) for k in first]
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "gens", layout.generators())
-        object.__setattr__(self, "y_start", expand(layout.assemble("0" * n)))
+        object.__setattr__(self, "y_start", expand(layout.assemble("0" * c.n)))
         object.__setattr__(self, "order", layout.priority(ranked))
 
     @property
     def n(self) -> int:
         return self.circuit.n
-
-    @property
-    def condensed(self) -> tuple[Position, ...]:
-        return self.layout.positions
 
     @property
     def num_positions(self) -> int:
@@ -153,7 +113,7 @@ class ReducedInstance:
 
 def expand(y_condensed: str) -> str:
     """Each bit b becomes the twin pair (b, not b)."""
-    return "".join("01" if b == "0" else "10" for b in y_condensed)
+    return y_condensed.translate(_EXPAND)
 
 
 class Layout:
@@ -166,10 +126,16 @@ class Layout:
     output (the reduction's circuit outputs).  Slot s of copy j is twin
     pair k = j * per + offset[s], and that pair occupies points 2k-1
     and 2k.
+
+    Every copy is copy 0 shifted, so labels, assembly and decoding work
+    from copy 0's slots by arithmetic: pair k = j * per + s is labelled
+    ``C<j>.<suffix of slot s>``, and a copy's gadgets start at the same
+    offsets as copy 0's.
     """
 
     def __init__(self, c: FlipInstance, gate_var: bool = False):
         self.circuit = c
+        self.gate_var = gate_var
         template = [("in", i, "") for i in range(1, c.n + 1)]
         for gid in range(1, c.gate_count + 1):
             if gate_var:
@@ -186,19 +152,22 @@ class Layout:
             self.gate_output = {gid: ("w", gid, "") for gid in range(1, c.gate_count + 1)}
         else:
             self.gate_output = {gid: ("out", k, "") for k, gid in enumerate(c.outputs, start=1)}
+        # each gate's two sources as indices into a copy's input bits
+        # followed by its gate output bits
+        self.sources = tuple(
+            tuple(i - 1 if kind == "x" else c.n + i - 1 for kind, i in gate) for gate in c.gates
+        )
 
     def pair(self, j: int, kind: str, index: int, quadrant: str = "") -> int:
         """Twin pair number of the slot in copy j."""
         return j * self.per + self.offset[(kind, index, quadrant)]
 
-    @cached_property
-    def positions(self) -> tuple[Position, ...]:
-        """The catalog: one Position per twin pair, in pair order."""
-        return tuple(
-            Position(j, kind, index, q)
-            for j in range(self.circuit.n + 1)
-            for kind, index, q in self.template
-        )
+    def labels(self) -> list[str]:
+        """Every twin pair's label, in pair order: ``C<j>.<suffix>``, the
+        suffix naming the slot (``x3``, ``g5.q01``, ``g5.w``, ``c2``)."""
+        suffix = {"in": "x{}", "quad": "g{}.q{}", "w": "g{}.w", "out": "c{}"}
+        suffixes = [suffix[kind].format(index, q) for kind, index, q in self.template]
+        return [f"C{j}.{s}" for j in range(self.circuit.n + 1) for s in suffixes]
 
     def priority(self, pairs: Iterable[int]) -> PriorityOrder:
         """Priority order that ranks twin pairs in the given order, each
@@ -306,41 +275,34 @@ class Layout:
         for j in range(c.n + 1):
             xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
             out = gate_outputs[j * G : (j + 1) * G]
-
-            def value(src) -> int:
-                return int(xj[src[1] - 1] if src[0] == "x" else out[src[1] - 1])
-
-            codes = [
-                encode_gate_state(GateState(value(s1), value(s2), int(out[gid - 1])))
-                for gid, (s1, s2) in enumerate(c.gates, start=1)
-            ]
-            for kind, index, q in self.template:
-                if kind == "in":
-                    cond.append(xj[index - 1])
-                elif kind == "w":
-                    cond.append(out[index - 1])
-                elif kind == "out":
-                    cond.append(out[c.outputs[index - 1] - 1])
-                else:
-                    cond.append(str(codes[index - 1][QUADRANTS.index(q)]))
+            values = xj + out  # what ``sources`` indexes
+            codes = [GADGET[values[a] + values[b] + o] for (a, b), o in zip(self.sources, out)]
+            # in template order: the inputs, each gate's w slot (with
+            # gate_var) and quadrants, then the circuit outputs
+            cond.append(xj)
+            if self.gate_var:
+                cond += [o + code for o, code in zip(out, codes)]
+            else:
+                cond += codes
+                cond += [out[gid - 1] for gid in c.outputs]
         return "".join(cond)
 
     def decode(self, cond: str) -> tuple[str, str] | None:
         """The copy-0 input and every gadget's output bit (in the form
         assemble takes them) read off condensed values in pair order; None
         when some gadget encodes no gate state."""
-        c = self.circuit
-        x = "".join(cond[self.pair(0, "in", i) - 1] for i in range(1, c.n + 1))
-        outs: list[str] = []
-        for j in range(c.n + 1):
-            for gid in range(1, c.gate_count + 1):
-                # a gadget's quadrants are consecutive pairs, in QUADRANTS order
-                k = self.pair(j, "quad", gid, QUADRANTS[0])
-                state = decode_gate_state([int(b) for b in cond[k - 1 : k + 3]])
-                if state is None:
-                    return None
-                outs.append(str(state.b))
-        return x, "".join(outs)
+        # a gadget's quadrants are four consecutive pairs, in QUADRANTS
+        # order, from its quadrant-00 pair at the same offset in every copy
+        gadgets = [self.offset[("quad", gid, "00")] - 1 for gid in range(1, self.circuit.gate_count + 1)]
+        states = [
+            STATE_OF.get(cond[k : k + 4])
+            for base in range(0, self.per * (self.circuit.n + 1), self.per)
+            for k in (base + s for s in gadgets)
+        ]
+        if None in states:
+            return None
+        # copy 0's inputs are its first n slots; a state's last bit is the output
+        return cond[: self.circuit.n], "".join([state[2] for state in states])
 
 
 class ReductionGroup:
@@ -470,25 +432,25 @@ def is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
 
     That is exact: assemble writes copy-j inputs as the copy-0 input with
     bit j flipped, each gadget as the state of its sources and its own
-    output bit, and each circuit output from its gate, and
-    encode_gate_state is injective."""
+    output bit, and each circuit output from its gate, and ``GADGET`` is
+    injective."""
     check_bits(y)
     if len(y) != inst.num_positions:
         raise LengthMismatch(f"{len(y)} bits, expected {inst.num_positions}")
-    for i in range(0, len(y), 2):
-        if y[i] == y[i + 1]:
-            return BehaviorReport(False, f"twin pair of {inst.condensed[i // 2].label()} agrees")
-    cond = y[0::2]
-    decoded = inst.layout.decode(cond)
+    layout, cond = inst.layout, y[0::2]
+    if cond.translate(_COMPLEMENT) != y[1::2]:
+        k = next(k for k, b in enumerate(cond) if b == y[2 * k + 1])
+        return BehaviorReport(False, f"twin pair of {layout.labels()[k]} agrees")
+    decoded = layout.decode(cond)
     if decoded is None:
         return BehaviorReport(False, "a gadget encodes no gate state")
-    expected = inst.layout.assemble(*decoded)
+    expected = layout.assemble(*decoded)
     if expected != cond:
-        pos = inst.condensed[next(k for k, (a, b) in enumerate(zip(expected, cond)) if a != b)]
+        k = next(k for k, (a, b) in enumerate(zip(expected, cond)) if a != b)
         return BehaviorReport(
             False,
-            f"{_SLOT_NAMES[pos.kind]} {pos.label()} disagrees with copy-0 input "
-            f"{decoded[0]} and the gate outputs",
+            f"{_SLOT_NAMES[layout.template[k % layout.per][0]]} {layout.labels()[k]} "
+            f"disagrees with copy-0 input {decoded[0]} and the gate outputs",
         )
     return BehaviorReport(True)
 
@@ -524,8 +486,8 @@ def _file_lines(inst: ReducedInstance) -> list[str]:
     in order), ``start``, ``order`` and the generators."""
     lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
     lines += [f"net {line}" for line in format_netlist(inst.circuit).splitlines()]
-    points = (pos.label(t) for pos in inst.condensed for t in (0, 1))
-    lines += [f"pos {i} {label}" for i, label in enumerate(points, start=1)]
+    for k, label in enumerate(inst.layout.labels()):
+        lines += (f"pos {2 * k + 1} {label}.0", f"pos {2 * k + 2} {label}.1")
     lines.append(f"start {inst.y_start}")
     lines.append(f"order {format_order(inst.order)}")
     lines += generator_lines(inst.gens)
@@ -545,26 +507,25 @@ def parse_instance(text: str) -> ReducedInstance:
     header, the ``pos`` catalog, ``start``, ``order`` and the generator
     lines.  Blank lines and ``#`` comments are skipped.  Any difference is
     a FormatError."""
-    net_lines: list[str] = []
-    written: list[str] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = " ".join(raw.split())
-        if not line or line.startswith("#"):
-            continue
-        kind, _, value = line.partition(" ")
+    lines = text.splitlines()
+    net: dict[int, str] = {}  # line number -> value of each 'net' line
+    # only a line that holds "net" can be a 'net' line once normalised
+    for lineno in [k for k, raw in enumerate(lines, start=1) if "net" in raw]:
+        kind, _, value = " ".join(lines[lineno - 1].split()).partition(" ")
         if kind == "net":
             if not value:
                 raise FormatError(f"line {lineno}: 'net' line carries no value")
-            net_lines.append(value)
-        else:
-            written.append(line)
-            linenos.append(lineno)
-    if not net_lines:
+            net[lineno] = value
+    if not net:
         raise FormatError("instance file carries no 'net' lines")
-    inst = build_instance(parse_netlist("\n".join(net_lines)))
+    inst = build_instance(parse_netlist("\n".join(net.values())))
     verified = [line for line in _file_lines(inst) if not line.startswith("net ")]
-    for lineno, line, want in zip_longest(linenos, written, verified):
+    if [raw for lineno, raw in enumerate(lines, start=1) if lineno not in net] == verified:
+        return inst  # every line as format_instance writes it
+    normalised = ((k, " ".join(raw.split())) for k, raw in enumerate(lines, start=1) if k not in net)
+    written = [(lineno, line) for lineno, line in normalised if line and not line.startswith("#")]
+    for got, want in zip_longest(written, verified):
+        lineno, line = got or (None, None)
         if line != want:
             where = "end of file" if lineno is None else f"line {lineno}"
             raise FormatError(f"{where}: found {line!r:.40}, the netlist builds {want!r:.40}")

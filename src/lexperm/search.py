@@ -21,6 +21,7 @@ from .perm import (
     Permutation,
     apply_word,
     membership,
+    permute_in_place,
     permute_string,
 )
 
@@ -58,9 +59,9 @@ class RankSpace:
         self.rinv = [0] * n
         for r, p in enumerate(self.rank):
             self.rinv[p] = r
-        at = (None, *self.rinv)  # the rank of each 1-based point
+        at = (None, *self.rinv).__getitem__  # the rank of each 1-based point
         self.moves = tuple(
-            [dict(sorted([(at[i], at[j]) for i, j in zip(g.moved, g.moved_to)])) for g in gens.perms]
+            [dict(sorted(zip(map(at, g.moved), map(at, g.moved_to)))) for g in gens.perms]
         )
 
     def in_ranks(self, seq: Sequence[T]) -> list[T]:
@@ -151,6 +152,7 @@ def standard_algorithm(
     current_ranked = space.in_ranks(current.image)
     word = list(start)
     trace = [cur_str]
+    chars = ["", *cur_str]  # the current string by position, entry 0 a pad
     steps = 0
     status = STEP_CAP
     while steps < max_steps:
@@ -163,7 +165,9 @@ def standard_algorithm(
         word.append(gens.names[best])
         steps += 1
         if keep_trace:
-            trace.append("".join(space.in_positions(key)))
+            g = gens.perms[best]
+            permute_in_place(chars, g.moved, g.moved_to)
+            trace.append("".join(chars))
     string = "".join(space.in_positions(key))
     return SearchResult(
         tuple(word),

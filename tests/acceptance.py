@@ -18,10 +18,13 @@ from lexperm.bitlex import sort_key
 from lexperm.perm import GeneratorSet, Permutation
 
 from reference_impl import (
+    GateState,
     compare,
     condense,
     condensed_order,
     cost_integer,
+    decode_gate_state,
+    encode_gate_state,
     enumerate_group,
     enumerate_models,
     is_correct,
@@ -140,17 +143,20 @@ def check_dcr_decode(seed: int = 0) -> str:
 
 def check_gate_gadget(seed: int = 0) -> str:
     for a1, a2, b in itertools.product((0, 1), repeat=3):
-        state = reduction.GateState(a1, a2, b)
-        labels = reduction.encode_gate_state(state)
+        state = GateState(a1, a2, b)
+        labels = encode_gate_state(state)
         assert sum(labels) in (1, 3)
-        assert reduction.decode_gate_state(labels) == state
+        assert decode_gate_state(labels) == state
+        assert reduction.GADGET[f"{a1}{a2}{b}"] == "".join(map(str, labels))
         assert is_correct(state) == (labels[3] == 0), f"control bit wrong for {state}"
-    rejected = sum(
-        1
+    rejected = [
+        labels
         for labels in itertools.product((0, 1), repeat=4)
-        if reduction.decode_gate_state(labels) is None
+        if reduction.STATE_OF.get("".join(map(str, labels))) is None
+    ]
+    assert all(sum(labels) % 2 == 0 for labels in rejected) and len(rejected) == 8, (
+        "exactly the even-weight labelings encode nothing"
     )
-    assert rejected == 8, "exactly the even-weight labelings encode nothing"
     return "all 8 states round-trip; correctness equals a zero control bit"
 
 
@@ -182,8 +188,8 @@ def check_orbit_characterization(seed: int = 0) -> str:
     inst = _minimal_instance()
     orbit = orbit_of_string(inst.gens, inst.y_start, cap=1000)
     behaved = set()
-    for mask in range(2 ** len(inst.condensed)):
-        cond = format(mask, f"0{len(inst.condensed)}b")
+    for mask in range(2 ** (inst.num_positions // 2)):
+        cond = format(mask, f"0{inst.num_positions // 2}b")
         y = reduction.expand(cond)
         if reduction.is_well_behaved(inst, y):
             behaved.add(y)
@@ -268,8 +274,8 @@ def check_cnf(seed: int = 0) -> str:
     assert sat_elapsed < 120.0, f"model enumeration took {sat_elapsed:.2f}s"
 
     behaved_models = set()
-    for mask in range(2 ** len(inst.condensed)):
-        cond = format(mask, f"0{len(inst.condensed)}b")
+    for mask in range(2 ** (inst.num_positions // 2)):
+        cond = format(mask, f"0{inst.num_positions // 2}b")
         if reduction.is_well_behaved(inst, reduction.expand(cond)):
             behaved_models.add(_model_from_condensed(inst, cond))
     assert models == behaved_models, (

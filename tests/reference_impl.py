@@ -10,7 +10,9 @@ check looks up every literal's bit, the stabilizer chain rebuilds a
 level's orbit and re-sifts all of its Schreier generators whenever the
 level gains a generator, the well-behavedness check walks the gadget
 wiring by hand through its own position index instead of decoding and
-re-assembling through the layout, and the orbit minimum builds and
+re-assembling through the layout, the layout assembles and decodes
+slot by slot through one ``GateState`` per gadget, the walk rebuilds
+each trace entry from rank space, and the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
 one whole string per step, a word acts on a string through one
 whole-string join per letter, and supports and cycle text come from a
@@ -25,7 +27,8 @@ constraint systems, the three-way ``compare`` and the integer cost, the
 recursive circuit evaluator, model enumeration, the condensed view of
 a reduced instance (``condense``, ``condensed_order``) with direct
 assembly of a well-behaved string, the NAND check of a gate state, a
-chain's orbit lengths, and the graph writer and coloring check.
+chain's orbit lengths, the graph writer and coloring check, and the
+first odd primes by trial division.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from lexperm.bitlex import PriorityOrder, check_bits, sort_key
 from lexperm.circuit import FlipInstance, Source
 from lexperm.cnf import CnfFormula
 from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph
-from lexperm.errors import DegreeMismatch, LengthMismatch, LexpermError, OrderCapExceeded
+from lexperm.errors import DegreeMismatch, LengthMismatch, LexpermError, OrderCapExceeded, PrimeCapExceeded
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -57,11 +60,8 @@ from lexperm.perm import (
 from lexperm.reduction import (
     QUADRANTS,
     BehaviorReport,
-    GateState,
     Layout,
-    Position,
     ReducedInstance,
-    decode_gate_state,
     expand,
 )
 from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
@@ -166,6 +166,145 @@ def reference_layout_generators(layout: Layout) -> list[tuple[str, DensePermutat
                 ops += flip(layout.pair(j, "in", i)) + feed_swaps(j, ("x", i))
         out.append((f"sigma_{i}", product(ops)))
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class GateState:
+    """Two input bits and the output bit of one gate."""
+
+    a1: int
+    a2: int
+    b: int
+
+
+def encode_gate_state(state: GateState) -> tuple[int, int, int, int]:
+    """Labels for quadrants 00, 01, 10, 11: the quadrant named by the
+    inputs carries the output bit, the other three its complement."""
+    own = f"{state.a1}{state.a2}"
+    return tuple(state.b if q == own else 1 - state.b for q in QUADRANTS)
+
+
+def decode_gate_state(labels: Sequence[int]) -> GateState | None:
+    """Inverse of encode_gate_state; None when the labels encode nothing
+    (a valid encoding has exactly one or three 1s)."""
+    ones = sum(labels)
+    if ones not in (1, 3):
+        return None
+    minority = 1 if ones == 1 else 0
+    q = QUADRANTS[list(labels).index(minority)]
+    return GateState(int(q[0]), int(q[1]), minority)
+
+
+@dataclass(frozen=True, slots=True)
+class Position:
+    """One condensed position: an input, a gate quadrant, a gate output
+    variable, or a circuit output of one circuit copy."""
+
+    circuit: int
+    kind: str  # "in" | "quad" | "w" | "out"
+    index: int
+    quadrant: str = ""
+
+    def label(self, twin: int | None = None) -> str:
+        if self.kind == "in":
+            base = f"C{self.circuit}.x{self.index}"
+        elif self.kind == "quad":
+            base = f"C{self.circuit}.g{self.index}.q{self.quadrant}"
+        elif self.kind == "w":
+            base = f"C{self.circuit}.g{self.index}.w"
+        else:
+            base = f"C{self.circuit}.c{self.index}"
+        return base if twin is None else f"{base}.{twin}"
+
+
+def reference_positions(layout: Layout) -> tuple[Position, ...]:
+    """The catalog: one Position per twin pair, in pair order."""
+    return tuple(
+        Position(j, kind, index, q)
+        for j in range(layout.circuit.n + 1)
+        for kind, index, q in layout.template
+    )
+
+
+def reference_assemble(layout: Layout, x: str, gate_outputs: str | None = None) -> str:
+    """``Layout.assemble`` slot by slot: every copy's gate states are
+    encoded one ``GateState`` at a time and every slot of the template is
+    looked up by its kind."""
+    c, G = layout.circuit, layout.circuit.gate_count
+    if gate_outputs is None:
+        gate_outputs = "0" * ((c.n + 1) * G)
+    cond: list[str] = []
+    for j in range(c.n + 1):
+        xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
+        out = gate_outputs[j * G : (j + 1) * G]
+
+        def value(src) -> int:
+            return int(xj[src[1] - 1] if src[0] == "x" else out[src[1] - 1])
+
+        codes = [
+            encode_gate_state(GateState(value(s1), value(s2), int(out[gid - 1])))
+            for gid, (s1, s2) in enumerate(c.gates, start=1)
+        ]
+        for kind, index, q in layout.template:
+            if kind == "in":
+                cond.append(xj[index - 1])
+            elif kind == "w":
+                cond.append(out[index - 1])
+            elif kind == "out":
+                cond.append(out[c.outputs[index - 1] - 1])
+            else:
+                cond.append(str(codes[index - 1][QUADRANTS.index(q)]))
+    return "".join(cond)
+
+
+def reference_decode(layout: Layout, cond: str) -> tuple[str, str] | None:
+    """``Layout.decode`` gadget by gadget through ``decode_gate_state``,
+    each pair found by ``Layout.pair``."""
+    c = layout.circuit
+    x = "".join(cond[layout.pair(0, "in", i) - 1] for i in range(1, c.n + 1))
+    outs: list[str] = []
+    for j in range(c.n + 1):
+        for gid in range(1, c.gate_count + 1):
+            k = layout.pair(j, "quad", gid, QUADRANTS[0])
+            state = decode_gate_state([int(b) for b in cond[k - 1 : k + 3]])
+            if state is None:
+                return None
+            outs.append(str(state.b))
+    return x, "".join(outs)
+
+
+def reference_expand(y_condensed: str) -> str:
+    """``expand`` one character at a time."""
+    return "".join("01" if b == "0" else "10" for b in y_condensed)
+
+
+_SLOT_NAMES = {"in": "input", "quad": "gadget quadrant", "out": "output"}
+
+
+def reference_slot_is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
+    """``is_well_behaved`` slot by slot: twins checked pair by pair, then
+    ``reference_decode`` and ``reference_assemble``, with each violation
+    named through the ``Position`` catalog."""
+    check_bits(y)
+    if len(y) != inst.num_positions:
+        raise LengthMismatch(f"{len(y)} bits, expected {inst.num_positions}")
+    catalog = reference_positions(inst.layout)
+    for i in range(0, len(y), 2):
+        if y[i] == y[i + 1]:
+            return BehaviorReport(False, f"twin pair of {catalog[i // 2].label()} agrees")
+    cond = y[0::2]
+    decoded = reference_decode(inst.layout, cond)
+    if decoded is None:
+        return BehaviorReport(False, "a gadget encodes no gate state")
+    expected = reference_assemble(inst.layout, *decoded)
+    if expected != cond:
+        pos = catalog[next(k for k, (a, b) in enumerate(zip(expected, cond)) if a != b)]
+        return BehaviorReport(
+            False,
+            f"{_SLOT_NAMES[pos.kind]} {pos.label()} disagrees with copy-0 input "
+            f"{decoded[0]} and the gate outputs",
+        )
+    return BehaviorReport(True)
 
 
 def dense_moved(p: Permutation | DensePermutation) -> tuple[int, ...]:
@@ -387,12 +526,13 @@ def reference_is_well_behaved(inst: ReducedInstance, y: str) -> BehaviorReport:
     equal to the copy-0 inputs with bit j flipped; positions are found by
     their index in the instance's catalog."""
     c = inst.circuit
-    index = {pos: i for i, pos in enumerate(inst.condensed, start=1)}
+    catalog = reference_positions(inst.layout)
+    index = {pos: i for i, pos in enumerate(catalog, start=1)}
     if len(y) != 2 * len(index):
         raise LengthMismatch(f"{len(y)} bits, expected {2 * len(index)}")
     for i in range(0, len(y), 2):
         if y[i] == y[i + 1]:
-            return BehaviorReport(False, f"twin pair of {inst.condensed[i // 2].label()} agrees")
+            return BehaviorReport(False, f"twin pair of {catalog[i // 2].label()} agrees")
     cond = y[0::2]
 
     def value(pos: Position) -> int:
@@ -676,6 +816,20 @@ def is_correct(state: GateState) -> bool:
 def orbit_lengths(chain: StabilizerChain) -> tuple[int, ...]:
     """The orbit length of every level, outermost first."""
     return tuple(len(level.orbit) for level in chain._levels)
+
+
+def reference_first_odd_primes(count: int, cap: int = 10**6) -> tuple[int, ...]:
+    """The first ``count`` primes greater than 2, by trial division of
+    every odd candidate up to cap."""
+    primes: list[int] = []
+    candidate = 3
+    while len(primes) < count:
+        if candidate > cap:
+            raise PrimeCapExceeded(f"prime search passed cap {cap}")
+        if all(candidate % q for q in range(2, int(candidate**0.5) + 1)):
+            primes.append(candidate)
+        candidate += 2
+    return tuple(primes)
 
 
 def format_graph(g: Graph) -> str:

@@ -540,6 +540,29 @@ def test_dcr_encoders_refuse_a_modulus_above_the_cap(capsys, monkeypatch, argv, 
     assert err.startswith("error LcmCapExceeded: modulus ")
 
 
+def test_dcr_to_perm_refuses_moduli_summing_past_the_cap(capsys, monkeypatch):
+    """Each modulus is under the cap but together they would make about
+    two million points; the refusal comes before any is made."""
+    t = perf_counter()
+    code, out, err = run(capsys, ["dcr", "to-perm"], stdin="999983: 0\n999979: 0\n", monkeypatch=monkeypatch)
+    assert perf_counter() - t < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error LcmCapExceeded: moduli sum to 1999962 points")
+
+
+def test_dcr_from_graph_lists_the_primes_of_many_isolated_vertices(capsys, monkeypatch):
+    t = perf_counter()
+    code, out, _ = run(capsys, ["dcr", "from-graph"], stdin="p edge 70000 1\ne 1 2\n", monkeypatch=monkeypatch)
+    assert perf_counter() - t < 2
+    assert code == 0
+    primes_line, constraint = out.splitlines()
+    primes = primes_line.split()[2:]
+    assert primes_line.startswith("c primes 3 5 7 11 ")
+    assert len(primes) == 70000 and primes[-1] == "882389"
+    code, small, _ = run(capsys, ["dcr", "from-graph"], stdin="p edge 2 1\ne 1 2\n", monkeypatch=monkeypatch)
+    assert small == f"c primes 3 5\n{constraint}\n"
+
+
 def test_cnf_localmin_rejects_a_non_bit_assignment(tmp_path, capsys):
     net = tmp_path / "one.net"
     net.write_text("inputs 1\ngate 1 NAND x1 x1\noutputs g1\n")

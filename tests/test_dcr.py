@@ -19,13 +19,14 @@ from lexperm.dcr import (
     three_colorable_bruteforce,
     zero_forbidden_witness,
 )
-from lexperm.errors import FormatError, LcmCapExceeded, LexpermError, OrderCapExceeded
+from lexperm.errors import FormatError, LcmCapExceeded, LexpermError, OrderCapExceeded, PrimeCapExceeded
 from lexperm.perm import Permutation, permute_string
 
 from reference_impl import (
     format_graph,
     is_proper_coloring,
     random_dcr_instance,
+    reference_first_odd_primes,
     reference_zero_forbidden_witness,
 )
 
@@ -66,6 +67,35 @@ def test_instance_validation():
 
 def test_first_odd_primes():
     assert first_odd_primes(6) == (3, 5, 7, 11, 13, 17)
+
+
+def _primes_or_refusal(find, count, cap):
+    try:
+        return find(count, cap)
+    except PrimeCapExceeded as exc:
+        return str(exc)
+
+
+def test_first_odd_primes_sieve_equals_trial_division():
+    # every count up to 300 against caps below, at and above the primes it
+    # needs; a cap that is passed is refused with the same message
+    for count in range(301):
+        for cap in (0, 2, 3, 4, 13, 14, 100, 1000, 1999, 10**6):
+            got = _primes_or_refusal(first_odd_primes, count, cap)
+            assert got == _primes_or_refusal(reference_first_odd_primes, count, cap), (count, cap)
+    assert first_odd_primes(3000) == reference_first_odd_primes(3000)
+    # 78497 odd primes lie below 10**6, the last 999983
+    assert first_odd_primes(78497)[-1] == 999983
+    with pytest.raises(PrimeCapExceeded, match="prime search passed cap 1000000"):
+        first_odd_primes(78498)
+
+
+def test_globalmin_encoder_refuses_moduli_summing_past_the_cap():
+    two = DcrInstance(((999983, frozenset({0})), (999979, frozenset({0}))))
+    with pytest.raises(LcmCapExceeded, match="moduli sum to 1999962 points, above cap 1000000"):
+        dcr_to_globalmin1(two)
+    at_cap = dcr_to_globalmin1(DcrInstance(((500000, frozenset()), (500000, frozenset({1})))))
+    assert at_cap.perm.degree == 10**6
 
 
 def test_single_edge_constraint():

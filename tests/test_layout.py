@@ -1,8 +1,10 @@
 """The reduction instance and the CNF are built from one gadget layout:
 pin their exact text and check that they act alike on the slots they
-share."""
+share.  The layout's copy-0 slot tables are checked against the per-slot
+reference assembly, decoding and catalog."""
 
 import hashlib
+import itertools
 from random import Random
 
 import pytest
@@ -10,7 +12,13 @@ import pytest
 from lexperm.circuit import random_instance
 from lexperm.cnf import build_formula, format_dimacs
 from lexperm.reduction import Layout, build_instance, format_instance
-from reference_impl import dense_moved, reference_layout_generators
+from reference_impl import (
+    dense_moved,
+    reference_assemble,
+    reference_decode,
+    reference_layout_generators,
+    reference_positions,
+)
 
 # (seed, n, gates, outputs, sha256 of the instance text, sha256 of the DIMACS text)
 GOLDEN = [
@@ -42,7 +50,7 @@ def _cnf_catalog(var_labels, inst):
     """Reduction point -> CNF variable for every input and quadrant
     variable, matched by label against the instance's position catalog;
     gate output variables have no reduction position and are left out."""
-    point = {pos.label(): 2 * k - 1 for k, pos in enumerate(inst.condensed, start=1)}
+    point = {pos.label(): 2 * k - 1 for k, pos in enumerate(reference_positions(inst.layout), start=1)}
     out = {}
     for v, label in enumerate(var_labels, start=1):
         base = label.removesuffix(".t")
@@ -58,7 +66,7 @@ def test_cnf_symmetries_act_like_reduction_generators_on_shared_slots(seed, n, g
     assert f.symmetries.names == inst.gens.names
     shared = _cnf_catalog(f.var_labels, inst)
     # every input and quadrant position of the instance is a CNF variable
-    assert len(shared) == sum(2 for pos in inst.condensed if pos.kind != "out")
+    assert len(shared) == sum(2 for pos in reference_positions(inst.layout) if pos.kind != "out")
     at_var = {v: i for i, v in shared.items()}
     for name, g in inst.gens:
         s = f.symmetries.get(name)
@@ -86,3 +94,47 @@ def test_template_shifted_generators_equal_a_per_copy_build(gate_var):
         layout = Layout(c, gate_var=gate_var)
         built = [(name, g.image) for name, g in layout.generators()]
         assert built == [(name, g.image) for name, g in reference_layout_generators(layout)]
+
+
+def _seeded_layouts(seed):
+    """Both layouts of seeded circuits with 1 to 4 inputs."""
+    rng = Random(seed)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            gates = rng.randint(1, 8)
+            c = random_instance(rng, n, gates, rng.randint(1, min(3, gates)))
+            for gate_var in (False, True):
+                yield rng, Layout(c, gate_var=gate_var)
+
+
+def _bits(rng, k):
+    return "".join(rng.choice("01") for _ in range(k))
+
+
+def test_slot_tables_assemble_and_decode_like_the_per_slot_reference():
+    for rng, layout in _seeded_layouts(97):
+        c = layout.circuit
+        per_gate = (c.n + 1) * c.gate_count
+        zero, x = "0" * c.n, _bits(rng, c.n)
+        for inputs, outputs in ((zero, None), (zero, "0" * per_gate), (x, None), (x, _bits(rng, per_gate))):
+            cond = layout.assemble(inputs, outputs)
+            assert cond == reference_assemble(layout, inputs, outputs)
+            assert layout.decode(cond) == reference_decode(layout, cond)
+            assert layout.decode(cond) == (inputs, outputs or "0" * per_gate)
+        for _ in range(5):
+            cond = _bits(rng, layout.per * (c.n + 1))
+            assert layout.decode(cond) == reference_decode(layout, cond)
+        assert layout.labels() == [pos.label() for pos in reference_positions(layout)]
+
+
+def test_decode_reads_all_sixteen_gadget_patterns_like_the_reference():
+    for rng, layout in _seeded_layouts(101):
+        c = layout.circuit
+        cond = layout.assemble(_bits(rng, c.n), _bits(rng, (c.n + 1) * c.gate_count))
+        j, gid = rng.randint(0, c.n), rng.randint(1, c.gate_count)
+        k = layout.pair(j, "quad", gid, "00") - 1
+        for pattern in itertools.product("01", repeat=4):
+            edited = cond[:k] + "".join(pattern) + cond[k + 4 :]
+            decoded = layout.decode(edited)
+            assert decoded == reference_decode(layout, edited)
+            assert (decoded is None) == (pattern.count("1") % 2 == 0)

@@ -16,6 +16,7 @@ from lexperm.search import is_local_min, standard_algorithm
 
 from acceptance import _random_circuit
 from reference_impl import (
+    reference_apply_word_to_string,
     reference_check_symmetry,
     reference_is_local_min,
     reference_satisfies,
@@ -141,6 +142,31 @@ def test_ladder_rung_4_8_3():
             cnf.local_min_solution(f), reference_walk(f.initial, f.priority, f.symmetries)
         )
         check_symmetries(f, rng, sample=8)
+
+
+def assert_trace_follows_word(res, bits, gens, start=()):
+    """trace[k] is bits acted on by the start word and the first k steps."""
+    assert res.trace == tuple(
+        reference_apply_word_to_string(gens, bits, res.word[: len(start) + k])
+        for k in range(res.steps + 1)
+    )
+    assert res.trace[-1] == res.string
+
+
+def test_walk_trace_is_the_start_acted_on_by_each_prefix_of_the_word():
+    rng = Random(61)
+    for _ in range(15):
+        inst = reduction.build_instance(_random_circuit(rng))
+        res = standard_algorithm(inst.y_start, inst.order, inst.gens)
+        assert res.steps > 0
+        assert_trace_follows_word(res, inst.y_start, inst.gens)
+        start = [rng.choice(inst.gens.names) for _ in range(3)]
+        res = standard_algorithm(inst.y_start, inst.order, inst.gens, start=start)
+        assert_trace_follows_word(res, inst.y_start, inst.gens, start)
+    for _ in range(10):
+        f = cnf.build_formula(_random_circuit(rng, max_inputs=3, max_gates=6, max_outputs=2))
+        res = cnf.local_min_solution(f)
+        assert_trace_follows_word(res, f.initial, f.symmetries)
 
 
 def test_mid_walk_start_words_and_step_caps():

@@ -21,12 +21,8 @@ from lexperm.perm import (
     permute_string,
 )
 from lexperm.reduction import (
-    GateState,
-    Position,
     build_instance,
-    decode_gate_state,
     embed_flip_solution,
-    encode_gate_state,
     expand,
     extract_flip_input,
     format_instance,
@@ -36,14 +32,21 @@ from lexperm.reduction import (
 )
 from lexperm.search import standard_algorithm
 from reference_impl import (
+    GateState,
+    Position,
     TwinViolation,
     assemble_well_behaved,
     condense,
     condensed_order,
+    decode_gate_state,
     dense_moved,
+    encode_gate_state,
     is_correct,
     orbit_of_string,
+    reference_expand,
     reference_is_well_behaved,
+    reference_positions,
+    reference_slot_is_well_behaved,
 )
 from strategies import small_circuits
 
@@ -82,7 +85,7 @@ def test_decode_rejects_even_weights():
 
 def test_minimal_instance_shape():
     inst = build_instance(MINIMAL)
-    assert len(inst.condensed) == 12
+    assert len(reference_positions(inst.layout)) == 12
     assert inst.num_positions == 24
     assert inst.gens.names == ("pi_1_0", "pi_1_1", "sigma_1")
 
@@ -219,6 +222,7 @@ def test_condense_expand_round_trip():
     for _ in range(1000):
         bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 40)))
         assert condense(expand(bits)) == bits
+        assert expand(bits) == reference_expand(bits)
     assert expand("0") == "01"
     assert expand("1") == "10"
 
@@ -278,7 +282,7 @@ def test_instance_file_round_trip():
     text = format_instance(inst)
     parsed = parse_instance(text)
     assert parsed.circuit == inst.circuit
-    assert parsed.condensed == inst.condensed
+    assert parsed.layout.labels() == inst.layout.labels()
     assert parsed.y_start == inst.y_start
     assert parsed.order == inst.order
     assert parsed.gens == inst.gens
@@ -520,16 +524,42 @@ def _judged_strings(rng, inst):
 
 
 def test_is_well_behaved_agrees_with_reference():
+    """Verdicts as the hand-wired reference gives them, and verdicts and
+    messages as the per-slot decode and re-assembly gives them."""
     rng = Random(59)
     verdicts = {True: 0, False: 0}
+    kinds = set()
     for _ in range(30):
         n, gates = rng.randint(1, 4), rng.randint(1, 8)
         inst = build_instance(random_instance(rng, n, gates, rng.randint(1, min(3, gates))))
         for y in _judged_strings(rng, inst):
-            verdict = bool(is_well_behaved(inst, y))
-            assert verdict == bool(reference_is_well_behaved(inst, y))
-            verdicts[verdict] += 1
+            report = is_well_behaved(inst, y)
+            assert report.ok == bool(reference_is_well_behaved(inst, y))
+            assert report == reference_slot_is_well_behaved(inst, y)
+            verdicts[report.ok] += 1
+            kinds.add(report.violation and report.violation.split()[0])
     assert verdicts[True] > 100 and verdicts[False] > 100
+    assert {None, "twin", "a", "input", "gadget", "output"} <= kinds
+
+
+def test_twin_and_slot_violations_are_named_like_the_references():
+    inst = build_instance(STEP_CIRCUIT)
+    y = inst.y_start
+    # C0.g1.q01's twins agree; the direct reference names the same pair
+    k = 2 * inst.layout.pair(0, "quad", 1, "01") - 2
+    twins = y[:k] + y[k] * 2 + y[k + 2 :]
+    report = is_well_behaved(inst, twins)
+    assert not report and not reference_is_well_behaved(inst, twins)
+    assert report.violation == reference_is_well_behaved(inst, twins).violation
+    assert report.violation == "twin pair of C0.g1.q01 agrees"
+    # C2.x3 flipped alone: valid twins and gadgets, but copy 2's input is
+    # no longer copy 0's with bit 2 flipped
+    k = 2 * inst.layout.pair(2, "in", 3) - 2
+    slot = y[:k] + y[k + 1] + y[k] + y[k + 2 :]
+    report = is_well_behaved(inst, slot)
+    assert not report and not reference_is_well_behaved(inst, slot)
+    assert report == reference_slot_is_well_behaved(inst, slot)
+    assert report.violation.startswith("input C2.x3 disagrees with copy-0 input 000")
 
 
 def test_non_bit_strings_are_format_errors():

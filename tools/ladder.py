@@ -12,6 +12,8 @@ columns are that rung's own peak (``ru_maxrss``):
 
 - ``build_instance`` and the RSS after it;
 - the RSS after ``build_formula`` as well, with the instance still held;
+- the instance file round trip: ``format_instance`` and ``parse_instance``
+  of its text (which rebuilds the instance and checks every line);
 - the walk (``standard_algorithm`` from ``y_start``) and its steps;
 - the first ``membership`` query of the walk endpoint on the instance's
   generators, which the reduction's structural test answers;
@@ -63,6 +65,13 @@ def measure(index: int) -> dict:
     row["rss_formula_mb"] = _rss_mb()
     del f
     t = perf_counter()
+    text = reduction.format_instance(inst)
+    row["format_s"] = perf_counter() - t
+    t = perf_counter()
+    reduction.parse_instance(text)
+    row["parse_s"] = perf_counter() - t
+    del text
+    t = perf_counter()
     res = search.standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
     row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
     gens = inst.gens
@@ -106,19 +115,20 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     print(
-        "| rung (n,G,m) | N | K | `build_instance` | RSS after build | RSS after `build_formula` "
-        "| walk (steps) | first `membership` | with a chain |"
+        "| rung (n,G,m) | N | K | `build_instance` | `format_instance` | `parse_instance` "
+        "| RSS after build | RSS after `build_formula` | walk (steps) | first `membership` | with a chain |"
     )
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- " * 11 + "|")
     for index in range(min(args.rungs, len(RUNGS))):
         row = run_rung(index, args.max_gb)
         rung = ",".join(map(str, row["rung"]))
         chain = f"{row['chain_membership_s']:.2f} s" if "chain_membership_s" in row else ""
         if "failed" in row:
-            print(f"| {rung} | | | {row['failed']} | | | | | |", flush=True)
+            print(f"| {rung} | | | {row['failed']} |" + " |" * 7, flush=True)
             continue
         print(
             f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
+            f"{row['format_s'] * 1e3:.1f} ms | {row['parse_s'] * 1e3:.1f} ms | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
             f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) | "
             f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
