@@ -58,7 +58,7 @@ def _cmd_one_perm(args) -> int:
 def _cmd_orbit_min(args) -> int:
     degree = len(args.string)
     p = perm.parse_cycles(args.perm, degree)
-    order = bitlex.parse_order(args.order, degree) if args.order else None
+    order = bitlex.parse_order(args.order, degree) if args.order is not None else None
     t, s = one_perm.orbit_min_one_perm(args.string, p, cap=args.cap, order=order)
     if args.format == "json":
         print(json.dumps({"t": t, "string": s}))
@@ -70,7 +70,7 @@ def _cmd_orbit_min(args) -> int:
 
 def _cmd_reduce_search(args) -> int:
     inst = reduction.parse_instance(_read(args.instance))
-    start = tuple(_read(args.start_word).split()) if args.start_word else ()
+    start = tuple(_read(args.start_word).split()) if args.start_word is not None else ()
     res = search.standard_algorithm(
         inst.y_start,
         inst.order,

@@ -298,35 +298,34 @@ class GeneratorSet:
             raise UnknownGenerator(f"no generator named {name!r}") from None
 
 
-def _resolve(gens: GeneratorSet, word: Sequence[str]) -> Iterator[Permutation]:
-    """The generators the word names, in order, looked up by name in one
-    dict; ``UnknownGenerator`` when the iteration reaches a letter that
-    names none."""
+def _replay(gens: GeneratorSet, values: list, word: Sequence[str]) -> list:
+    """A list indexed by 1-based points (entry 0 a pad) acted on by the
+    word in place, one generator at a time, each letter rewriting only
+    its generator's support; ``UnknownGenerator`` at the first letter
+    that names none, ``DegreeMismatch`` at the first whose generator's
+    degree is not the list's."""
     by_name = dict(zip(gens.names, gens.perms))
     for letter in word:
         g = by_name.get(letter)
         if g is None:
             raise UnknownGenerator(f"no generator named {letter!r}")
-        yield g
+        if len(values) - 1 != g.degree:
+            raise DegreeMismatch(f"string length {len(values) - 1} vs degree {g.degree}")
+        permute_in_place(values, g.moved, g.moved_to)
+    return values
 
 
 def apply_word(gens: GeneratorSet, word: Sequence[str]) -> Permutation:
-    """Left-to-right product of the named generators (empty word = identity)."""
-    out = identity(gens.degree)
-    for g in _resolve(gens, word):
-        out = compose(out, g)
-    return out
+    """Left-to-right product of the named generators (empty word =
+    identity): the word replayed on the identity's image list."""
+    img = _replay(gens, list(range(gens.degree + 1)), word)
+    moved = tuple([i for i, v in enumerate(img) if i != v])
+    return Permutation._unchecked(gens.degree, moved, tuple([img[i] for i in moved]))
 
 
 def apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str:
-    """x acted on by the word, one generator at a time; each letter
-    rewrites only the characters on its generator's support."""
-    chars = ["", *x]  # the pad lets 1-based points index the characters
-    for g in _resolve(gens, word):
-        if len(chars) - 1 != g.degree:
-            raise DegreeMismatch(f"string length {len(chars) - 1} vs degree {g.degree}")
-        permute_in_place(chars, g.moved, g.moved_to)
-    return "".join(chars)
+    """x acted on by the word: the word replayed on its characters."""
+    return "".join(_replay(gens, ["", *x], word))
 
 
 def permute_in_place(values: list, moved: Sequence[int], moved_to: Sequence[int]) -> None:

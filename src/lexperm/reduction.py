@@ -260,7 +260,7 @@ class Layout:
         gens = GeneratorSet.from_pairs(total, pairs)
         # the test holds the set's generator tuple, not the set, so the two
         # form no cycle
-        object.__setattr__(gens, "_membership", ReductionGroup(self, gens.perms))
+        object.__setattr__(gens, "_membership", ReductionGroup(self, gens.perms, input_moves))
         return gens
 
     def assemble(self, x: str, gate_outputs: str | None = None) -> str:
@@ -343,28 +343,29 @@ class ReductionGroup:
     no Schreier generators and no basis: it multiplies one image list in
     place by moves, each touching only its own support.
 
-    The test holds its layout and the set's generator tuple, whose
-    ``pi_g_j`` come first, copy-major, and strip the gate flips.  It
-    builds its tables, the input moves F_i of every copy and the pairs it
-    reads, on the first query, so a set that is never queried pays
-    nothing, and it never holds the set, so the two form no cycle."""
+    The test holds its layout, the set's generator tuple, whose
+    ``pi_g_j`` come first, copy-major, and strip the gate flips, and the
+    copy-0 input moves the generators were built from.  It builds its
+    tables, the input moves F_i of every copy and the pairs it reads, on
+    the first query, so a set that is never queried pays nothing, and it
+    never holds the set, so the two form no cycle."""
 
-    __slots__ = ("layout", "perms", "_tables")
+    __slots__ = ("layout", "perms", "input_moves", "_tables")
 
-    def __init__(self, layout: Layout, perms: Sequence[Permutation]):
+    def __init__(self, layout: Layout, perms: Sequence[Permutation], input_moves: Sequence[Support]):
         self.layout = layout
         self.perms = perms
+        self.input_moves = input_moves
         self._tables = None
 
     def _build(self):
         layout = self.layout
         copies = layout.circuit.n + 1
-        _, input_moves = layout._copy0_moves()
         # first point of each input's copy-0 pair, with the input's move in
         # every copy, in copy order
         inputs = [
             (2 * layout.pair(0, "in", i) - 1, [layout.shifted(t, j) for j in range(copies)])
-            for i, t in enumerate(input_moves, start=1)
+            for i, t in enumerate(self.input_moves, start=1)
         ]
         # first point of each gadget's quadrant-00 pair, in the order of the pi
         gadgets = [

@@ -20,6 +20,7 @@ from .perm import (
     GeneratorSet,
     Permutation,
     apply_word,
+    apply_word_to_string,
     membership,
     permute_in_place,
     permute_string,
@@ -141,15 +142,15 @@ def standard_algorithm(
 ) -> SearchResult:
     """Run the greedy walk from the permutation named by ``start``.
 
-    Without ``keep_trace`` the trace holds only the final string."""
+    The walk carries only its key and its word; the permutation is the
+    word replayed once at the end.  Without ``keep_trace`` the trace
+    holds only the final string."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
     check_bits(bits)
-    current = apply_word(gens, start)
-    cur_str = permute_string(bits, current)
+    cur_str = apply_word_to_string(gens, bits, start)
     space = RankSpace(order, gens)
     key = space.in_ranks(cur_str)
-    current_ranked = space.in_ranks(current.image)
     word = list(start)
     trace = [cur_str]
     chars = ["", *cur_str]  # the current string by position, entry 0 a pad
@@ -161,7 +162,6 @@ def standard_algorithm(
             status = LOCAL_OPT
             break
         space.act(key, best)
-        space.act(current_ranked, best)
         word.append(gens.names[best])
         steps += 1
         if keep_trace:
@@ -171,7 +171,7 @@ def standard_algorithm(
     string = "".join(space.in_positions(key))
     return SearchResult(
         tuple(word),
-        Permutation(tuple(space.in_positions(current_ranked))),
+        apply_word(gens, word),
         string,
         steps,
         status,

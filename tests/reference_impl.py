@@ -15,7 +15,8 @@ slot by slot through one ``GateState`` per gadget, the walk rebuilds
 each trace entry from rank space, and the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
 one whole string per step, a word acts on a string through one
-whole-string join per letter, and supports and cycle text come from a
+whole-string join per letter and its product is a left fold of
+``compose``, and supports and cycle text come from a
 scan of every entry of the image.  A permutation is its whole image
 (``DensePermutation``), and the reduction's generators are built copy by
 copy from transpositions on a full image.
@@ -50,7 +51,6 @@ from lexperm.perm import (
     GeneratorSet,
     Permutation,
     StabilizerChain,
-    apply_word,
     compose,
     identity,
     inverse,
@@ -330,6 +330,14 @@ def reference_format_cycles(p: Permutation) -> str:
     return "".join(parts) if parts else "()"
 
 
+def reference_apply_word(gens: GeneratorSet, word: Sequence[str]) -> Permutation:
+    """The word's product as a left fold of ``compose``, one letter at a time."""
+    out = identity(gens.degree)
+    for letter in word:
+        out = compose(out, gens.get(letter))
+    return out
+
+
 def reference_apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str:
     """x acted on by the word, one whole-string ``permute_string`` per letter."""
     for letter in word:
@@ -347,7 +355,7 @@ def reference_walk(
     """Greedy best-improvement walk with two O(N) joins per candidate."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
-    current = apply_word(gens, start)
+    current = reference_apply_word(gens, start)
     word = list(start)
     cur_str = permute_string(bits, current)
     trace = [cur_str]

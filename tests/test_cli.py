@@ -81,6 +81,8 @@ def test_orbit_min(capsys):
         (["orbit-min", "--string", "0a1", "--perm", "(1 2 3)", "--order", "3 2 1"], "FormatError"),
         (["orbit-min", "--string", "0a1", "--perm", "(1 2 3)"], "FormatError"),
         (["orbit-min", "--string", "010", "--perm", "(1 2 3)", "--order", "2 1"], "LengthMismatch"),
+        # an empty order is read, not taken for no order
+        (["orbit-min", "--string", "0101", "--perm", "(1 2)(3 4)", "--order", ""], "LengthMismatch"),
     ],
 )
 def test_orbit_min_rejects_bad_arguments(capsys, argv, error):
@@ -248,8 +250,13 @@ def test_malformed_dcr_input_exits_2(capsys, monkeypatch, argv, text):
         (lambda d: ["reduce", "build", f"{d}/step.net", "-o", f"{d}/missing/step.inst"], None, "FileError"),
         (lambda d: ["reduce", "search", f"{d}/step.inst", "--start-word", f"{d}/missing.word"], None,
          "FileError"),
+        # an empty path is read, not taken for no start word
+        (lambda d: ["reduce", "search", f"{d}/step.inst", "--start-word", ""], None, "FileError"),
     ],
-    ids=["missing", "directory", "not-utf8-file", "not-utf8-stdin", "output-dir-missing", "start-word-missing"],
+    ids=[
+        "missing", "directory", "not-utf8-file", "not-utf8-stdin", "output-dir-missing", "start-word-missing",
+        "start-word-empty",
+    ],
 )
 def test_file_errors_exit_2(tmp_path, capsys, monkeypatch, argv, stdin, error):
     (tmp_path / "step.net").write_text(STEP_NETLIST)

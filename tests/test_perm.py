@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import perm
+from lexperm.circuit import random_instance
 from lexperm.errors import (
     DegreeMismatch,
     FormatError,
@@ -29,6 +30,7 @@ from lexperm.perm import (
     permute_string,
     power,
 )
+from lexperm.reduction import build_instance
 from reference_impl import (
     DensePermutation,
     OrbitCapExceeded,
@@ -41,6 +43,7 @@ from reference_impl import (
     enumerate_group,
     orbit_of_string,
     random_permutation,
+    reference_apply_word,
     reference_apply_word_to_string,
     reference_format_cycles,
 )
@@ -421,6 +424,29 @@ def test_apply_word_to_string_matches_per_letter_fold(case):
     gens, x, word = case
     assert apply_word_to_string(gens, x, word) == reference_apply_word_to_string(gens, x, word)
     assert apply_word_to_string(gens, x, word) == permute_string(x, apply_word(gens, word))
+
+
+def test_apply_word_equals_a_left_fold_of_compose():
+    rng = Random(2100)
+    sets = []
+    for _ in range(40):
+        degree = rng.randint(1, 40)
+        pairs = []
+        for i in range(rng.randint(1, 5)):
+            # dense random permutations and sparse ones of a few points
+            if rng.random() < 0.5:
+                g = random_permutation(rng, degree)
+            else:
+                points = rng.sample(range(1, degree + 1), rng.randint(1, min(degree, 4)))
+                g = parse_cycles(f"({' '.join(map(str, points))})", degree)
+            pairs.append((f"g{i}", g))
+        sets.append(GeneratorSet.from_pairs(degree, pairs))
+    sets.append(build_instance(random_instance(Random(1), 4, 8, 3)).gens)  # ladder rung (4,8,3)
+    for gens in sets:
+        for length in (0, 1, rng.randint(2, 300)):
+            word = [rng.choice(gens.names) for _ in range(length)]
+            p, fold = apply_word(gens, word), reference_apply_word(gens, word)
+            assert p == fold and p.image == fold.image
 
 
 def test_apply_word_to_string_errors():

@@ -216,3 +216,25 @@ def test_dropped_values_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("gate_var", [False, True], ids=["reduction", "cnf"])
+def test_copy0_moves_are_built_once_per_generators_call(monkeypatch, gate_var):
+    calls = []
+    build = Layout._copy0_moves
+
+    def counted(layout):
+        calls.append(layout)
+        return build(layout)
+
+    monkeypatch.setattr(Layout, "_copy0_moves", counted)
+    layout = Layout(rung(1), gate_var=gate_var)
+    gens = layout.generators()
+    assert len(calls) == 1
+    N = gens.degree
+    member = apply_word(gens, [gens.names[i % len(gens)] for i in range(0, 7 * len(gens), 7)])
+    # a word, the identity and a twin-breaking transposition
+    assert [membership(gens, p) for p in (member, identity(N), parse_cycles("(1 3)", N))] == [True, True, False]
+    assert len(calls) == 1
+    layout.generators()
+    assert len(calls) == 2

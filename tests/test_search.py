@@ -4,16 +4,20 @@ import pytest
 
 from lexperm import one_perm, search
 from lexperm.bitlex import sort_key
+from lexperm.circuit import random_instance
+from lexperm.cnf import build_formula, local_min_solution
 from lexperm.errors import FormatError, NotInGroup
 from lexperm.perm import (
     GeneratorSet,
     apply_word,
     identity,
     parse_cycles,
+    permute_string,
 )
+from lexperm.reduction import build_instance
 from lexperm.search import LOCAL_OPT, STEP_CAP, is_local_min, standard_algorithm, verify_local_opt
 
-from reference_impl import random_permutation
+from reference_impl import random_permutation, reference_apply_word
 
 
 def _gens(*pairs):
@@ -118,3 +122,20 @@ def test_walk_rejects_non_bits():
     for bits in ("1a0", "12 ", "1-0"):
         with pytest.raises(FormatError):
             standard_algorithm(bits, None, gens)
+
+
+def test_result_permutation_is_the_word_replayed():
+    # reduce walks and CNF walks, each from its start and from a start word
+    rng = Random(2101)
+    for _ in range(8):
+        c = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4), 1)
+        inst, f = build_instance(c), build_formula(c)
+        walks = [(inst.y_start, inst.order, inst.gens), (f.initial, f.priority, f.symmetries)]
+        for bits, order, gens in walks:
+            start = [rng.choice(gens.names) for _ in range(rng.randint(1, 30))]
+            results = [standard_algorithm(bits, order, gens), standard_algorithm(bits, order, gens, start=start)]
+            if gens is f.symmetries:
+                results.append(local_min_solution(f))
+            for res in results:
+                assert res.permutation == apply_word(gens, res.word) == reference_apply_word(gens, res.word)
+                assert permute_string(bits, res.permutation) == res.string

@@ -15,6 +15,7 @@ columns are that rung's own peak (``ru_maxrss``):
 - the instance file round trip: ``format_instance`` and ``parse_instance``
   of its text (which rebuilds the instance and checks every line);
 - the walk (``standard_algorithm`` from ``y_start``) and its steps;
+- ``apply_word`` of the walk's word: the word replayed into a permutation;
 - the first ``membership`` query of the walk endpoint on the instance's
   generators, which the reduction's structural test answers;
 - on the first ``CHAIN_RUNGS`` rungs only, the same query on an equal
@@ -76,6 +77,9 @@ def measure(index: int) -> dict:
     row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
     gens = inst.gens
     t = perf_counter()
+    perm.apply_word(gens, res.word)
+    row["apply_word_s"] = perf_counter() - t
+    t = perf_counter()
     perm.membership(gens, res.permutation)
     row["membership_s"] = perf_counter() - t
     if index < CHAIN_RUNGS:
@@ -116,21 +120,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(
         "| rung (n,G,m) | N | K | `build_instance` | `format_instance` | `parse_instance` "
-        "| RSS after build | RSS after `build_formula` | walk (steps) | first `membership` | with a chain |"
+        "| RSS after build | RSS after `build_formula` | walk (steps) | `apply_word` | first `membership` "
+        "| with a chain |"
     )
-    print("| --- " * 11 + "|")
+    print("| --- " * 12 + "|")
     for index in range(min(args.rungs, len(RUNGS))):
         row = run_rung(index, args.max_gb)
         rung = ",".join(map(str, row["rung"]))
         chain = f"{row['chain_membership_s']:.2f} s" if "chain_membership_s" in row else ""
         if "failed" in row:
-            print(f"| {rung} | | | {row['failed']} |" + " |" * 7, flush=True)
+            print(f"| {rung} | | | {row['failed']} |" + " |" * 8, flush=True)
             continue
         print(
             f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
             f"{row['format_s'] * 1e3:.1f} ms | {row['parse_s'] * 1e3:.1f} ms | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
             f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) | "
+            f"{row['apply_word_s'] * 1e3:.1f} ms | "
             f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
             flush=True,
         )
