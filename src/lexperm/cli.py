@@ -17,6 +17,8 @@ from .errors import FileError, FormatError, LexpermError
 
 def _read(path: str) -> str:
     """The UTF-8 text of a file, or of stdin for ``-``."""
+    if not path:  # Path("") is the working directory
+        raise FileError(f"cannot read {path!r}: the path is empty")
     try:
         return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -29,6 +31,8 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
+    if not path:
+        raise FileError(f"cannot write {path!r}: the path is empty")
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:

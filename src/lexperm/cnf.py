@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bitlex import PriorityOrder, check_bits, format_order, parse_order, read_decimal, read_decimals
 from .circuit import FlipInstance
@@ -38,6 +38,19 @@ from .reduction import GADGET, QUADRANTS, Layout, expand
 from .search import SearchResult, standard_algorithm
 
 
+class ClauseIndex(NamedTuple):
+    """A formula's distinct sorted clauses under integer ids 0, 1, ...:
+    ``ids`` maps a key to its id (a read-only view), ``keys[i]`` is the key
+    of id i, ``counts[i]`` how often it occurs, and ``of_var[v]`` lists the
+    ids that mention variable v, an id once per literal of v in its key
+    (entry 0 is empty)."""
+
+    ids: Mapping[tuple[int, ...], int]
+    keys: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
+    of_var: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """Clauses over twinned variables plus attached symmetry generators,
@@ -51,20 +64,21 @@ class CnfFormula:
     initial: str | None = None
 
     @cached_property
-    def clause_counts(self) -> Mapping[tuple[int, ...], int]:
-        """How often each clause occurs, keyed by its sorted literals (a
-        read-only view)."""
-        return MappingProxyType(Counter(map(tuple, map(sorted, self.clauses))))
-
-    @cached_property
-    def clauses_of_var(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Entry v lists the distinct sorted clauses that mention variable
-        v, a clause once per literal of v in it (entry 0 is empty)."""
-        index: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_vars + 1)]
-        for key in self.clause_counts:
+    def clause_index(self) -> ClauseIndex:
+        """The distinct clauses, keyed by their sorted literals and
+        numbered in order of first occurrence."""
+        counts = Counter(map(tuple, map(sorted, self.clauses)))
+        ids = dict(zip(counts, range(len(counts))))
+        of_var: list[list[int]] = [[] for _ in range(self.num_vars + 1)]
+        for key, i in ids.items():
             for l in key:
-                index[abs(l)].append(key)
-        return tuple(map(tuple, index))
+                of_var[abs(l)].append(i)
+        return ClauseIndex(
+            MappingProxyType(ids),
+            tuple(ids),
+            tuple(counts.values()),
+            tuple(map(tuple, of_var)),
+        )
 
 
 def _bicond(a: int, b: int) -> list[tuple[int, ...]]:
@@ -141,15 +155,36 @@ def check_symmetry(f: CnfFormula, p: Permutation) -> bool:
     that do onto clauses that do.  The multiset is therefore invariant iff
     each clause touching supp(p) has an image that occurs as often as the
     clause itself; the check stops at the first that does not, and costs
-    only the clauses that touch supp(p)."""
+    only the clauses that touch supp(p).
+
+    When p is an involution, a clause c and its image p(c) are a pair:
+    p(p(c)) = c, so the one comparison of their counts is also the check of
+    p(c), which leaves the pending set without being renamed.  Each pair is
+    renamed once, from whichever of its clauses is popped first.  The
+    pending set still holds every clause touching supp(p), not only those
+    touching one point of each 2-cycle: a clause that touches only the
+    other point and whose image is absent from the formula is the partner
+    of no clause, so only its own rename can find the fault ({(2 3)} is no
+    symmetry of (1 2), though no clause touches 1)."""
     if p.degree != f.num_vars:
         raise DegreeMismatch(f"permutation degree {p.degree} vs {f.num_vars} variables")
     # literals of moved variables; the rest are fixed
     lit = dict(zip(p.moved, p.moved_to))
+    involution = tuple(map(lit.get, p.moved_to)) == p.moved
     lit.update(zip(map(neg, p.moved), map(neg, p.moved_to)))
-    rename, count = lit.get, f.clause_counts.get
-    touched = set().union(*map(f.clauses_of_var.__getitem__, p.moved))
-    return all(count(tuple(sorted(map(rename, k, k)))) == count(k) for k in touched)
+    rename = lit.get
+    ids, keys, counts, of_var = f.clause_index
+    find = ids.get
+    pending = set().union(*map(of_var.__getitem__, p.moved))
+    while pending:
+        i = pending.pop()
+        key = keys[i]
+        j = find(tuple(sorted(map(rename, key, key))))
+        if j is None or counts[j] != counts[i]:
+            return False
+        if involution:
+            pending.discard(j)
+    return True
 
 
 def local_min_solution(
@@ -175,7 +210,7 @@ def decode_input(f: CnfFormula, assignment: str) -> str:
     """Copy-0 input bits read off an assignment via the variable labels."""
     values: dict[int, str] = {}
     for v, label in enumerate(f.var_labels, start=1):
-        m = re.match(r"C0\.x(\d+)$", label)
+        m = label.startswith("C0.x") and re.match(r"C0\.x(\d+)$", label)
         if m:
             values[int(m.group(1))] = assignment[v - 1]
     return "".join(values[i] for i in sorted(values))

@@ -270,6 +270,24 @@ def test_file_errors_exit_2(tmp_path, capsys, monkeypatch, argv, stdin, error):
     assert err.startswith(f"error {error}:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda d: ["reduce", "search", f"{d}/step.inst", "--start-word", ""], "cannot read ''"),
+        (lambda d: ["reduce", "search", ""], "cannot read ''"),
+        (lambda d: ["reduce", "build", f"{d}/step.net", "-o", ""], "cannot write ''"),
+    ],
+    ids=["start-word", "instance", "output"],
+)
+def test_an_empty_path_is_named_as_empty(tmp_path, capsys, argv, message):
+    (tmp_path / "step.net").write_text(STEP_NETLIST)
+    inst = reduction.build_instance(circuit.parse_netlist(STEP_NETLIST))
+    (tmp_path / "step.inst").write_text(reduction.format_instance(inst))
+    code, out, err = run(capsys, argv(str(tmp_path)))
+    assert code == 2 and out == ""
+    assert err == f"error FileError: {message}: the path is empty\n"
+
+
 @pytest.mark.parametrize("argv", [["search", "--instance", "-"], ["selftest", "--list"]],
                          ids=["search", "selftest"])
 def test_removed_subcommands_are_rejected(capsys, argv):

@@ -17,8 +17,9 @@ def test_first_rung_fills_its_row():
     assert header.startswith("| rung (n,G,m) |") and rule.startswith("| --- |")
     assert len(rows) == 1
     cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
-    assert len(cells) == 12 and cells[0] == "4,8,3"
+    assert len(cells) == 13 and cells[0] == "4,8,3"
     assert cells[4].endswith(" ms") and cells[5].endswith(" ms")  # format, parse
-    assert "local_opt" in cells[8]
-    replay, membership, chain = cells[9:]
+    assert "`check_symmetry` ×K" in header.split("|")[9] and cells[8].endswith(" s")
+    assert "local_opt" in cells[9]
+    replay, membership, chain = cells[10:]
     assert replay.endswith(" ms") and membership.endswith(" ms") and chain.endswith(" s")

@@ -1,4 +1,4 @@
-"""The rank-space walk, ``is_local_min``, the count-table
+"""The rank-space walk, ``is_local_min``, the clause-index
 ``check_symmetry`` and the literal-set ``satisfies`` against the
 whole-string and whole-formula reference implementations."""
 
@@ -70,6 +70,28 @@ def _formula(num_vars: int, clauses) -> cnf.CnfFormula:
         num_vars, tuple(map(tuple, clauses)), tuple(f"v{v}" for v in range(1, num_vars + 1)),
         GeneratorSet(num_vars, (), ()),
     )
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, cycles, expected",
+    [
+        # the image (1 3) is absent, and the clause touches only 2, the
+        # larger point of the 2-cycle
+        (3, [(2, 3)], "(1 2)", False),
+        # (1 2) and (-4 -3) are fixed, (1 3) and (2 4) swap, (5 6) is untouched
+        (6, [(1, 2), (-4, -3), (1, 3), (2, 4), (5, 6)], "(1 2)(3 4)", True),
+        # the same, with the swapped pair's counts 2 and 1
+        (6, [(1, 2), (-4, -3), (1, 3), (2, 4), (3, 1), (5, 6)], "(1 2)(3 4)", False),
+        # one orbit of three clauses under a 3-cycle, then the orbit cut short
+        (4, [(1, -2), (2, -3), (-1, 3), (4,)], "(1 2 3)", True),
+        (4, [(1, -2), (2, -3), (4,)], "(1 2 3)", False),
+    ],
+    ids=["absent-image-of-the-larger-point", "fixed-and-swapped", "swapped-counts-differ",
+         "3-cycle-orbit", "3-cycle-orbit-cut"],
+)
+def test_check_symmetry_pairs_involution_images_and_follows_longer_orbits(num_vars, clauses, cycles, expected):
+    f, p = _formula(num_vars, clauses), parse_cycles(cycles, num_vars)
+    assert cnf.check_symmetry(f, p) == reference_check_symmetry(f, p) == expected
 
 
 @st.composite

@@ -12,6 +12,8 @@ columns are that rung's own peak (``ru_maxrss``):
 
 - ``build_instance`` and the RSS after it;
 - the RSS after ``build_formula`` as well, with the instance still held;
+- ``check_symmetry`` of that formula with each of its K generators (its
+  ``c sym`` lines), the first call building the formula's clause index;
 - the instance file round trip: ``format_instance`` and ``parse_instance``
   of its text (which rebuilds the instance and checks every line);
 - the walk (``standard_algorithm`` from ``y_start``) and its steps;
@@ -64,6 +66,10 @@ def measure(index: int) -> dict:
     row.update(N=inst.num_positions, K=len(inst.gens), build_s=perf_counter() - t, rss_build_mb=_rss_mb())
     f = cnf.build_formula(c)
     row["rss_formula_mb"] = _rss_mb()
+    t = perf_counter()
+    for p in f.symmetries.perms:
+        cnf.check_symmetry(f, p)
+    row["check_symmetry_s"] = perf_counter() - t
     del f
     t = perf_counter()
     text = reduction.format_instance(inst)
@@ -120,21 +126,22 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(
         "| rung (n,G,m) | N | K | `build_instance` | `format_instance` | `parse_instance` "
-        "| RSS after build | RSS after `build_formula` | walk (steps) | `apply_word` | first `membership` "
-        "| with a chain |"
+        "| RSS after build | RSS after `build_formula` | `check_symmetry` ×K | walk (steps) | `apply_word` "
+        "| first `membership` | with a chain |"
     )
-    print("| --- " * 12 + "|")
+    print("| --- " * 13 + "|")
     for index in range(min(args.rungs, len(RUNGS))):
         row = run_rung(index, args.max_gb)
         rung = ",".join(map(str, row["rung"]))
         chain = f"{row['chain_membership_s']:.2f} s" if "chain_membership_s" in row else ""
         if "failed" in row:
-            print(f"| {rung} | | | {row['failed']} |" + " |" * 8, flush=True)
+            print(f"| {rung} | | | {row['failed']} |" + " |" * 9, flush=True)
             continue
         print(
             f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
             f"{row['format_s'] * 1e3:.1f} ms | {row['parse_s'] * 1e3:.1f} ms | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
+            f"{row['check_symmetry_s']:.2f} s | "
             f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) | "
             f"{row['apply_word_s'] * 1e3:.1f} ms | "
             f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
