@@ -280,6 +280,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             sizes = read_decimals(fields[2:])
             if len(fields) != 4 or fields[1] != "cnf" or sizes is None:
                 raise MalformedDimacs(f"line {lineno}: bad problem line {line[:40]!r}")
+            if num_vars is not None:
+                raise MalformedDimacs(f"line {lineno}: a second 'p cnf' line")
             num_vars, announced = sizes
             continue
         body.append(line)

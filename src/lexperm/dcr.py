@@ -14,9 +14,17 @@ from itertools import compress
 from math import isqrt, lcm, log
 from typing import Iterable
 
-from .bitlex import PriorityOrder, read_decimal, read_decimals
-from .errors import FormatError, LcmCapExceeded, OrderCapExceeded, PrimeCapExceeded
-from .perm import Permutation, inverse, perm_order
+from .bitlex import PriorityOrder, check_bits, read_decimal, read_decimals
+from .errors import (
+    DegreeMismatch,
+    FormatError,
+    IndexOutOfRange,
+    LcmCapExceeded,
+    OrderCapExceeded,
+    PrimeCapExceeded,
+)
+from .one_perm import _lift
+from .perm import Permutation, _cycles, inverse
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,23 +205,67 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
 
 
 def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | None:
-    """Smallest t with start . p^t zero on every forbidden position, found
-    by walking the actual orbit one step at a time, for any start.
+    """Smallest t with start . p^t zero on every forbidden position, or
+    None when there is none, for any start.  With N the degree of p, it
+    refuses a start that is not N bits, a forbidden point outside 1..N,
+    and, after those, a permutation whose order exceeds the cap.
 
-    start . p^t holds its 1s at p^-t(ones(start)), so the walk moves only
-    the 1s, each step through p's inverse image.  It uses no cycles or
-    residues, so it stays independent of the modular solver."""
-    n_steps = perm_order(gm.perm)
+    A walk comes first.  start . p^t holds its 1s at p^-t(ones(start)), so
+    the walk moves only the 1s, each step through p's inverse image, for
+    at most N steps.  When the order is at most N, that covers the orbit.
+
+    Otherwise a residue sieve decides.  After t steps the point at index k
+    of a cycle of length L holds what start holds at index (k + t) mod L,
+    so each 1 at index o and each forbidden point at index k of the cycle
+    bar every t = o - k (mod L).  Each cycle's allowed residues, repeated
+    out, are ANDed into one bitset over the lcm M of the lengths seen so
+    far, lifted when a new length adds to M.  An empty bitset means there
+    is no t; otherwise the answer is its lowest set bit.  A forbidden fixed
+    point that holds a 1 bars every t.
+
+    The sieve's setup costs a pass over all N points and bitsets of up to
+    the order's bits, so the walk goes first: a solvable system's witness
+    usually lies well within N steps, and those steps cost less than the
+    setup."""
+    n = gm.perm.degree
+    start = gm.start
+    if len(start) != n:
+        raise DegreeMismatch(f"string length {len(start)} vs degree {n}")
+    check_bits(start)
+    if gm.forbidden and not (1 <= min(gm.forbidden) and max(gm.forbidden) <= n):
+        bad = next(i for i in gm.forbidden if not 1 <= i <= n)
+        raise IndexOutOfRange(f"point {bad} outside 1..{n}")
+    cycles = _cycles(gm.perm)
+    n_steps = lcm(*map(len, cycles))
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
     back = (0,) + inverse(gm.perm).image
     forbidden = frozenset(gm.forbidden)
-    ones = [i for i, b in enumerate(gm.start, start=1) if b == "1"]
-    for t in range(n_steps):
+    ones = [i for i, b in enumerate(start, start=1) if b == "1"]
+    for t in range(min(n_steps, n)):
         if forbidden.isdisjoint(ones):
             return t
         ones = [back[i] for i in ones]
-    return None
+    if n_steps <= n:
+        return None
+    if any(start[i - 1] == "1" for i in forbidden.difference(gm.perm.moved)):
+        return None
+    candidates, modulus = 1, 1
+    for cyc in cycles:
+        barred = [k for k, i in enumerate(cyc) if i in forbidden]
+        held = [o for o, i in enumerate(cyc) if start[i - 1] == "1"]
+        if not barred or not held:
+            continue
+        length = len(cyc)
+        allowed = ["1"] * length  # allowed[r]: t = r (mod L) is still allowed
+        for o in held:
+            for k in barred:
+                allowed[(o - k) % length] = "0"
+        candidates, modulus = _lift(candidates, modulus, length)
+        candidates &= _lift(int("".join(reversed(allowed)), 2), length, modulus)[0]
+        if not candidates:
+            return None
+    return (candidates & -candidates).bit_length() - 1
 
 
 def parse_dcr(text: str) -> DcrInstance:

@@ -11,7 +11,7 @@ permutations whose order exceeds a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
@@ -28,6 +28,16 @@ class OnePermResult:
     exponent: int
     witness: Permutation
     cycle_id: int | None
+
+
+def _lift(bits: int, period: int, length: int) -> tuple[int, int]:
+    """A ``period``-bit pattern repeated out to M = lcm(period, length)
+    bits, and M: a bitset over exponents modulo period, read modulo M.
+    The repeat is one product with the repunit of M / period blocks."""
+    if period % length == 0:
+        return bits, period
+    lifted = lcm(period, length)
+    return bits * (((1 << lifted) - 1) // ((1 << period) - 1)), lifted
 
 
 def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
@@ -117,9 +127,7 @@ def orbit_min_one_perm(
         c, k = entry
         length, zeros = patterns[c]
         if modulus % length:
-            lifted = modulus * length // gcd(modulus, length)
-            candidates *= ((1 << lifted) - 1) // ((1 << modulus) - 1)
-            modulus = lifted
+            candidates, modulus = _lift(candidates, modulus, length)
             repeated.clear()
         mask = repeated.get(c)
         if mask is None:

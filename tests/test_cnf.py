@@ -199,10 +199,12 @@ def test_malformed_dimacs():
         (["c var 1 a", "c var 2 b", "c var 1 c"], 3, "variable index 1 is repeated"),
         (["c var 1 a", "c var 3 c"], 2, "variable index 3 is outside 1..2"),
         (["c var 0 z"], 1, "variable index 0 is outside 1..2"),
+        (["p cnf 3 1", "1 2 0"], 3, "a second 'p cnf' line"),
     ],
     ids=["sym-defined-twice", "sym-out-of-range", "sym-overlap", "sym-no-equals", "sym-empty-name",
          "priority-token", "priority-short", "priority-repeat", "alpha-length", "alpha-bits",
-         "alpha-twice", "priority-twice", "var-repeated", "var-too-large", "var-zero"],
+         "alpha-twice", "priority-twice", "var-repeated", "var-too-large", "var-zero",
+         "p-cnf-twice"],
 )
 def test_dimacs_metadata_faults_name_their_line(meta, lineno, message):
     text = "\n".join([*meta, "p cnf 2 1", "1 2 0"]) + "\n"

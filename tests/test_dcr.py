@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -19,8 +20,16 @@ from lexperm.dcr import (
     three_colorable_bruteforce,
     zero_forbidden_witness,
 )
-from lexperm.errors import FormatError, LcmCapExceeded, LexpermError, OrderCapExceeded, PrimeCapExceeded
-from lexperm.perm import Permutation, permute_string
+from lexperm.errors import (
+    DegreeMismatch,
+    FormatError,
+    IndexOutOfRange,
+    LcmCapExceeded,
+    LexpermError,
+    OrderCapExceeded,
+    PrimeCapExceeded,
+)
+from lexperm.perm import Permutation, perm_order, permute_string
 
 from reference_impl import (
     format_graph,
@@ -270,6 +279,49 @@ def test_witness_agrees_with_reference_walk_on_every_four_vertex_system():
 def test_witness_agrees_with_reference_walk_on_five_vertex_systems(mask):
     gm = dcr_to_globalmin1(coloring_to_dcr(_graph(5, mask))[0])
     assert zero_forbidden_witness(gm) == reference_zero_forbidden_witness(gm)
+
+
+K5 = Graph(5, tuple(itertools.combinations(range(1, 6), 2)))
+
+
+@pytest.mark.parametrize(
+    "inst, expected",
+    [
+        # 23 points; t = 1 (mod 5), 2 (mod 7) and 3 (mod 11) first at 366
+        (DcrInstance(tuple((m, frozenset(range(m)) - {r}) for m, r in ((5, 1), (7, 2), (11, 3)))), 366),
+        (coloring_to_dcr(K5)[0], None),
+        # the modulus-1 cycle is a fixed point holding its 1, and forbidden
+        (DcrInstance(((1, frozenset({0})), (5, frozenset({0})), (7, frozenset({0})))), None),
+        (DcrInstance(()), 0),
+    ],
+    ids=["least-solution-past-the-points", "k5", "forbidden-fixed-one", "empty"],
+)
+def test_witness_past_the_walk_agrees_with_reference_walk_and_bruteforce(inst, expected):
+    """Systems whose order exceeds their number of points, which the walk
+    alone does not settle."""
+    gm = dcr_to_globalmin1(inst)
+    assert perm_order(gm.perm) > gm.perm.degree
+    assert zero_forbidden_witness(gm) == expected
+    assert reference_zero_forbidden_witness(gm) == expected
+    assert solve_bruteforce(inst) == expected
+
+
+@pytest.mark.parametrize(
+    "start, forbidden, error, message",
+    [
+        ("1", (1,), DegreeMismatch, "string length 1 vs degree 2"),
+        ("101", (), DegreeMismatch, "string length 3 vs degree 2"),
+        ("1", (3,), DegreeMismatch, "string length 1 vs degree 2"),
+        ("1x", (3,), FormatError, "not a bitstring: '1x'"),
+        ("10", (2, 3), IndexOutOfRange, "point 3 outside 1..2"),
+        ("10", (0, 1), IndexOutOfRange, "point 0 outside 1..2"),
+    ],
+    ids=["start-short", "start-long", "start-before-forbidden", "not-bits", "forbidden-above", "forbidden-zero"],
+)
+def test_witness_refuses_inputs_that_do_not_fit_the_permutation(start, forbidden, error, message):
+    gm = GlobalMinOneInstance(start, Permutation((2, 1)), identity_order(2), forbidden)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        zero_forbidden_witness(gm)
 
 
 def test_dcr_text_round_trip():
