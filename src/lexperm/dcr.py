@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt, lcm, log
+from operator import itemgetter
 from typing import Iterable
 
 from .bitlex import PriorityOrder, check_bits, read_decimal, read_decimals
@@ -24,7 +25,10 @@ from .errors import (
     PrimeCapExceeded,
 )
 from .one_perm import _lift
-from .perm import Permutation, _cycles, inverse
+from .perm import Permutation, _cycles
+
+# bytes of False/True -> binary digits
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,23 +214,16 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     refuses a start that is not N bits, a forbidden point outside 1..N,
     and, after those, a permutation whose order exceeds the cap.
 
-    A walk comes first.  start . p^t holds its 1s at p^-t(ones(start)), so
-    the walk moves only the 1s, each step through p's inverse image, for
-    at most N steps.  When the order is at most N, that covers the orbit.
-
-    Otherwise a residue sieve decides.  After t steps the point at index k
-    of a cycle of length L holds what start holds at index (k + t) mod L,
-    so each 1 at index o and each forbidden point at index k of the cycle
-    bar every t = o - k (mod L).  Each cycle's allowed residues, repeated
-    out, are ANDed into one bitset over the lcm M of the lengths seen so
-    far, lifted when a new length adds to M.  An empty bitset means there
-    is no t; otherwise the answer is its lowest set bit.  A forbidden fixed
-    point that holds a 1 bars every t.
-
-    The sieve's setup costs a pass over all N points and bitsets of up to
-    the order's bits, so the walk goes first: a solvable system's witness
-    usually lies well within N steps, and those steps cost less than the
-    setup."""
+    A residue sieve over the cycles decides, with no walk of the orbit.
+    After t steps the point at index k of a cycle of length L holds what
+    start holds at index (k + t) mod L, so each 1 at index o and each
+    forbidden point at index k of the cycle bar every t = o - k (mod L).
+    Each cycle's allowed residues, repeated out, are ANDed into one bitset
+    over the lcm M of the lengths seen so far, lifted when a new length
+    adds to M.  An empty bitset means there is no t; otherwise the answer
+    is its lowest set bit.  A forbidden fixed point that holds a 1 bars
+    every t.  The cost is a pass over the N points and bitsets of up to
+    the order's bits, not a step per exponent."""
     n = gm.perm.degree
     start = gm.start
     if len(start) != n:
@@ -239,30 +236,37 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     n_steps = lcm(*map(len, cycles))
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
-    back = (0,) + inverse(gm.perm).image
     forbidden = frozenset(gm.forbidden)
-    ones = [i for i, b in enumerate(start, start=1) if b == "1"]
-    for t in range(min(n_steps, n)):
-        if forbidden.isdisjoint(ones):
-            return t
-        ones = [back[i] for i in ones]
-    if n_steps <= n:
-        return None
-    if any(start[i - 1] == "1" for i in forbidden.difference(gm.perm.moved)):
-        return None
+    # held[i], flags[i]: what start holds at point i, and 1 if i is forbidden
+    held = "0" + start
+    flags = bytes(map(forbidden.__contains__, range(n + 1))).translate(_BITS).decode()
+    image = gm.perm.image
+    o = held.find("1")
+    while o != -1:
+        if image[o - 1] == o and o in forbidden:
+            return None
+        o = held.find("1", o + 1)
     candidates, modulus = 1, 1
     for cyc in cycles:
-        barred = [k for k, i in enumerate(cyc) if i in forbidden]
-        held = [o for o, i in enumerate(cyc) if start[i - 1] == "1"]
-        if not barred or not held:
+        along = itemgetter(*cyc)
+        ones = "".join(along(held))
+        o = ones.find("1")
+        if o == -1:
             continue
         length = len(cyc)
-        allowed = ["1"] * length  # allowed[r]: t = r (mod L) is still allowed
-        for o in held:
-            for k in barred:
-                allowed[(o - k) % length] = "0"
+        # bit j of barred: the point at index -j (mod L) is forbidden, so a
+        # 1 at index o bars the residues of barred rotated up by o
+        at = "".join(along(flags))
+        barred = int(at[1:] + at[0], 2)
+        if not barred:
+            continue
+        full = (1 << length) - 1
+        allowed = full
+        while o != -1:
+            allowed &= ~((barred << o | barred >> (length - o)) & full)
+            o = ones.find("1", o + 1)
         candidates, modulus = _lift(candidates, modulus, length)
-        candidates &= _lift(int("".join(reversed(allowed)), 2), length, modulus)[0]
+        candidates &= _lift(allowed, length, modulus)[0]
         if not candidates:
             return None
     return (candidates & -candidates).bit_length() - 1

@@ -33,11 +33,14 @@ class OnePermResult:
 def _lift(bits: int, period: int, length: int) -> tuple[int, int]:
     """A ``period``-bit pattern repeated out to M = lcm(period, length)
     bits, and M: a bitset over exponents modulo period, read modulo M.
-    The repeat is one product with the repunit of M / period blocks."""
+    The repeat doubles the pattern until it covers M bits, then cuts."""
     if period % length == 0:
         return bits, period
     lifted = lcm(period, length)
-    return bits * (((1 << lifted) - 1) // ((1 << period) - 1)), lifted
+    while period < lifted:
+        bits |= bits << period
+        period *= 2
+    return bits & ((1 << lifted) - 1), lifted
 
 
 def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
@@ -89,7 +92,7 @@ def orbit_min_one_perm(
     any does.  The candidates are one int, bit t set while t is still a
     candidate modulo M, the lcm of the cycle lengths seen so far.  When a
     cycle adds to M the bitset is copied to every multiple of the old M
-    by a repunit product.  A position keeps the candidates its zero mask
+    by doubling it out.  A position keeps the candidates its zero mask
     allows: its cycle's 0s, rotated to the position and repeated out to
     M.  One candidate settles the answer only once M is the order of p:
     below that it can still split on the cycles not yet seen.  The answer

@@ -29,7 +29,7 @@ from lexperm.errors import (
     OrderCapExceeded,
     PrimeCapExceeded,
 )
-from lexperm.perm import Permutation, perm_order, permute_string
+from lexperm.perm import Permutation, permute_string
 
 from reference_impl import (
     format_graph,
@@ -244,6 +244,8 @@ def walks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(walks())
+# a 1 away from index 0 of its cycle, which a system's start never has
+@example(GlobalMinOneInstance("010", Permutation((2, 3, 1)), identity_order(3), (3,)))
 def test_witness_agrees_with_reference_walk_from_any_start(gm):
     assert zero_forbidden_witness(gm) == reference_zero_forbidden_witness(gm)
 
@@ -296,11 +298,11 @@ K5 = Graph(5, tuple(itertools.combinations(range(1, 6), 2)))
     ],
     ids=["least-solution-past-the-points", "k5", "forbidden-fixed-one", "empty"],
 )
-def test_witness_past_the_walk_agrees_with_reference_walk_and_bruteforce(inst, expected):
-    """Systems whose order exceeds their number of points, which the walk
-    alone does not settle."""
+def test_witness_sieve_agrees_with_reference_walk_and_bruteforce(inst, expected):
+    """Each case bears on one part of the residue sieve: a least solution
+    beyond the number of points, a system left with no residue, a fixed
+    point that bars every t, and no cycle at all."""
     gm = dcr_to_globalmin1(inst)
-    assert perm_order(gm.perm) > gm.perm.degree
     assert zero_forbidden_witness(gm) == expected
     assert reference_zero_forbidden_witness(gm) == expected
     assert solve_bruteforce(inst) == expected
