@@ -70,13 +70,17 @@ def eval_circuit(c: FlipInstance, bits: str) -> tuple[str, tuple[int, ...]]:
     return out, tuple(values)
 
 
+def flip_bit(bits: str, j: int) -> str:
+    """bits with its j-th (1-based) bit flipped."""
+    return bits[: j - 1] + ("1" if bits[j - 1] == "0" else "0") + bits[j:]
+
+
 def flip_local_check(c: FlipInstance, bits: str) -> int | None:
     """Smallest input index whose flip strictly lowers the output, or None
     when bits is a local minimum."""
     base, _ = eval_circuit(c, bits)
     for j in range(1, c.n + 1):
-        flipped = bits[: j - 1] + ("1" if bits[j - 1] == "0" else "0") + bits[j:]
-        if eval_circuit(c, flipped)[0] < base:
+        if eval_circuit(c, flip_bit(bits, j))[0] < base:
             return j
     return None
 
@@ -98,13 +102,12 @@ def flip_greedy(c: FlipInstance, bits: str, max_steps: int = 10**4) -> FlipWalk:
     while steps < max_steps:
         best_j, best_out = None, cur_out
         for j in range(1, c.n + 1):
-            cand = cur[: j - 1] + ("1" if cur[j - 1] == "0" else "0") + cur[j:]
-            out, _ = eval_circuit(c, cand)
+            out, _ = eval_circuit(c, flip_bit(cur, j))
             if out < best_out:
                 best_j, best_out = j, out
         if best_j is None:
             return FlipWalk(cur, steps, "local_min", trace)
-        cur = cur[: best_j - 1] + ("1" if cur[best_j - 1] == "0" else "0") + cur[best_j:]
+        cur = flip_bit(cur, best_j)
         cur_out = best_out
         trace.append(cur)
         steps += 1

@@ -27,6 +27,13 @@ def _read(path: str) -> str:
         raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _one_stdin(*paths: str | None) -> None:
+    """Refuse, before anything is read, a command whose inputs name stdin
+    more than once: the second read would find it exhausted."""
+    if paths.count("-") > 1:
+        raise FileError("only one input can be read from stdin ('-')")
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -73,6 +80,7 @@ def _cmd_orbit_min(args) -> int:
 
 
 def _cmd_reduce_search(args) -> int:
+    _one_stdin(args.instance, args.start_word)
     inst = reduction.parse_instance(_read(args.instance))
     start = tuple(_read(args.start_word).split()) if args.start_word is not None else ()
     res = search.standard_algorithm(
@@ -142,6 +150,7 @@ def _cmd_flip_eval(args) -> int:
 
 
 def _cmd_flip_check(args) -> int:
+    _one_stdin(args.file, args.input)
     c = circuit.parse_netlist(_read(args.file))
     words = _read("-").split() if args.input == "-" else [args.input]
     bits = words[-1] if words else ""

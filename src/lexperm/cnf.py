@@ -262,18 +262,19 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("c"):
             fields = line.split(None, 2)
-            key = fields[1] if len(fields) == 3 else None
+            key = fields[1] if len(fields) > 1 else None
+            value = fields[2] if len(fields) > 2 else ""  # a bare key: the checks below name it
             if key == "var":
-                token, _, label = fields[2].partition(" ")
+                token, _, label = value.partition(" ")
                 var_linenos.append(lineno)
                 var_tokens.append(token)
                 var_names.append(label.strip())
             elif key in ("alpha", "priority"):
                 if key in meta:
                     raise MalformedDimacs(f"line {lineno}: a second 'c {key}' line")
-                meta[key] = (lineno, fields[2])
+                meta[key] = (lineno, value)
             elif key == "sym":
-                sym_lines.append((lineno, fields[2]))
+                sym_lines.append((lineno, value))
             continue
         if line.startswith("p"):
             fields = line.split()

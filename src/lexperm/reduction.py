@@ -29,7 +29,7 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .bitlex import PriorityOrder, check_bits, format_order
-from .circuit import FlipInstance, format_netlist, parse_netlist
+from .circuit import FlipInstance, flip_bit, format_netlist, parse_netlist
 from .errors import (
     DegreeMismatch,
     FormatError,
@@ -273,7 +273,7 @@ class Layout:
             gate_outputs = "0" * ((c.n + 1) * G)
         cond: list[str] = []
         for j in range(c.n + 1):
-            xj = x if j == 0 else x[: j - 1] + ("1" if x[j - 1] == "0" else "0") + x[j:]
+            xj = x if j == 0 else flip_bit(x, j)
             out = gate_outputs[j * G : (j + 1) * G]
             values = xj + out  # what ``sources`` indexes
             codes = [GADGET[values[a] + values[b] + o] for (a, b), o in zip(self.sources, out)]

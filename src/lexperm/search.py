@@ -3,16 +3,18 @@ permutation group and the local-optimality test it stops at.
 
 At every step all neighbors current * g are evaluated; the walk moves to
 the strictly best one and stops at a local optimum or at the step cap,
-never silently.  It runs in rank space, where the current string is held
-as its sort key and each generator is conjugated once by the priority
-order; ``RankSpace`` states the decisive-rank rule that picks the best
-neighbor in O(|supp g|) per candidate, without building any.
+never silently.  The current string is one list indexed by position,
+acted on with ``permute_in_place`` like every other word; the priority
+order only decides which move wins.  ``RankSpace`` reads each
+generator's moved positions in rank order and states the decisive-rank
+rule that picks the best neighbor in O(|supp g|) per candidate, without
+building any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, NotInGroup
@@ -29,81 +31,68 @@ from .perm import (
 LOCAL_OPT = "local_opt"
 STEP_CAP = "step_cap"
 
-T = TypeVar("T")
-
 
 class RankSpace:
-    """Generators conjugated into rank space by a priority order.
+    """Each generator's moved positions, read in the priority order.
 
-    A sequence indexed by position is held *in rank order*: entry r
-    belongs to the position inspected at importance level r+1, so a
-    string held this way is its sort key.  Acting by a generator g then
-    sets ``seq[r] = seq[h(r)]`` with h = rank^-1 . g . rank, and only on
-    the ranks that g moves.  ``moves[i]`` maps each rank moved by the
-    i-th generator to h(rank), in ascending rank order.
+    A string is held by position, entry 0 a pad, and acting by a
+    generator g sets ``chars[p] = chars[g(p)]`` on the positions p that g
+    moves.  The rank of a position is its importance level minus one, so
+    the string read in rank order is its sort key.  ``moves[i]`` lists
+    the i-th generator's moved positions as ``(rank, p, g(p))`` triples
+    in ascending rank, and ``firsts[i]`` is its smallest moved rank.
 
-    Acting by g changes a key first at its *decisive rank*: the smallest
-    moved rank r with ``key[r] != key[h(r)]``.  The move improves the key
-    iff ``key[r]`` is 1, and of two improving moves the one with the
-    smaller decisive rank gives the smaller key.  This holds for any
-    permutation, not only for involutions, and needs the characters of
-    the key to be 0 and 1 only.
+    Acting by g changes the string first at its *decisive rank*: the
+    smallest rank r of a triple ``(r, p, q)`` with ``chars[p] !=
+    chars[q]``.  The move improves the string iff ``chars[p]`` is 1, and
+    of two improving moves the one with the smaller decisive rank gives
+    the smaller string.  This holds for any permutation, not only for
+    involutions, and needs the characters to be 0 and 1 only.
     """
 
-    __slots__ = ("rank", "rinv", "moves")
+    __slots__ = ("moves", "firsts")
 
     def __init__(self, order: PriorityOrder | None, gens: GeneratorSet):
         n = gens.degree
         if order is not None and order.degree != n:
             raise LengthMismatch(f"{n} generator degree vs order degree {order.degree}")
-        self.rank = [p - 1 for p in order.rank] if order is not None else list(range(n))
-        self.rinv = [0] * n
-        for r, p in enumerate(self.rank):
-            self.rinv[p] = r
-        at = (None, *self.rinv).__getitem__  # the rank of each 1-based point
-        self.moves = tuple(
-            [dict(sorted(zip(map(at, g.moved), map(at, g.moved_to)))) for g in gens.perms]
-        )
+        rank_of = list(range(-1, n))  # the rank of each 1-based position
+        if order is not None:
+            for r, p in enumerate(order.rank):
+                rank_of[p] = r
+        at = rank_of.__getitem__
+        self.moves = tuple([sorted(zip(map(at, g.moved), g.moved, g.moved_to)) for g in gens.perms])
+        self.firsts = tuple([m[0][0] if m else n for m in self.moves])
 
-    def in_ranks(self, seq: Sequence[T]) -> list[T]:
-        """A position-indexed sequence rearranged into rank order."""
-        return [seq[p] for p in self.rank]
-
-    def in_positions(self, seq: Sequence[T]) -> list[T]:
-        """Inverse of ``in_ranks``."""
-        return [seq[r] for r in self.rinv]
-
-    def act(self, seq: list[T], i: int) -> None:
-        """Act on a rank-ordered sequence by the i-th generator, in place."""
-        moves = self.moves[i]
-        values = [seq[h] for h in moves.values()]
-        for r, v in zip(moves, values):
-            seq[r] = v
-
-    def best_move(self, key: Sequence[str]) -> int | None:
-        """Index of the generator whose action gives the smallest key below
-        ``key``, the lowest index among equals; None if no action lowers it."""
-        best, best_r = None, len(key)
-        for i, moves in enumerate(self.moves):
-            for r, h in moves.items():
+    def best_move(self, chars: Sequence[str]) -> int | None:
+        """Index of the generator whose action gives the smallest string
+        below ``chars`` (by position, entry 0 a pad), the lowest index
+        among equals; None if no action lowers it."""
+        best, best_r = None, len(chars)
+        moves = self.moves
+        for i, first in enumerate(self.firsts):
+            if first > best_r:
+                continue
+            for r, p, q in moves[i]:
                 if r > best_r:
                     break
-                if key[r] != key[h]:
-                    if key[r] == "1" and (r < best_r or self._beats(key, i, best, r)):
+                if chars[p] != chars[q]:
+                    if chars[p] == "1" and (r < best_r or self._beats(chars, i, best, r)):
                         best, best_r = i, r
                     break
         return best
 
-    def _beats(self, key: Sequence[str], i: int, j: int, r: int) -> bool:
-        """True iff acting by generator i gives a smaller key than acting by
-        generator j, when both first change ``key`` at rank r.  Above r the
-        two results can differ only on the union of the two supports."""
-        a, b = self.moves[i], self.moves[j]
-        for s in sorted(a.keys() | b.keys()):
-            if s > r:
-                x, y = key[a.get(s, s)], key[b.get(s, s)]
-                if x != y:
-                    return x < y
+    def _beats(self, chars: Sequence[str], i: int, j: int, r: int) -> bool:
+        """True iff acting by generator i gives a smaller string than acting
+        by generator j, when both first change ``chars`` at rank r.  Above r
+        the two results can differ only on the union of the two supports."""
+        old = {s: chars[p] for s, p, _ in (*self.moves[i], *self.moves[j]) if s > r}
+        a = {s: chars[q] for s, _, q in self.moves[i] if s > r}
+        b = {s: chars[q] for s, _, q in self.moves[j] if s > r}
+        for s in sorted(old):
+            x, y = a.get(s, old[s]), b.get(s, old[s])
+            if x != y:
+                return x < y
         return False
 
 
@@ -118,8 +107,7 @@ def is_local_min(
     if current.degree != gens.degree or len(bits) != gens.degree:
         raise DegreeMismatch("string, generators and current permutation disagree")
     check_bits(bits)
-    space = RankSpace(order, gens)
-    return space.best_move(space.in_ranks(permute_string(bits, current))) is None
+    return RankSpace(order, gens).best_move(["", *permute_string(bits, current)]) is None
 
 
 @dataclass(frozen=True)
@@ -142,33 +130,31 @@ def standard_algorithm(
 ) -> SearchResult:
     """Run the greedy walk from the permutation named by ``start``.
 
-    The walk carries only its key and its word; the permutation is the
-    word replayed once at the end.  Without ``keep_trace`` the trace
-    holds only the final string."""
+    The walk carries only its string by position and its word; the
+    permutation is the word replayed once at the end.  Without
+    ``keep_trace`` the trace holds only the final string."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
     check_bits(bits)
     cur_str = apply_word_to_string(gens, bits, start)
     space = RankSpace(order, gens)
-    key = space.in_ranks(cur_str)
     word = list(start)
     trace = [cur_str]
     chars = ["", *cur_str]  # the current string by position, entry 0 a pad
     steps = 0
     status = STEP_CAP
     while steps < max_steps:
-        best = space.best_move(key)
+        best = space.best_move(chars)
         if best is None:
             status = LOCAL_OPT
             break
-        space.act(key, best)
+        g = gens.perms[best]
+        permute_in_place(chars, g.moved, g.moved_to)
         word.append(gens.names[best])
         steps += 1
         if keep_trace:
-            g = gens.perms[best]
-            permute_in_place(chars, g.moved, g.moved_to)
             trace.append("".join(chars))
-    string = "".join(space.in_positions(key))
+    string = "".join(chars)
     return SearchResult(
         tuple(word),
         apply_word(gens, word),

@@ -362,6 +362,22 @@ def test_flip_check_reads_the_last_word_of_stdin(tmp_path, capsys, monkeypatch):
     assert err.startswith("error LengthMismatch:")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["reduce", "search", "--start-word", "-"],
+         reduction.format_instance(reduction.build_instance(circuit.parse_netlist(STEP_NETLIST)))),
+        (["flip", "check", "--input", "-"], STEP_NETLIST),
+    ],
+    ids=["reduce-search-start-word", "flip-check-input"],
+)
+def test_two_inputs_on_stdin_are_refused_before_reading(capsys, monkeypatch, argv, text):
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error FileError: only one input can be read from stdin ('-')\n"
+    assert sys.stdin.read() == text
+
+
 def test_flip_greedy(tmp_path, capsys):
     net = tmp_path / "step.net"
     net.write_text(STEP_NETLIST)

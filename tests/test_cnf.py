@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexperm import circuit, reduction
+from lexperm.bitlex import PriorityOrder
 from lexperm.circuit import FlipInstance, random_instance
 from lexperm.cnf import (
     CnfFormula,
@@ -160,6 +161,14 @@ def test_empty_formula_dimacs():
     assert parsed.num_vars == 0 and parsed.clauses == ()
 
 
+def test_zero_variable_formula_round_trips_its_alpha_and_priority():
+    # format_dimacs writes the empty assignment and order as bare keys
+    f = CnfFormula(0, (), (), GeneratorSet(0, (), ()), priority=PriorityOrder(()), initial="")
+    text = format_dimacs(f)
+    assert text == "c alpha \nc priority \np cnf 0 0\n"
+    assert parse_dimacs(text) == f
+
+
 def test_malformed_dimacs():
     with pytest.raises(MalformedDimacs):
         parse_dimacs("1 2 0\n")
@@ -200,11 +209,15 @@ def test_malformed_dimacs():
         (["c var 1 a", "c var 3 c"], 2, "variable index 3 is outside 1..2"),
         (["c var 0 z"], 1, "variable index 0 is outside 1..2"),
         (["p cnf 3 1", "1 2 0"], 3, "a second 'p cnf' line"),
+        (["c alpha 01", "c priority"], 2, "order lists 0 ranks, expected 2"),
+        (["c alpha"], 1, "'c alpha' '' is not 2 bits"),
+        (["c sym"], 1, "missing '='"),
+        (["c var 1 a", "c var"], 2, "bad variable index ''"),
     ],
     ids=["sym-defined-twice", "sym-out-of-range", "sym-overlap", "sym-no-equals", "sym-empty-name",
          "priority-token", "priority-short", "priority-repeat", "alpha-length", "alpha-bits",
          "alpha-twice", "priority-twice", "var-repeated", "var-too-large", "var-zero",
-         "p-cnf-twice"],
+         "p-cnf-twice", "priority-bare", "alpha-bare", "sym-bare", "var-bare"],
 )
 def test_dimacs_metadata_faults_name_their_line(meta, lineno, message):
     text = "\n".join([*meta, "p cnf 2 1", "1 2 0"]) + "\n"

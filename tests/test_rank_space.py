@@ -264,3 +264,35 @@ def test_is_local_min_matches_reference(case, letters):
     assert is_local_min(bits, order, gens, current) == reference_is_local_min(
         bits, order, gens, current
     )
+
+
+def assert_untraced_walk_matches(bits, order, gens, **kw):
+    res = standard_algorithm(bits, order, gens, **kw)
+    bare = standard_algorithm(bits, order, gens, keep_trace=False, **kw)
+    assert (bare.word, bare.permutation, bare.string, bare.steps, bare.status) == (
+        res.word, res.permutation, res.string, res.steps, res.status
+    )
+    assert bare.trace == (res.string,)
+    return res
+
+
+@given(_instances(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_walk_without_trace_matches_the_traced_walk(case, with_identity):
+    bits, order, gens = case
+    if with_identity:  # an empty support at the lowest index, which the walk must never pick
+        gens = GeneratorSet.from_pairs(
+            gens.degree, [("id", Permutation(tuple(range(1, gens.degree + 1)))), *gens]
+        )
+    res = assert_untraced_walk_matches(bits, order, gens, max_steps=200)
+    assert "id" not in res.word
+
+
+def test_walk_without_trace_at_rung_4_8_3():
+    rng = Random(4083)
+    for _ in range(10):
+        c = circuit.random_instance(rng, 4, 8, 3)
+        inst = reduction.build_instance(c)
+        assert_untraced_walk_matches(inst.y_start, inst.order, inst.gens)
+        f = cnf.build_formula(c)
+        assert_untraced_walk_matches(f.initial, f.priority, f.symmetries)
