@@ -49,7 +49,8 @@ def _write(path: str | None, text: str) -> None:
 def _cmd_one_perm(args) -> int:
     degree = len(args.string)
     p = perm.parse_cycles(args.perm, degree)
-    res = one_perm.local_min_one_perm(args.string, p)
+    order = bitlex.parse_order(args.order, degree) if args.order is not None else None
+    res = one_perm.local_min_one_perm(args.string, p, order=order)
     result = perm.permute_string(args.string, res.witness)
     if args.format == "json":
         print(json.dumps({
@@ -283,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("one-perm", help="local minimum under a single permutation")
     p.add_argument("--string", required=True)
     p.add_argument("--perm", required=True, help='cycles, e.g. "(1 2 5)(3 4)"')
+    p.add_argument("--order", help="whitespace-separated rank list")
     _add_format(p)
     p.set_defaults(func=_cmd_one_perm)
 

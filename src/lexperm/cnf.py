@@ -96,21 +96,27 @@ def build_formula(c: FlipInstance) -> CnfFormula:
 
     labels = [label for pair in layout.labels() for label in (pair, f"{pair}.t")]
 
-    clauses: list[tuple[int, ...]] = []
-    for j in range(n + 1):
+    def source(src) -> int:
+        return layout.pair(0, "in" if src[0] == "x" else "w", src[1])
 
-        def source(src) -> int:
-            return layout.pair(j, "in" if src[0] == "x" else "w", src[1])
-
-        for gid, (s1, s2) in enumerate(c.gates, start=1):
-            u, v, w = source(s1), source(s2), layout.pair(j, "w", gid)
-            quads = [layout.pair(j, "quad", gid, q) for q in QUADRANTS]
-            for a1 in (1, 0):
-                for a2 in (1, 0):
-                    for b in (1, 0):
-                        premise = {-lit(u, a1), -lit(v, a2), -lit(w, b)}
-                        for k, lab in zip(quads, GADGET[f"{a1}{a2}{b}"]):
-                            clauses.append(tuple(sorted(premise | {lit(k, int(lab))})))
+    # copy 0's gadget clauses; a gate fed twice by one source has 3-literal
+    # clauses where its premise repeats a literal
+    gadgets: list[tuple[int, ...]] = []
+    for gid, (s1, s2) in enumerate(c.gates, start=1):
+        u, v, w = source(s1), source(s2), layout.pair(0, "w", gid)
+        quads = [layout.pair(0, "quad", gid, q) for q in QUADRANTS]
+        for a1 in (1, 0):
+            for a2 in (1, 0):
+                for b in (1, 0):
+                    premise = {-lit(u, a1), -lit(v, a2), -lit(w, b)}
+                    for k, lab in zip(quads, GADGET[f"{a1}{a2}{b}"]):
+                        gadgets.append(tuple(sorted(premise | {lit(k, int(lab))})))
+    # copy j's are copy 0's with every variable moved up 2 * j * per, each
+    # literal keeping its sign, which keeps every clause sorted
+    clauses = list(gadgets)
+    for j in range(1, n + 1):
+        d = 2 * j * layout.per
+        clauses += [tuple([l + d if l > 0 else l - d for l in clause]) for clause in gadgets]
     for v in range(1, layout.points + 1, 2):
         clauses.append((v, v + 1))
         clauses.append((-(v + 1), -v))
@@ -228,8 +234,9 @@ def format_dimacs(f: CnfFormula) -> str:
         lines.append(f"c priority {format_order(f.priority)}")
     lines += ["c sym " + line for line in generator_lines(f.symmetries)]
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    for clause in f.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
+    # one format per clause length; the empty clause's is " 0"
+    formats = {n: " ".join(["%d"] * n) + " 0" for n in set(map(len, f.clauses))}
+    lines += [formats[len(clause)] % clause for clause in f.clauses]
     return "\n".join(lines) + "\n"
 
 

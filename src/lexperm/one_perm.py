@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .bitlex import PriorityOrder, check_bits
+from .bitlex import PriorityOrder, check_bits, sort_key
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
 from .perm import Permutation, _cycles, identity, power_from_cycles
 
@@ -22,8 +22,9 @@ _FLIP = str.maketrans("01", "10")
 
 @dataclass(frozen=True, slots=True)
 class OnePermResult:
-    """Exponent k with witness p^k; cycle_id is the smallest member of the
-    cycle that decided the answer (None when every cycle is constant)."""
+    """Exponent k with witness p^k; cycle_id is the most significant
+    member of the cycle that decided the answer, its smallest under the
+    identity order (None when every cycle is constant)."""
 
     exponent: int
     witness: Permutation
@@ -43,24 +44,37 @@ def _lift(bits: int, period: int, length: int) -> tuple[int, int]:
     return bits & ((1 << lifted) - 1), lifted
 
 
-def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
+def local_min_one_perm(
+    bits: str, p: Permutation, order: PriorityOrder | None = None
+) -> OnePermResult:
     """Find k such that bits . p^k is a local minimum for the single
-    generator p under the identity priority order.
+    generator p under the priority order (the identity order when None).
 
     A cycle is interesting when bits is non-constant on it.  Positions on
     constant cycles never change along the orbit, so only the interesting
-    cycle holding the smallest such position matters: walking from its
-    smallest member l, the first k with a 0 -> 1 boundary at
+    cycle holding the most significant such position matters: walking
+    from that position l, the first k with a 0 -> 1 boundary at
     (p^k(l), p^(k+1)(l)) makes bits . p^k immediately better than its one
-    neighbor bits . p^(k+1).
+    neighbor bits . p^(k+1).  Under an order the points are relabelled by
+    rank, so the same scan runs on the relabelled p and bits, and
+    cycle_id is the decisive cycle's most significant member.
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
     check_bits(bits)
+    if order is not None and order.degree != p.degree:
+        raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
     cycles = _cycles(p)
+    if order is None:
+        scanned, key = cycles, bits
+    else:
+        # point order.rank[r] is relabelled r + 1; the relabelled p's
+        # cycles come in order of their most significant member, each
+        # starting there
+        scanned, key = _cycles(_relabel(p, order)), sort_key(bits, order)
     chosen = None
-    for cyc in cycles:
-        values = {bits[i - 1] for i in cyc}
+    for cyc in scanned:
+        values = {key[i - 1] for i in cyc}
         if len(values) > 1:
             chosen = cyc
             break
@@ -70,9 +84,19 @@ def local_min_one_perm(bits: str, p: Permutation) -> OnePermResult:
     for k in range(length):
         i = chosen[k]
         j = chosen[(k + 1) % length]
-        if bits[i - 1] == "0" and bits[j - 1] == "1":
-            return OnePermResult(k, power_from_cycles(p, cycles, k), chosen[0])
+        if key[i - 1] == "0" and key[j - 1] == "1":
+            first = chosen[0] if order is None else order.rank[chosen[0] - 1]
+            return OnePermResult(k, power_from_cycles(p, cycles, k), first)
     raise AssertionError("non-constant cycle must contain a 0 -> 1 boundary")
+
+
+def _relabel(p: Permutation, order: PriorityOrder) -> Permutation:
+    """p with every point renamed by its rank: it sends the rank of i to
+    the rank of p(i)."""
+    rank_of = {i: r for r, i in enumerate(order.rank, start=1)}
+    to = {rank_of[i]: rank_of[v] for i, v in zip(p.moved, p.moved_to)}
+    moved = tuple(sorted(to))
+    return Permutation._unchecked(p.degree, moved, tuple([to[r] for r in moved]))
 
 
 def orbit_min_one_perm(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import compress, count
 from math import lcm
 from operator import ne
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -190,26 +190,40 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     plain ASCII decimal (else ``FormatError``); cycles must be disjoint
     (else ``OverlappingCycles``) and stay within 1..degree (else
     ``IndexOutOfRange``).
+
+    Every point is read before any is placed, so a malformed point is
+    reported before a range or overlap fault in an earlier cycle.  The
+    successor map is built from all points at once; only when it shows an
+    overlap or an out-of-range point are the points checked one by one,
+    in the order of the text, to report the first fault.
     """
-    stripped = _CYCLE_RE.sub("", text).strip()
+    # the text outside the cycles at even indices, the cycle bodies at odd
+    parts = _CYCLE_RE.split(text)
+    stripped = "".join(parts[::2]).strip()
     if stripped:
         raise FormatError(f"unparseable cycle text near {stripped[:20]!r}")
-    bodies = [match.group(1).replace(",", " ").split() for match in _CYCLE_RE.finditer(text)]
-    # every point is read before any is placed, so a malformed point is
-    # reported before a range or overlap fault in an earlier cycle
-    points = read_decimals([token for body in bodies for token in body])
+    cycles = [body.replace(",", " ").split() for body in parts[1::2]]
+    points = read_decimals([token for cycle in cycles for token in cycle])
     if points is None:
         raise FormatError(f"cycle points are not plain decimal in {text[:40]!r}")
-    to: dict[int, int] = {}
-    unplaced = iter(points)
-    for body in bodies:
-        cycle = list(islice(unplaced, len(body)))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    # each point is followed by the next in its cycle, the last by the first
+    after = points[1:]
+    after.append(0)
+    end = 0
+    for cycle in cycles:
+        if cycle:
+            end += len(cycle)
+            after[end - 1] = points[end - len(cycle)]
+    to = dict(zip(points, after))
+    if len(to) < len(points) or (points and (min(points) < 1 or max(points) > degree)):
+        # name the first point at fault, in the order of the text
+        placed: set[int] = set()
+        for a in points:
             if not 1 <= a <= degree:
                 raise IndexOutOfRange(f"point {a} outside 1..{degree}")
-            if a in to:
+            if a in placed:
                 raise OverlappingCycles(f"point {a} appears in two cycles")
-            to[a] = b
+            placed.add(a)
     # disjoint cycles within 1..degree form a bijection; a one-point cycle
     # moves nothing
     moved = tuple(sorted([a for a, b in to.items() if a != b]))

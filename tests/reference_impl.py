@@ -16,8 +16,10 @@ each trace entry from rank space, and the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
 one whole string per step, a word acts on a string through one
 whole-string join per letter and its product is a left fold of
-``compose``, and supports and cycle text come from a
-scan of every entry of the image.  A permutation is its whole image
+``compose``, supports and cycle text come from a scan of every entry
+of the image, cycle notation is read cycle by cycle with each point
+checked as it is placed, and a formula's gadget clauses are built copy
+by copy with a set union and a sort.  A permutation is its whole image
 (``DensePermutation``), and the reduction's generators are built copy by
 copy from transpositions on a full image.
 
@@ -37,16 +39,25 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import ne
 from random import Random
 from typing import Sequence
 
-from lexperm.bitlex import PriorityOrder, check_bits, sort_key
+from lexperm.bitlex import PriorityOrder, check_bits, read_decimals, sort_key
 from lexperm.circuit import FlipInstance, Source
 from lexperm.cnf import CnfFormula
 from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph
-from lexperm.errors import DegreeMismatch, LengthMismatch, LexpermError, OrderCapExceeded, PrimeCapExceeded
+from lexperm.errors import (
+    DegreeMismatch,
+    FormatError,
+    IndexOutOfRange,
+    LengthMismatch,
+    LexpermError,
+    OrderCapExceeded,
+    OverlappingCycles,
+    PrimeCapExceeded,
+)
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
@@ -58,6 +69,7 @@ from lexperm.perm import (
     permute_string,
 )
 from lexperm.reduction import (
+    GADGET,
     QUADRANTS,
     BehaviorReport,
     Layout,
@@ -330,6 +342,30 @@ def reference_format_cycles(p: Permutation) -> str:
     return "".join(parts) if parts else "()"
 
 
+def reference_parse_cycles(text: str, degree: int) -> Permutation:
+    """Cycle notation read cycle by cycle: every point is read first, then
+    each is checked for range and overlap as it is placed."""
+    stripped = re.sub(r"\(([^()]*)\)", "", text).strip()
+    if stripped:
+        raise FormatError(f"unparseable cycle text near {stripped[:20]!r}")
+    bodies = [body.replace(",", " ").split() for body in re.findall(r"\(([^()]*)\)", text)]
+    points = read_decimals([token for body in bodies for token in body])
+    if points is None:
+        raise FormatError(f"cycle points are not plain decimal in {text[:40]!r}")
+    to: dict[int, int] = {}
+    unplaced = iter(points)
+    for body in bodies:
+        cycle = list(islice(unplaced, len(body)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if not 1 <= a <= degree:
+                raise IndexOutOfRange(f"point {a} outside 1..{degree}")
+            if a in to:
+                raise OverlappingCycles(f"point {a} appears in two cycles")
+            to[a] = b
+    img = [to.get(i, i) for i in range(1, degree + 1)]
+    return Permutation(img)
+
+
 def reference_apply_word(gens: GeneratorSet, word: Sequence[str]) -> Permutation:
     """The word's product as a left fold of ``compose``, one letter at a time."""
     out = identity(gens.degree)
@@ -434,6 +470,47 @@ def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:
 
     canon = [tuple(sorted(cl)) for cl in f.clauses]
     return Counter(map(mapped, f.clauses)) == Counter(canon)
+
+
+def reference_formula_clauses(c: FlipInstance) -> list[tuple[int, ...]]:
+    """``build_formula``'s clauses, each copy's gadget clauses built from
+    its own pairs with a set union and a sort, then the twin clauses and
+    the coupling biconditionals."""
+    layout = Layout(c, gate_var=True)
+    n = c.n
+
+    def lit(k: int, value: int) -> int:
+        return 2 * k - value
+
+    def bicond(a: int, b: int) -> list[tuple[int, ...]]:
+        return [tuple(sorted((-a, b))), tuple(sorted((a, -b)))]
+
+    clauses: list[tuple[int, ...]] = []
+    for j in range(n + 1):
+
+        def source(src) -> int:
+            return layout.pair(j, "in" if src[0] == "x" else "w", src[1])
+
+        for gid, (s1, s2) in enumerate(c.gates, start=1):
+            u, v, w = source(s1), source(s2), layout.pair(j, "w", gid)
+            quads = [layout.pair(j, "quad", gid, q) for q in QUADRANTS]
+            for a1 in (1, 0):
+                for a2 in (1, 0):
+                    for b in (1, 0):
+                        premise = {-lit(u, a1), -lit(v, a2), -lit(w, b)}
+                        for k, lab in zip(quads, GADGET[f"{a1}{a2}{b}"]):
+                            clauses.append(tuple(sorted(premise | {lit(k, int(lab))})))
+    for v in range(1, layout.points + 1, 2):
+        clauses.append((v, v + 1))
+        clauses.append((-(v + 1), -v))
+    for i1 in range(n + 1):
+        for i2 in range(i1 + 1, n + 1):
+            for jj in range(1, n + 1):
+                a, b = layout.pair(i1, "in", jj), layout.pair(i2, "in", jj)
+                flipped = int(jj in (i1, i2))
+                clauses += bicond(lit(a, 1), lit(b, 1 - flipped))
+                clauses += bicond(lit(a, 0), lit(b, flipped))
+    return clauses
 
 
 def reference_satisfies(f: CnfFormula, assignment: str) -> bool:

@@ -68,6 +68,17 @@ def test_one_perm_json(capsys):
     assert record["k"] == 1 and record["string"] == "01"
 
 
+def test_one_perm_under_an_order(capsys):
+    # position 3 ranks first, so the cycle (3 4) decides, and one step
+    # moves the 0 at position 4 to position 3
+    code, out, _ = run(
+        capsys,
+        ["one-perm", "--string", "0010", "--perm", "(1 2)(3 4)", "--order", "3 4 1 2", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"k": 1, "cycle": 3, "string": "0001", "witness": "(1 2)(3 4)"}
+
+
 def test_orbit_min(capsys):
     code, out, _ = run(capsys, ["orbit-min", "--string", "0101", "--perm", "(1 2 3 4)"])
     assert code == 0
@@ -200,8 +211,8 @@ def test_orbit_commands_end_in_exit_status_0_1_or_2(command, string, perm_text, 
     """Whatever the arguments, ``main`` returns 0, 1 or 2 or argparse exits;
     no other exception escapes."""
     argv = [command, f"--string={string}", f"--perm={perm_text}"]
+    argv += [] if order is None else [f"--order={order}"]
     if command == "orbit-min":
-        argv += [] if order is None else [f"--order={order}"]
         argv += [] if cap is None else [f"--cap={cap}"]
     argv += ["--format=json"] if as_json else []
     try:

@@ -25,7 +25,7 @@ from lexperm.perm import (
     permute_string,
 )
 
-from reference_impl import OrbitCapExceeded, enumerate_models, orbit_of_string
+from reference_impl import OrbitCapExceeded, enumerate_models, orbit_of_string, reference_formula_clauses
 from strategies import small_circuits
 
 MINIMAL = FlipInstance(1, ((("x", 1), ("x", 1)),), (1,))
@@ -152,6 +152,24 @@ def test_dimacs_round_trip():
 def test_dimacs_format_parse_round_trip(c):
     f = build_formula(c)
     assert parse_dimacs(format_dimacs(f)) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_circuits(max_inputs=5, max_gates=6))
+def test_build_formula_clauses_match_the_copy_by_copy_build(c):
+    assert list(build_formula(c).clauses) == reference_formula_clauses(c)
+
+
+_LITERAL = st.integers(1, 10**6).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(_LITERAL, max_size=8).map(tuple), max_size=12))
+def test_format_dimacs_writes_each_clause_line_as_its_literals_and_0(clauses):
+    f = CnfFormula(10**6, tuple(clauses), (), GeneratorSet(10**6, (), ()))
+    header, *lines = format_dimacs(f).splitlines()
+    assert header == f"p cnf {10**6} {len(clauses)}"
+    assert lines == [" ".join(map(str, clause)) + " 0" for clause in clauses]
 
 
 def test_empty_formula_dimacs():

@@ -17,9 +17,11 @@ def test_first_rung_fills_its_row():
     assert header.startswith("| rung (n,G,m) |") and rule.startswith("| --- |")
     assert len(rows) == 1
     cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
-    assert len(cells) == 13 and cells[0] == "4,8,3"
+    assert len(cells) == 15 and cells[0] == "4,8,3"
     assert cells[4].endswith(" ms") and cells[5].endswith(" ms")  # format, parse
     assert "`check_symmetry` ×K" in header.split("|")[9] and cells[8].endswith(" s")
-    assert "local_opt" in cells[9]
-    replay, membership, chain = cells[10:]
+    assert "`format_dimacs`" in header.split("|")[10] and cells[9].endswith(" ms")
+    assert "`parse_dimacs`" in header.split("|")[11] and cells[10].endswith(" ms")
+    assert "local_opt" in cells[11] and cells[11].split(" (")[0].endswith(" ms")  # the walk
+    replay, membership, chain = cells[12:]
     assert replay.endswith(" ms") and membership.endswith(" ms") and chain.endswith(" s")

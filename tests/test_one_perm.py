@@ -23,6 +23,7 @@ from reference_impl import (
     dense_power,
     random_dcr_instance,
     random_permutation,
+    reference_is_local_min,
     reference_orbit_min,
 )
 
@@ -91,6 +92,40 @@ def test_prefix_before_decisive_cycle_is_orbit_constant():
         for _ in range(perm_order(p)):
             s = permute_string(s, p)
             assert s[:limit] == bits[:limit]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.text(alphabet="01", min_size=n, max_size=n),
+    st.permutations(range(1, n + 1)),
+    st.permutations(range(1, n + 1)),
+)))
+def test_local_min_under_an_order_is_a_local_min(case):
+    bits, image, rank = case
+    p, order = Permutation(image), bitlex.PriorityOrder(tuple(rank))
+    res = local_min_one_perm(bits, p, order=order)
+    assert res.witness == power(p, res.exponent)
+    assert reference_is_local_min(bits, order, _gens(p), res.witness)
+    if res.cycle_id is not None:
+        # the decisive cycle's most significant member
+        cycle = next(c for c in cycle_decomposition(p) if res.cycle_id in c)
+        assert min(map(rank.index, cycle)) == rank.index(res.cycle_id)
+        assert len({bits[i - 1] for i in cycle}) == 2
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.text(alphabet="01", min_size=n, max_size=n), st.permutations(range(1, n + 1))
+)))
+def test_local_min_under_the_identity_order_is_the_unordered_one(case):
+    bits, image = case
+    p = Permutation(image)
+    assert local_min_one_perm(bits, p, order=bitlex.identity_order(len(bits))) == local_min_one_perm(bits, p)
+
+
+def test_local_min_order_must_match_the_degree():
+    with pytest.raises(LengthMismatch):
+        local_min_one_perm("010", parse_cycles("(1 2 3)", 3), order=bitlex.identity_order(2))
 
 
 def test_degree_mismatch():

@@ -46,6 +46,7 @@ from reference_impl import (
     reference_apply_word,
     reference_apply_word_to_string,
     reference_format_cycles,
+    reference_parse_cycles,
 )
 
 perms = st.integers(1, 8).flatmap(
@@ -172,6 +173,48 @@ def test_parse_cycles_reads_plain_decimal_only(text):
 
 def test_parse_cycles_reads_leading_zeros_commas_and_any_spacing():
     assert parse_cycles(" (01,2)\t(3  4) ", 4) == parse_cycles("(1 2)(3 4)", 4)
+
+
+def _parse_outcome(parse, text: str, degree: int):
+    """The permutation a parser returns, or its error's class and message."""
+    try:
+        return parse(text, degree)
+    except LexpermError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cycle_texts(draw, degree: int = 6) -> str:
+    """Cycle notation that may hold overlaps, 0 and out-of-range points,
+    a non-decimal token, one-point and empty cycles, commas, leading zeros
+    and text outside the cycles."""
+    number = st.sampled_from([*range(1, degree + 1)] * 4 + [0, degree + 1, degree + 2])
+    point = st.builds("{}{}".format, st.sampled_from(["", "", "", "0", "00"]), number)
+    sep = st.sampled_from([" ", "  ", ",", ", ", "\t", " ,"])
+    cycles = draw(st.lists(st.lists(point, max_size=5), max_size=5))
+    if cycles and draw(st.sampled_from([False] * 4 + [True])):  # a non-decimal token
+        tokens = draw(st.sampled_from(cycles))
+        bad = draw(st.sampled_from(["x", "+1", "-2", "1_0", "\uff13", "\u00b2", "9" * 5000]))
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    parts = [draw(st.sampled_from(["", " "]))]
+    for tokens in cycles:
+        body = "".join(t + draw(sep) for t in tokens).rstrip(" ,\t")
+        parts += ["(" + draw(st.sampled_from(["", " "])) + body + ")", draw(st.sampled_from(["", " ", "\t"]))]
+    if draw(st.sampled_from([False] * 5 + [True])):  # text outside the cycles
+        junk = draw(st.sampled_from([",", "junk", "(", ")", "1"]))
+        parts.insert(draw(st.integers(0, len(parts))), junk)
+    return "".join(parts)
+
+
+@given(cycle_texts())
+@settings(max_examples=500, deadline=None)
+@example("(1 2)(2 3)(x)")  # a bad token after an earlier overlap
+@example("(1 9)(2 x)")  # a bad token after an earlier range fault
+@example("(1 2)(3 4)(4)")  # an overlap through a one-point cycle
+@example("(0)")
+@example("()(1,02)( )")
+def test_parse_cycles_matches_the_ordered_reader(text):
+    assert _parse_outcome(parse_cycles, text, 6) == _parse_outcome(reference_parse_cycles, text, 6)
 
 
 def test_format_round_trip_random():

@@ -14,9 +14,12 @@ columns are that rung's own peak (``ru_maxrss``):
 - the RSS after ``build_formula`` as well, with the instance still held;
 - ``check_symmetry`` of that formula with each of its K generators (its
   ``c sym`` lines), the first call building the formula's clause index;
+- the DIMACS round trip of that formula: ``format_dimacs`` and
+  ``parse_dimacs`` of its text;
 - the instance file round trip: ``format_instance`` and ``parse_instance``
   of its text (which rebuilds the instance and checks every line);
-- the walk (``standard_algorithm`` from ``y_start``) and its steps;
+- the walk (``standard_algorithm`` from ``y_start``), in milliseconds,
+  and its steps;
 - ``apply_word`` of the walk's word: the word replayed into a permutation;
 - the first ``membership`` query of the walk endpoint on the instance's
   generators, which the reduction's structural test answers;
@@ -70,7 +73,14 @@ def measure(index: int) -> dict:
     for p in f.symmetries.perms:
         cnf.check_symmetry(f, p)
     row["check_symmetry_s"] = perf_counter() - t
+    t = perf_counter()
+    text = cnf.format_dimacs(f)
+    row["format_dimacs_s"] = perf_counter() - t
     del f
+    t = perf_counter()
+    cnf.parse_dimacs(text)
+    row["parse_dimacs_s"] = perf_counter() - t
+    del text
     t = perf_counter()
     text = reduction.format_instance(inst)
     row["format_s"] = perf_counter() - t
@@ -126,23 +136,24 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(
         "| rung (n,G,m) | N | K | `build_instance` | `format_instance` | `parse_instance` "
-        "| RSS after build | RSS after `build_formula` | `check_symmetry` ×K | walk (steps) | `apply_word` "
-        "| first `membership` | with a chain |"
+        "| RSS after build | RSS after `build_formula` | `check_symmetry` ×K | `format_dimacs` | `parse_dimacs` "
+        "| walk (steps) | `apply_word` | first `membership` | with a chain |"
     )
-    print("| --- " * 13 + "|")
+    print("| --- " * 15 + "|")
     for index in range(min(args.rungs, len(RUNGS))):
         row = run_rung(index, args.max_gb)
         rung = ",".join(map(str, row["rung"]))
         chain = f"{row['chain_membership_s']:.2f} s" if "chain_membership_s" in row else ""
         if "failed" in row:
-            print(f"| {rung} | | | {row['failed']} |" + " |" * 9, flush=True)
+            print(f"| {rung} | | | {row['failed']} |" + " |" * 11, flush=True)
             continue
         print(
             f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
             f"{row['format_s'] * 1e3:.1f} ms | {row['parse_s'] * 1e3:.1f} ms | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
             f"{row['check_symmetry_s']:.2f} s | "
-            f"{row['walk_s']:.2f} s ({row['steps']:,} {row['status']}) | "
+            f"{row['format_dimacs_s'] * 1e3:.1f} ms | {row['parse_dimacs_s'] * 1e3:.1f} ms | "
+            f"{row['walk_s'] * 1e3:.1f} ms ({row['steps']:,} {row['status']}) | "
             f"{row['apply_word_s'] * 1e3:.1f} ms | "
             f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
             flush=True,
