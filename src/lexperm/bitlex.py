@@ -26,6 +26,14 @@ class PriorityOrder:
         if sorted(self.rank) != list(range(1, n + 1)):
             raise ValueError(f"rank is not a permutation of 1..{n}")
 
+    @classmethod
+    def _unchecked(cls, rank: tuple[int, ...]) -> "PriorityOrder":
+        """Wrap a rank list without validating it; only for lists that a
+        builder makes a permutation of 1..N by construction."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "rank", rank)
+        return order
+
     @property
     def degree(self) -> int:
         return len(self.rank)

@@ -117,7 +117,7 @@ def _cmd_reduce_search(args) -> int:
 
 def _cmd_dcr_solve(args) -> int:
     inst = dcr.parse_dcr(_read(args.file))
-    t = dcr.solve_bruteforce(inst, cap=args.cap)
+    t = dcr.solve(inst, cap=args.cap)
     print("UNSAT" if t is None else f"t {t}")
     return 0
 

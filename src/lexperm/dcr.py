@@ -10,10 +10,10 @@ cycle per constraint, one 1 per cycle, forbidden labels ranked first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from math import isqrt, lcm, log
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bitlex import PriorityOrder, check_bits, read_decimal, read_decimals
 from .errors import (
@@ -27,8 +27,9 @@ from .errors import (
 from .one_perm import _lift
 from .perm import Permutation, _cycles
 
-# bytes of False/True -> binary digits
+# bytes of False/True -> binary digits, and -> their complements
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
+_ALLOWED = bytes.maketrans(b"\x00\x01", b"10")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,10 +79,46 @@ def solve_bruteforce(inst: DcrInstance, cap: int = 10**6) -> int | None:
     return None
 
 
+def solve(inst: DcrInstance, cap: int = 10**6) -> int | None:
+    """Smallest solution t in [0, lcm), or None when the system has none,
+    as ``solve_bruteforce`` finds it and with its refusal above the cap.
+
+    A residue sieve decides, with no point and no step per t: each
+    constraint with a forbidden remainder gives the m-bit int of its
+    allowed residues, and ``_sieve`` ANDs those into one bitset over the
+    lcm of their moduli.  Memory is that lcm in bits."""
+    span = inst.lcm
+    if span > cap:
+        raise LcmCapExceeded(f"lcm {span} exceeds cap {cap}")
+    allowed = []
+    for m, forbidden in inst.constraints:
+        if forbidden:
+            # binary digit m - 1 - r is 0 iff residue r is forbidden
+            digits = bytes(map(forbidden.__contains__, reversed(range(m)))).translate(_ALLOWED)
+            allowed.append((m, int(digits, 2)))
+    return _sieve(allowed)
+
+
+def _sieve(allowed: Iterable[tuple[int, int]]) -> int | None:
+    """Smallest t >= 0 whose residue modulo each L is allowed, or None when
+    no t is, for (L, bits) pairs in which bit r of bits is set iff residue
+    r is allowed.  The candidates are one bitset over the lcm M of the L
+    seen so far; each pair lifts it to lcm(M, L) when L adds to M and
+    ANDs in its bits repeated out to that length.  An empty bitset means
+    there is no t; otherwise the answer is its lowest set bit."""
+    candidates, modulus = 1, 1
+    for length, bits in allowed:
+        candidates, modulus = _lift(candidates, modulus, length)
+        candidates &= _lift(bits, length, modulus)[0]
+        if not candidates:
+            return None
+    return (candidates & -candidates).bit_length() - 1
+
+
 def _check_moduli(moduli: Iterable[int]) -> None:
     """Raise ``LcmCapExceeded`` at the first modulus above 10**6: an
     encoder spends at least one item per residue of each modulus, and the
-    system's lcm is at least that modulus, so ``solve_bruteforce`` and
+    system's lcm is at least that modulus, so ``solve`` and
     ``orbit_min_one_perm`` refuse the system at their default caps too."""
     for m in moduli:
         if m > 10**6:
@@ -111,9 +148,11 @@ def coloring_to_dcr(g: Graph) -> tuple[DcrInstance, tuple[int, ...]]:
 
     Vertex i gets the i-th odd prime; color classes are residue 0, residue
     1, and everything >= 2.  For each edge the forbidden residues modulo
-    p_u * p_v are exactly those whose residue pair means equal colors;
-    an edge whose modulus exceeds 10**6 raises ``LcmCapExceeded`` before
-    any is listed.
+    p_u * p_v are exactly those whose residue pair means equal colors: by
+    the CRT only 0 and 1 have the pair (0, 0) or (1, 1), so they are 0, 1
+    and every c >= 2 whose residues modulo p_u and p_v are both >= 2.  An
+    edge whose modulus exceeds 10**6 raises ``LcmCapExceeded`` before any
+    is listed.
     """
     primes = first_odd_primes(g.n)
     _check_moduli(primes[u - 1] * primes[v - 1] for u, v in g.edges)
@@ -121,13 +160,11 @@ def coloring_to_dcr(g: Graph) -> tuple[DcrInstance, tuple[int, ...]]:
     for u, v in g.edges:
         pu, pv = primes[u - 1], primes[v - 1]
         m = pu * pv
-        forbidden = frozenset(
-            c
-            for c in range(m)
-            for a, b in [(c % pu, c % pv)]
-            if (a, b) == (0, 0) or (a, b) == (1, 1) or (a >= 2 and b >= 2)
-        )
-        constraints.append((m, forbidden))
+        # both[c] ends 1 iff c mod pu >= 2 and c mod pv >= 2
+        both = bytearray(b"\x01") * m
+        for q in (pu, pv):
+            both[0::q] = both[1::q] = bytes(m // q)
+        constraints.append((m, frozenset([0, 1, *compress(range(m), both)])))
     return DcrInstance(tuple(constraints)), primes
 
 
@@ -182,28 +219,36 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
     The cycle rotates labels downward so that start . p^t carries its 1 at
     label t mod m in every cycle.  A modulus above 10**6, or moduli that
     sum to more than 10**6 points, raise ``LcmCapExceeded`` before any
-    point is made.
+    point is made.  Each constraint is written whole: its cycle's support
+    as two ranges (m = 1 is a fixed point), its forbidden labels in label
+    order and then the rest; the permutation and the order are permutations
+    of 1..N by construction and are wrapped unchecked.
     """
     _check_moduli(m for m, _ in inst.constraints)
     points = sum(m for m, _ in inst.constraints)
     if points > 10**6:
         raise LcmCapExceeded(f"moduli sum to {points} points, above cap {10**6}")
-    image: list[int] = []
-    bits: list[str] = []
+    start: list[str] = []
+    moved: list[int] = []
+    moved_to: list[int] = []
     ranked_first: list[int] = []
     ranked_rest: list[int] = []
     offset = 0
     for m, forbidden in inst.constraints:
-        for label in range(m):
-            pos = offset + label + 1
-            image.append(offset + (label - 1) % m + 1)
-            bits.append("1" if label == 0 else "0")
-            (ranked_first if label in forbidden else ranked_rest).append(pos)
+        # label l sits at point offset + l + 1 and goes to label l - 1 mod m
+        first = offset + 1
+        start.append("1" + "0" * (m - 1))
+        if m > 1:
+            moved += range(first, first + m)
+            moved_to.append(offset + m)
+            moved_to += range(first, offset + m)
+        ranked_first += map(first.__add__, sorted(forbidden))
+        ranked_rest += map(first.__add__, filterfalse(forbidden.__contains__, range(m)))
         offset += m
     return GlobalMinOneInstance(
-        start="".join(bits),
-        perm=Permutation(tuple(image)),
-        order=PriorityOrder(tuple(ranked_first + ranked_rest)),
+        start="".join(start),
+        perm=Permutation._unchecked(offset, tuple(moved), tuple(moved_to)),
+        order=PriorityOrder._unchecked(tuple(ranked_first + ranked_rest)),
         forbidden=tuple(ranked_first),
     )
 
@@ -218,10 +263,8 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     After t steps the point at index k of a cycle of length L holds what
     start holds at index (k + t) mod L, so each 1 at index o and each
     forbidden point at index k of the cycle bar every t = o - k (mod L).
-    Each cycle's allowed residues, repeated out, are ANDed into one bitset
-    over the lcm M of the lengths seen so far, lifted when a new length
-    adds to M.  An empty bitset means there is no t; otherwise the answer
-    is its lowest set bit.  A forbidden fixed point that holds a 1 bars
+    ``_sieve`` ANDs each cycle's allowed residues into one bitset over
+    the lcm of the lengths.  A forbidden fixed point that holds a 1 bars
     every t.  The cost is a pass over the N points and bitsets of up to
     the order's bits, not a step per exponent."""
     n = gm.perm.degree
@@ -246,7 +289,13 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
         if image[o - 1] == o and o in forbidden:
             return None
         o = held.find("1", o + 1)
-    candidates, modulus = 1, 1
+    return _sieve(_cycle_residues(cycles, held, flags))
+
+
+def _cycle_residues(cycles: list[list[int]], held: str, flags: str) -> Iterator[tuple[int, int]]:
+    """(L, allowed) for each cycle whose 1s meet a forbidden point, as
+    ``zero_forbidden_witness`` describes; held and flags are indexed by
+    point."""
     for cyc in cycles:
         along = itemgetter(*cyc)
         ones = "".join(along(held))
@@ -265,11 +314,7 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
         while o != -1:
             allowed &= ~((barred << o | barred >> (length - o)) & full)
             o = ones.find("1", o + 1)
-        candidates, modulus = _lift(candidates, modulus, length)
-        candidates &= _lift(allowed, length, modulus)[0]
-        if not candidates:
-            return None
-    return (candidates & -candidates).bit_length() - 1
+        yield length, allowed
 
 
 def parse_dcr(text: str) -> DcrInstance:

@@ -4,14 +4,17 @@ With one generator the neighborhood of the power p^k is just p^(k+1), and
 a local optimum can be found in polynomial time by inspecting the cycle
 structure.  The global problem stays hard (NP-complete), so the global
 routine here is exact but still exponential in the worst case: it narrows
-a bitset of candidate exponents position by position, and refuses
-permutations whose order exceeds a cap.
+a bitset of candidate exponents position by position, or a run of one
+cycle's positions at a time in residues, and refuses permutations whose
+order exceeds a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 from .bitlex import PriorityOrder, check_bits, sort_key
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
@@ -42,6 +45,17 @@ def _lift(bits: int, period: int, length: int) -> tuple[int, int]:
         bits |= bits << period
         period *= 2
     return bits & ((1 << lifted) - 1), lifted
+
+
+def _fold(bits: int, modulus: int, length: int) -> int:
+    """The residues modulo ``length`` of a bitset over exponents modulo
+    ``modulus``, a multiple of it: the OR of its ``length``-bit chunks,
+    folding the upper half of the chunks onto the lower half."""
+    while modulus > length:
+        half = (modulus // length + 1) // 2 * length
+        bits = bits & ((1 << half) - 1) | bits >> half
+        modulus = half
+    return bits
 
 
 def local_min_one_perm(
@@ -120,8 +134,25 @@ def orbit_min_one_perm(
     allows: its cycle's 0s, rotated to the position and repeated out to
     M.  One candidate settles the answer only once M is the order of p:
     below that it can still split on the cycles not yet seen.  The answer
-    is the lowest set bit.  The worst case is O(order * N) bit operations,
-    in O(order) bits of memory.
+    is the lowest set bit.
+
+    The positions are taken in runs of consecutive ones on one cycle (the
+    order ``dcr_to_globalmin1`` gives is a run per constraint for its
+    forbidden labels and one for the rest).  A run of r positions on a
+    cycle of length L that is longer than log2(M/L), which is seen before
+    the run spends any big-int operation, is narrowed in residues: the
+    candidates are folded to the residues modulo L they hold (the OR of
+    their L-bit chunks), the residues are narrowed position by position
+    by the same keep-if-any rule on L-bit ints, and the result, repeated
+    out to M, is ANDed into the candidates once.  That keeps the same
+    candidates as the steps on M bits: every mask in the run depends only
+    on t mod L, so a mask keeps some candidate iff it keeps some residue,
+    and the kept candidates' residues are the kept residues.  A shorter
+    run steps on M bits, stopping at a settled answer.
+
+    A position stepped on M bits costs O(M) bit operations, and a run
+    narrowed in residues O(M + r * L), so a string's worst case is
+    O(order * N), in O(order) bits of memory.
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
@@ -133,42 +164,58 @@ def orbit_min_one_perm(
     if n_steps > cap:
         raise OrderCapExceeded(f"permutation order {n_steps} exceeds cap {cap}")
     # zero pattern of a cycle of length L: the L-bit int with bit j set iff
-    # the j-th point along the cycle holds a 0; point i -> (its cycle, its
+    # the j-th point along the cycle holds a 0; where[i] = (its cycle, its
     # index k in it), so that (bits . p^t)(i) is 0 iff bit (k + t) % L of
     # the pattern is set; fixed points are in no cycle and never change
+    held = "0" + bits  # held[i] is what bits holds at point i
     patterns: list[tuple[int, int]] = []
-    where: dict[int, tuple[int, int]] = {}
-    for cyc in cycles:
-        zeros = int("".join([bits[i - 1] for i in reversed(cyc)]).translate(_FLIP), 2)
+    where: list[tuple[int, int] | None] = [None] * len(held)
+    for c, cyc in enumerate(cycles):
+        zeros = int("".join(itemgetter(*cyc)(held))[::-1].translate(_FLIP), 2)
         for k, i in enumerate(cyc):
-            where[i] = len(patterns), k
+            where[i] = c, k
         patterns.append((len(cyc), zeros))
+    ranked = order.rank if order is not None else range(1, p.degree + 1)
     candidates, modulus = 1, 1
     # cycle -> its pattern repeated out to modulus + L bits, so that the
     # zero mask of the point at index k is this shifted down by k
     repeated: dict[int, int] = {}
-    for i in order.rank if order is not None else range(1, p.degree + 1):
-        entry = where.get(i)
-        if entry is None:
-            continue
-        c, k = entry
+    for c, run in groupby(filter(None, map(where.__getitem__, ranked)), itemgetter(0)):
+        run = list(run)
         length, zeros = patterns[c]
         if modulus % length:
             candidates, modulus = _lift(candidates, modulus, length)
             repeated.clear()
+        # longer than log2(M/L): through residues (a single position never is)
+        if len(run) > 1 and len(run) > (modulus // length).bit_length():
+            residues = _fold(candidates, modulus, length)
+            doubled = zeros | zeros << length
+            for _, k in run:
+                kept = residues & doubled >> k
+                if kept:
+                    residues = kept
+            candidates &= _lift(residues, length, modulus)[0]
+            if modulus == n_steps and candidates.bit_count() == 1:
+                break
+            continue
         mask = repeated.get(c)
         if mask is None:
             mask = repeated[c] = zeros * (((1 << (modulus + length)) - 1) // ((1 << length) - 1))
-        kept = candidates & mask >> k
-        if kept:
-            candidates = kept
-            if kept & (kept - 1) == 0 and modulus == n_steps:
-                break
+        for _, k in run:
+            kept = candidates & mask >> k
+            if kept:
+                candidates = kept
+                if modulus == n_steps and kept.bit_count() == 1:
+                    break
+        else:
+            continue
+        break  # settled inside the run
     t = (candidates & -candidates).bit_length() - 1
     # bits . p^t carries bits[cyc[(k + t) % L]] at cyc[k]
-    out = list(bits)
+    out = list(held)
     for cyc in cycles:
         shift = t % len(cyc)
-        for i, j in zip(cyc, cyc[shift:] + cyc[:shift]):
-            out[i - 1] = bits[j - 1]
-    return t, "".join(out)
+        if shift:
+            for i, b in zip(cyc, itemgetter(*cyc[shift:], *cyc[:shift])(held)):
+                out[i] = b
+    return t, "".join(out)[1:]

@@ -14,7 +14,8 @@ re-assembling through the layout, the layout assembles and decodes
 slot by slot through one ``GateState`` per gadget, the walk rebuilds
 each trace entry from rank space, and the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
-one whole string per step, a word acts on a string through one
+one whole string per step, the graph and system encoders test every
+residue and place every point one by one, a word acts on a string through one
 whole-string join per letter and its product is a left fold of
 ``compose``, supports and cycle text come from a scan of every entry
 of the image, cycle notation is read cycle by cycle with each point
@@ -47,7 +48,7 @@ from typing import Sequence
 from lexperm.bitlex import PriorityOrder, check_bits, read_decimals, sort_key
 from lexperm.circuit import FlipInstance, Source
 from lexperm.cnf import CnfFormula
-from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph
+from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph, first_odd_primes
 from lexperm.errors import (
     DegreeMismatch,
     FormatError,
@@ -459,6 +460,46 @@ def reference_zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6)
             return t
         s = permute_string(s, gm.perm)
     return None
+
+
+def reference_coloring_to_dcr(g: Graph) -> tuple[DcrInstance, tuple[int, ...]]:
+    """Test every residue modulo p_u * p_v for a pair of equal colors."""
+    primes = first_odd_primes(g.n)
+    constraints = []
+    for u, v in g.edges:
+        pu, pv = primes[u - 1], primes[v - 1]
+        m = pu * pv
+        forbidden = frozenset(
+            c
+            for c in range(m)
+            for a, b in [(c % pu, c % pv)]
+            if (a, b) == (0, 0) or (a, b) == (1, 1) or (a >= 2 and b >= 2)
+        )
+        constraints.append((m, forbidden))
+    return DcrInstance(tuple(constraints)), primes
+
+
+def reference_dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
+    """Place every label's point, image entry, bit and rank one by one,
+    and validate the dense image and the order."""
+    image: list[int] = []
+    bits: list[str] = []
+    ranked_first: list[int] = []
+    ranked_rest: list[int] = []
+    offset = 0
+    for m, forbidden in inst.constraints:
+        for label in range(m):
+            pos = offset + label + 1
+            image.append(offset + (label - 1) % m + 1)
+            bits.append("1" if label == 0 else "0")
+            (ranked_first if label in forbidden else ranked_rest).append(pos)
+        offset += m
+    return GlobalMinOneInstance(
+        start="".join(bits),
+        perm=Permutation(tuple(image)),
+        order=PriorityOrder(tuple(ranked_first + ranked_rest)),
+        forbidden=tuple(ranked_first),
+    )
 
 
 def reference_check_symmetry(f: CnfFormula, p: Permutation) -> bool:

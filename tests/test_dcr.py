@@ -16,6 +16,7 @@ from lexperm.dcr import (
     dcr_to_globalmin1,
     decode_coloring,
     first_odd_primes,
+    solve,
     solve_bruteforce,
     three_colorable_bruteforce,
     zero_forbidden_witness,
@@ -35,9 +36,19 @@ from reference_impl import (
     format_graph,
     is_proper_coloring,
     random_dcr_instance,
+    reference_coloring_to_dcr,
+    reference_dcr_to_globalmin1,
     reference_first_odd_primes,
     reference_zero_forbidden_witness,
 )
+
+small_systems = st.lists(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.frozensets(st.integers(0, m - 1)))
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda cs: DcrInstance(tuple(cs)))
 
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
 K4 = Graph(4, tuple(itertools.combinations(range(1, 5), 2)))
@@ -55,8 +66,72 @@ def test_solve_small_system():
 
 def test_solve_cap():
     inst = DcrInstance(((1000, frozenset()), (999, frozenset())))
-    with pytest.raises(LcmCapExceeded):
-        solve_bruteforce(inst, cap=10**4)
+    for solver in (solve, solve_bruteforce):
+        with pytest.raises(LcmCapExceeded, match="^lcm 999000 exceeds cap 10000$"):
+            solver(inst, cap=10**4)
+
+
+def _refusal_or(solver, inst, cap):
+    try:
+        return solver(inst, cap=cap)
+    except LcmCapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "constraints, expected",
+    [
+        (((1, {0}),), None),
+        (((1, set()),), 0),
+        (((1, set()), (3, {0, 1})), 2),
+        (((2, {0}), (1, set()), (3, {1})), 3),
+        (((5, {0}), (1, {0}), (7, {0})), None),
+    ],
+    ids=["forbidden", "free", "free-then-mod-3", "free-between", "forbidden-between"],
+)
+def test_solve_systems_with_modulus_one(constraints, expected):
+    inst = DcrInstance(tuple((m, frozenset(f)) for m, f in constraints))
+    assert solve(inst) == solve_bruteforce(inst) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems, st.one_of(st.integers(1, 400), st.just(10**6)))
+def test_solve_agrees_with_bruteforce_under_and_over_the_cap(inst, cap):
+    assert _refusal_or(solve, inst, cap) == _refusal_or(solve_bruteforce, inst, cap)
+
+
+def _same_globalmin(gm, ref):
+    """Field by field, and the permutation's support as a validated dense
+    image would give it."""
+    assert gm.start == ref.start
+    assert gm.perm == ref.perm == Permutation(gm.perm.image)
+    assert gm.order == ref.order
+    assert gm.forbidden == ref.forbidden
+
+
+def test_encoders_and_solve_agree_with_references_on_every_graph_up_to_five_vertices():
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = _graph(n, mask)
+            system, primes = coloring_to_dcr(g)
+            assert (system, primes) == reference_coloring_to_dcr(g)
+            _same_globalmin(dcr_to_globalmin1(system), reference_dcr_to_globalmin1(system))
+            assert solve(system) == solve_bruteforce(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems)
+@example(DcrInstance(((1, frozenset({0})), (2, frozenset()), (1, frozenset()))))
+@example(DcrInstance(()))
+def test_globalmin_encoder_agrees_with_reference(inst):
+    _same_globalmin(dcr_to_globalmin1(inst), reference_dcr_to_globalmin1(inst))
+
+
+def test_globalmin_encoder_agrees_with_reference_on_random_systems():
+    rng = Random(47)
+    for _ in range(200):
+        inst = random_dcr_instance(rng, 6, 40)
+        _same_globalmin(dcr_to_globalmin1(inst), reference_dcr_to_globalmin1(inst))
 
 
 def test_encoders_refuse_a_modulus_above_the_cap():
@@ -195,9 +270,11 @@ def test_globalmin_witness_matches_solver():
 
 def test_random_agreement():
     rng = Random(41)
-    for _ in range(100):
-        inst = random_dcr_instance(rng)
-        assert solve_bruteforce(inst) == zero_forbidden_witness(dcr_to_globalmin1(inst))
+    for shape in [(4, 7)] * 300 + [(4, 12)] * 100:
+        inst = random_dcr_instance(rng, *shape)
+        t = solve_bruteforce(inst)
+        assert zero_forbidden_witness(dcr_to_globalmin1(inst)) == t
+        assert solve(inst) == t
 
 
 def _capped(solver, arg, cap):
@@ -205,15 +282,6 @@ def _capped(solver, arg, cap):
         return solver(arg, cap=cap)
     except (OrderCapExceeded, LcmCapExceeded):
         return "cap"
-
-
-small_systems = st.lists(
-    st.integers(1, 12).flatmap(
-        lambda m: st.tuples(st.just(m), st.frozensets(st.integers(0, m - 1)))
-    ),
-    min_size=1,
-    max_size=4,
-).map(lambda cs: DcrInstance(tuple(cs)))
 
 
 @settings(max_examples=300, deadline=None)

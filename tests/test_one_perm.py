@@ -1,4 +1,5 @@
 import itertools
+from math import lcm
 from random import Random
 
 import pytest
@@ -189,6 +190,75 @@ def test_orbit_min_single_residue_can_still_split():
     p = parse_cycles("(1 2)(3 4 5)", 5)
     assert orbit_min_one_perm("01110", p) == (2, "01011")
     assert reference_orbit_min("01110", p) == (2, "01011")
+
+
+def test_orbit_min_residue_run_leaves_candidates_a_later_cycle_splits():
+    # position 1 keeps t = 0 (mod 3); the run 4 5 6 7 of the 4-cycle is
+    # long enough to be narrowed in residues modulo 4 and leaves t in
+    # {0, 6} (mod 12); position 8 of the 5-cycle then drops t = 0, and the
+    # rest of the 5-cycle, one position at a time, keeps t in {6, 36}
+    p = parse_cycles("(1 2 3)(4 5 6 7)(8 9 10 11 12)", 12)
+    order = bitlex.PriorityOrder((1, 4, 5, 6, 7, 8, 2, 3, 9, 10, 11, 12))
+    expected = (6, "011010100001")
+    assert orbit_min_one_perm("011010110000", p, order=order) == expected
+    assert reference_orbit_min("011010110000", p, order=order) == expected
+
+
+def _cycles_image(cycles: list[list[int]], n: int) -> tuple[int, ...]:
+    image = list(range(1, n + 1))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            image[a - 1] = b
+    return tuple(image)
+
+
+@st.composite
+def ranked_runs(draw):
+    """(bits, p, order): a permutation of degree at most 40 and order at
+    most 5,000, and an order that ranks the points of one cycle at a time,
+    a run of any length or a single position, so that one scan narrows
+    some runs in residues and steps through others, and lifts its modulus
+    between them."""
+    lengths: list[int] = []
+    for length in draw(st.lists(st.integers(1, 16), min_size=1, max_size=10)):
+        if sum(lengths) + length <= 40 and lcm(*lengths, length) <= 5000:
+            lengths.append(length)
+    n = sum(lengths)
+    points = draw(st.permutations(range(1, n + 1)))
+    cycles = [points[sum(lengths[:c]) : sum(lengths[: c + 1])] for c in range(len(lengths))]
+    p = Permutation(_cycles_image(cycles, n))
+    left = [list(draw(st.permutations(cyc))) for cyc in cycles]
+    rank: list[int] = []
+    while any(left):
+        c = draw(st.sampled_from([c for c, rest in enumerate(left) if rest]))
+        size = draw(st.one_of(st.just(1), st.just(len(left[c])), st.integers(1, len(left[c]))))
+        rank += left[c][:size]
+        del left[c][:size]
+    if draw(st.booleans()):
+        bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    else:
+        bits = _one_one_per_cycle(p, draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
+    return bits, p, bitlex.PriorityOrder(tuple(rank))
+
+
+# cycles of 7, 8, 9 and 5 points: one position of the 7-cycle, the whole
+# 8-cycle as one run modulo 56, one position of the 9-cycle (a lift to
+# 504), one more of the 7-cycle, the other 8 points of the 9-cycle as one
+# run, then the 5-cycle (a lift to 2520) and the 7-cycle position by
+# position
+_RUNS_CYCLES = [list(range(1, 8)), list(range(8, 16)), list(range(16, 25)), list(range(25, 30))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_runs())
+@example((
+    "1000000" + "01101001" + "100100100" + "10000",
+    Permutation(_cycles_image(_RUNS_CYCLES, 29)),
+    bitlex.PriorityOrder((1, *range(8, 17), 2, *range(17, 30), *range(3, 8))),
+))
+def test_orbit_min_agrees_with_reference_on_ranked_runs(case):
+    bits, p, order = case
+    assert orbit_min_one_perm(bits, p, order=order) == reference_orbit_min(bits, p, order=order)
 
 
 def _one_one_per_cycle(p: Permutation, pick: list[int]) -> str:

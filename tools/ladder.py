@@ -1,4 +1,5 @@
-"""The circuit ladder: instance size, memory and walk time per rung.
+"""The circuit ladder: instance size, memory and times per rung, and the
+one-permutation pipeline on four fixed graphs.
 
 Usage, from the repository root:
 
@@ -18,8 +19,7 @@ columns are that rung's own peak (``ru_maxrss``):
   ``parse_dimacs`` of its text;
 - the instance file round trip: ``format_instance`` and ``parse_instance``
   of its text (which rebuilds the instance and checks every line);
-- the walk (``standard_algorithm`` from ``y_start``), in milliseconds,
-  and its steps;
+- the walk (``standard_algorithm`` from ``y_start``) and its steps;
 - ``apply_word`` of the walk's word: the word replayed into a permutation;
 - the first ``membership`` query of the walk endpoint on the instance's
   generators, which the reduction's structural test answers;
@@ -27,10 +27,18 @@ columns are that rung's own peak (``ru_maxrss``):
   set rebuilt from the generators' fields, which builds a stabilizer
   chain (about 10 s at the third rung and growing about as K squared).
 
-A rung whose process exceeds ``--max-gb`` of address space (set with
-``RLIMIT_AS`` on that process alone) is reported as not fitting.  The
-report is an ungated measurement: it prints a Markdown table and checks
-nothing.
+Times are in milliseconds, the chain column's in seconds.  A rung whose
+process exceeds ``--max-gb`` of address space (set with ``RLIMIT_AS`` on
+that process alone) is reported as not fitting.
+
+A second table times the graph -> system -> one permutation pipeline on
+K4, K5, K6 and the 6-cycle with chords (1,3) and (4,6), each the fastest
+of ``REPEATS`` calls in milliseconds: ``dcr_to_globalmin1`` of the graph's
+system, ``zero_forbidden_witness`` and ``orbit_min_one_perm`` (under the
+instance's order) of its instance, and ``dcr.solve`` of the system.
+
+The report is an ungated measurement: it prints two Markdown tables and
+checks nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +56,13 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = [(4, 8, 3), (6, 20, 4), (8, 40, 6), (10, 80, 8), (12, 120, 10), (14, 160, 12), (16, 200, 14)]
 CHAIN_RUNGS = 2
+GRAPHS = {
+    "K4": (4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]),
+    "K5": (5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]),
+    "K6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]),
+    "C6 + (1,3), (4,6)": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 3), (4, 6)]),
+}
+REPEATS = 5
 
 
 def _rss_mb() -> float:
@@ -106,6 +121,35 @@ def measure(index: int) -> dict:
     return row
 
 
+def _fastest_ms(call) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t = perf_counter()
+        call()
+        best = min(best, perf_counter() - t)
+    return best * 1e3
+
+
+def one_perm_rows() -> list[str]:
+    """The second table's rows: the one-permutation pipeline per graph."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lexperm import dcr, one_perm
+
+    rows = []
+    for name, (n, edges) in GRAPHS.items():
+        system, _ = dcr.coloring_to_dcr(dcr.Graph(n, tuple(edges)))
+        gm = dcr.dcr_to_globalmin1(system)
+        times = [
+            _fastest_ms(lambda: dcr.dcr_to_globalmin1(system)),
+            _fastest_ms(lambda: dcr.zero_forbidden_witness(gm)),
+            _fastest_ms(lambda: one_perm.orbit_min_one_perm(gm.start, gm.perm, order=gm.order)),
+            _fastest_ms(lambda: dcr.solve(system)),
+        ]
+        cells = [name, f"{gm.perm.degree:,}", f"{system.lcm:,}", *(f"{ms:.2f} ms" for ms in times)]
+        rows.append("| " + " | ".join(cells) + " |")
+    return rows
+
+
 def run_rung(index: int, max_gb: float) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(index), "--max-gb", str(max_gb)],
@@ -148,16 +192,24 @@ def main(argv: list[str] | None = None) -> int:
             print(f"| {rung} | | | {row['failed']} |" + " |" * 11, flush=True)
             continue
         print(
-            f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s']:.2f} s | "
+            f"| {rung} | {row['N']:,} | {row['K']:,} | {row['build_s'] * 1e3:.1f} ms | "
             f"{row['format_s'] * 1e3:.1f} ms | {row['parse_s'] * 1e3:.1f} ms | "
             f"{row['rss_build_mb']:,.0f} MB | {row['rss_formula_mb']:,.0f} MB | "
-            f"{row['check_symmetry_s']:.2f} s | "
+            f"{row['check_symmetry_s'] * 1e3:.1f} ms | "
             f"{row['format_dimacs_s'] * 1e3:.1f} ms | {row['parse_dimacs_s'] * 1e3:.1f} ms | "
             f"{row['walk_s'] * 1e3:.1f} ms ({row['steps']:,} {row['status']}) | "
             f"{row['apply_word_s'] * 1e3:.1f} ms | "
             f"{row['membership_s'] * 1e3:.1f} ms | {chain} |",
             flush=True,
         )
+    print()
+    print(
+        "| graph | N | order | `dcr_to_globalmin1` | `zero_forbidden_witness` "
+        "| `orbit_min_one_perm` | `solve` |"
+    )
+    print("| --- " * 7 + "|")
+    for line in one_perm_rows():
+        print(line, flush=True)
     return 0
 
 
