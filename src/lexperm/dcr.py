@@ -283,10 +283,9 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     # held[i], flags[i]: what start holds at point i, and 1 if i is forbidden
     held = "0" + start
     flags = bytes(map(forbidden.__contains__, range(n + 1))).translate(_BITS).decode()
-    image = gm.perm.image
     o = held.find("1")
     while o != -1:
-        if image[o - 1] == o and o in forbidden:
+        if o in forbidden and gm.perm(o) == o:
             return None
         o = held.find("1", o + 1)
     return _sieve(_cycle_residues(cycles, held, flags))

@@ -4,9 +4,9 @@ With one generator the neighborhood of the power p^k is just p^(k+1), and
 a local optimum can be found in polynomial time by inspecting the cycle
 structure.  The global problem stays hard (NP-complete), so the global
 routine here is exact but still exponential in the worst case: it narrows
-a bitset of candidate exponents position by position, or a run of one
-cycle's positions at a time in residues, and refuses permutations whose
-order exceeds a cap.
+a bitset of candidate exponents run by run of one cycle's positions, on
+the bitset itself or on its residues modulo the cycle's length, and
+refuses permutations whose order exceeds a cap.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import groupby
 from math import lcm
 from operator import itemgetter
 
-from .bitlex import PriorityOrder, check_bits, sort_key
+from .bitlex import PriorityOrder, check_bits
 from .errors import DegreeMismatch, LengthMismatch, OrderCapExceeded
 from .perm import Permutation, _cycles, identity, power_from_cycles
 
@@ -69,48 +69,34 @@ def local_min_one_perm(
     cycle holding the most significant such position matters: walking
     from that position l, the first k with a 0 -> 1 boundary at
     (p^k(l), p^(k+1)(l)) makes bits . p^k immediately better than its one
-    neighbor bits . p^(k+1).  Under an order the points are relabelled by
-    rank, so the same scan runs on the relabelled p and bits, and
-    cycle_id is the decisive cycle's most significant member.
+    neighbor bits . p^(k+1).  The walk runs on p's own cycles under every
+    order: l is the best-ranked point of any interesting cycle, which with
+    no order is the first point of the first one (the cycles come in
+    order of their smallest point, each from it).  cycle_id is l.
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
     check_bits(bits)
     if order is not None and order.degree != p.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
+    held = "0" + bits  # held[i] is what bits holds at point i
     cycles = _cycles(p)
+    mixed = (cyc for cyc in cycles if len(set(itemgetter(*cyc)(held))) > 1)
     if order is None:
-        scanned, key = cycles, bits
+        level = None
+        chosen = next(mixed, None)
     else:
-        # point order.rank[r] is relabelled r + 1; the relabelled p's
-        # cycles come in order of their most significant member, each
-        # starting there
-        scanned, key = _cycles(_relabel(p, order)), sort_key(bits, order)
-    chosen = None
-    for cyc in scanned:
-        values = {key[i - 1] for i in cyc}
-        if len(values) > 1:
-            chosen = cyc
-            break
+        rank_of = [0] * len(held)  # rank_of[i]: the level of point i, from 0
+        for r, i in enumerate(order.rank):
+            rank_of[i] = r
+        level = rank_of.__getitem__
+        chosen = min(mixed, key=lambda cyc: min(map(level, cyc)), default=None)
     if chosen is None:
         return OnePermResult(0, identity(p.degree), None)
-    length = len(chosen)
-    for k in range(length):
-        i = chosen[k]
-        j = chosen[(k + 1) % length]
-        if key[i - 1] == "0" and key[j - 1] == "1":
-            first = chosen[0] if order is None else order.rank[chosen[0] - 1]
-            return OnePermResult(k, power_from_cycles(p, cycles, k), first)
-    raise AssertionError("non-constant cycle must contain a 0 -> 1 boundary")
-
-
-def _relabel(p: Permutation, order: PriorityOrder) -> Permutation:
-    """p with every point renamed by its rank: it sends the rank of i to
-    the rank of p(i)."""
-    rank_of = {i: r for r, i in enumerate(order.rank, start=1)}
-    to = {rank_of[i]: rank_of[v] for i, v in zip(p.moved, p.moved_to)}
-    moved = tuple(sorted(to))
-    return Permutation._unchecked(p.degree, moved, tuple([to[r] for r in moved]))
+    first = chosen.index(min(chosen, key=level))  # l = chosen[first]
+    walk = "".join(itemgetter(*chosen[first:], *chosen[:first])(held))
+    k = (walk + walk[0]).find("01")
+    return OnePermResult(k, power_from_cycles(p, cycles, k), chosen[first])
 
 
 def orbit_min_one_perm(
@@ -138,17 +124,18 @@ def orbit_min_one_perm(
 
     The positions are taken in runs of consecutive ones on one cycle (the
     order ``dcr_to_globalmin1`` gives is a run per constraint for its
-    forbidden labels and one for the rest).  A run of r positions on a
-    cycle of length L that is longer than log2(M/L), which is seen before
-    the run spends any big-int operation, is narrowed in residues: the
-    candidates are folded to the residues modulo L they hold (the OR of
-    their L-bit chunks), the residues are narrowed position by position
-    by the same keep-if-any rule on L-bit ints, and the result, repeated
-    out to M, is ANDed into the candidates once.  That keeps the same
-    candidates as the steps on M bits: every mask in the run depends only
-    on t mod L, so a mask keeps some candidate iff it keeps some residue,
-    and the kept candidates' residues are the kept residues.  A shorter
-    run steps on M bits, stopping at a settled answer.
+    forbidden labels and one for the rest), and one loop narrows every
+    run by the keep-if-any rule.  A run of r positions on a cycle of
+    length L decides where it is narrowed before it spends any big-int
+    operation.  When r > 1 and r > log2(M/L), it is narrowed in residues:
+    the candidates are folded to the residues modulo L they hold (the OR
+    of their L-bit chunks), narrowed there by masks of L bits, and the
+    result, repeated out to M, is ANDed into the candidates once.  That
+    keeps the same candidates as narrowing the M bits themselves, which
+    a shorter run does: every mask in the run depends only on t mod L, so
+    a mask keeps some candidate iff it keeps some residue, and the kept
+    candidates' residues are the kept residues.  After each run the scan
+    stops if the answer is settled.
 
     A position stepped on M bits costs O(M) bit operations, and a run
     narrowed in residues O(M + r * L), so a string's worst case is
@@ -187,29 +174,20 @@ def orbit_min_one_perm(
             candidates, modulus = _lift(candidates, modulus, length)
             repeated.clear()
         # longer than log2(M/L): through residues (a single position never is)
-        if len(run) > 1 and len(run) > (modulus // length).bit_length():
-            residues = _fold(candidates, modulus, length)
-            doubled = zeros | zeros << length
-            for _, k in run:
-                kept = residues & doubled >> k
-                if kept:
-                    residues = kept
-            candidates &= _lift(residues, length, modulus)[0]
-            if modulus == n_steps and candidates.bit_count() == 1:
-                break
-            continue
-        mask = repeated.get(c)
-        if mask is None:
-            mask = repeated[c] = zeros * (((1 << (modulus + length)) - 1) // ((1 << length) - 1))
-        for _, k in run:
-            kept = candidates & mask >> k
-            if kept:
-                candidates = kept
-                if modulus == n_steps and kept.bit_count() == 1:
-                    break
+        in_residues = len(run) > 1 and len(run) > (modulus // length).bit_length()
+        if in_residues:
+            narrowed, mask = _fold(candidates, modulus, length), zeros | zeros << length
         else:
-            continue
-        break  # settled inside the run
+            narrowed, mask = candidates, repeated.get(c)
+            if mask is None:
+                mask = repeated[c] = zeros * (((1 << (modulus + length)) - 1) // ((1 << length) - 1))
+        for _, k in run:
+            kept = narrowed & mask >> k
+            if kept:
+                narrowed = kept
+        candidates = candidates & _lift(narrowed, length, modulus)[0] if in_residues else narrowed
+        if modulus == n_steps and candidates.bit_count() == 1:
+            break
     t = (candidates & -candidates).bit_length() - 1
     # bits . p^t carries bits[cyc[(k + t) % L]] at cyc[k]
     out = list(held)

@@ -23,7 +23,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, count
-from math import lcm
 from operator import ne
 from typing import Iterable, Iterator, Protocol, Sequence
 
@@ -141,11 +140,6 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation._unchecked(p.degree, p.moved, tuple([back[i] for i in p.moved]))
 
 
-def power(p: Permutation, k: int) -> Permutation:
-    """p composed with itself k times (k may be negative)."""
-    return power_from_cycles(p, _cycles(p), k)
-
-
 def power_from_cycles(p: Permutation, cycles: Iterable[Sequence[int]], k: int) -> Permutation:
     """p^k, given the cycles of p that move points: every cycle turns k
     places."""
@@ -173,11 +167,6 @@ def _cycles(p: Permutation) -> list[list[int]]:
             b = nxt.pop(b)
         cycles.append(cyc)
     return cycles
-
-
-def perm_order(p: Permutation) -> int:
-    """Order of p: the lcm of its cycle lengths."""
-    return lcm(*map(len, _cycles(p)))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -30,6 +30,7 @@ from reference_impl import (
     is_correct,
     is_proper_coloring,
     orbit_of_string,
+    perm_order,
     random_dcr_instance,
     random_permutation,
 )
@@ -67,7 +68,7 @@ def check_one_perm(seed: int = 0) -> str:
         assert here <= nxt, f"trial {trial}: witness not at a descent boundary"
         limit = n if res.cycle_id is None else res.cycle_id - 1
         s = bits
-        for _ in range(perm.perm_order(p)):
+        for _ in range(perm_order(p)):
             s = perm.permute_string(s, p)
             assert s[:limit] == bits[:limit], f"trial {trial}: prefix moved in orbit"
     elapsed = time.perf_counter() - t0

@@ -2,22 +2,24 @@
 
 These are the straightforward versions the library used before its
 rank-space walk, count-table symmetry check, literal-set satisfaction
-check, incremental stabilizer chain, bitset orbit minimum, 1s-only orbit
-witness and support-based string action and cycle formatting: every
-candidate is built as a whole string and compared through its whole sort
-key, every symmetry check renames and counts every clause, a satisfaction
-check looks up every literal's bit, the stabilizer chain rebuilds a
-level's orbit and re-sifts all of its Schreier generators whenever the
-level gains a generator, the well-behavedness check walks the gadget
-wiring by hand through its own position index instead of decoding and
-re-assembling through the layout, the layout assembles and decodes
-slot by slot through one ``GateState`` per gadget, the walk rebuilds
-each trace entry from rank space, and the orbit minimum builds and
+check, incremental stabilizer chain, bitset orbit minimum, cycle walk on
+a permutation's own cycles under an order, 1s-only orbit witness and
+support-based string action and cycle formatting: every candidate is
+built as a whole string and compared through its whole sort key, every
+symmetry check renames and counts every clause, a satisfaction check
+looks up every literal's bit, the stabilizer chain rebuilds a level's
+orbit and re-sifts all of its Schreier generators whenever the level
+gains a generator, the well-behavedness check walks the gadget wiring by
+hand through its own position index instead of decoding and
+re-assembling through the layout, the layout assembles and decodes slot
+by slot through one ``GateState`` per gadget, the walk rebuilds each
+trace entry from rank space, the one-permutation local minimum under an
+order relabels the permutation by rank, the orbit minimum builds and
 compares one whole string per power, the zero-forbidden witness builds
 one whole string per step, the graph and system encoders test every
-residue and place every point one by one, a word acts on a string through one
-whole-string join per letter and its product is a left fold of
-``compose``, supports and cycle text come from a scan of every entry
+residue and place every point one by one, a word acts on a string
+through one whole-string join per letter and its product is a left fold
+of ``compose``, supports and cycle text come from a scan of every entry
 of the image, cycle notation is read cycle by cycle with each point
 checked as it is placed, and a formula's gadget clauses are built copy
 by copy with a set union and a sort.  A permutation is its whole image
@@ -25,14 +27,14 @@ by copy with a set union and a sort.  A permutation is its whole image
 copy from transpositions on a full image.
 
 The brute-force oracles and random generators the library does not ship
-live here too: group and string-orbit closure, the dense cycle
-decomposition (fixed points included), random permutations and random
-constraint systems, the three-way ``compare`` and the integer cost, the
-recursive circuit evaluator, model enumeration, the condensed view of
-a reduced instance (``condense``, ``condensed_order``) with direct
-assembly of a well-behaved string, the NAND check of a gate state, a
-chain's orbit lengths, the graph writer and coloring check, and the
-first odd primes by trial division.
+live here too: a permutation's powers and order, group and string-orbit
+closure, the dense cycle decomposition (fixed points included), random
+permutations and random constraint systems, the three-way ``compare``
+and the integer cost, the recursive circuit evaluator, model
+enumeration, the condensed view of a reduced instance (``condense``,
+``condensed_order``) with direct assembly of a well-behaved string, the
+NAND check of a gate state, a chain's orbit lengths, the graph writer
+and coloring check, and the first odd primes by trial division.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice
+from math import lcm
 from operator import ne
 from random import Random
 from typing import Sequence
@@ -59,15 +62,17 @@ from lexperm.errors import (
     OverlappingCycles,
     PrimeCapExceeded,
 )
+from lexperm.one_perm import OnePermResult
 from lexperm.perm import (
     GeneratorSet,
     Permutation,
     StabilizerChain,
+    _cycles,
     compose,
     identity,
     inverse,
-    perm_order,
     permute_string,
+    power_from_cycles,
 )
 from lexperm.reduction import (
     GADGET,
@@ -425,6 +430,62 @@ def reference_is_local_min(
     cur = permute_string(bits, current)
     cur_key = sort_key(cur, order)
     return all(sort_key(permute_string(cur, g), order) >= cur_key for _, g in gens)
+
+
+def power(p: Permutation, k: int) -> Permutation:
+    """p composed with itself k times (k may be negative)."""
+    return power_from_cycles(p, _cycles(p), k)
+
+
+def perm_order(p: Permutation) -> int:
+    """Order of p: the lcm of its cycle lengths."""
+    return lcm(*map(len, _cycles(p)))
+
+
+def reference_local_min_one_perm(
+    bits: str, p: Permutation, order: PriorityOrder | None = None
+) -> OnePermResult:
+    """The cycle walk with every point renamed by its rank under an order:
+    the relabelled p is decomposed into cycles a second time and scanned
+    against the string's sort key."""
+    if len(bits) != p.degree:
+        raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
+    check_bits(bits)
+    if order is not None and order.degree != p.degree:
+        raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
+    cycles = _cycles(p)
+    if order is None:
+        scanned, key = cycles, bits
+    else:
+        # point order.rank[r] is relabelled r + 1; the relabelled p's
+        # cycles come in order of their most significant member, each
+        # starting there
+        scanned, key = _cycles(_relabel(p, order)), sort_key(bits, order)
+    chosen = None
+    for cyc in scanned:
+        values = {key[i - 1] for i in cyc}
+        if len(values) > 1:
+            chosen = cyc
+            break
+    if chosen is None:
+        return OnePermResult(0, identity(p.degree), None)
+    length = len(chosen)
+    for k in range(length):
+        i = chosen[k]
+        j = chosen[(k + 1) % length]
+        if key[i - 1] == "0" and key[j - 1] == "1":
+            first = chosen[0] if order is None else order.rank[chosen[0] - 1]
+            return OnePermResult(k, power_from_cycles(p, cycles, k), first)
+    raise AssertionError("non-constant cycle must contain a 0 -> 1 boundary")
+
+
+def _relabel(p: Permutation, order: PriorityOrder) -> Permutation:
+    """p with every point renamed by its rank: it sends the rank of i to
+    the rank of p(i)."""
+    rank_of = {i: r for r, i in enumerate(order.rank, start=1)}
+    to = {rank_of[i]: rank_of[v] for i, v in zip(p.moved, p.moved_to)}
+    moved = tuple(sorted(to))
+    return Permutation._unchecked(p.degree, moved, tuple([to[r] for r in moved]))
 
 
 def reference_orbit_min(

@@ -20,11 +20,10 @@ from lexperm.perm import (
     inverse,
     membership,
     parse_cycles,
-    power,
 )
 from lexperm.search import is_local_min, standard_algorithm, verify_local_opt
 
-from reference_impl import ReferenceChain, enumerate_group, orbit_lengths, random_permutation
+from reference_impl import ReferenceChain, enumerate_group, orbit_lengths, power, random_permutation
 
 
 def sparse_permutation(rng: Random, degree: int) -> Permutation:

@@ -31,10 +31,10 @@ def test_first_rung_fills_its_row():
 
     header, rule, *rows = one_perm.splitlines()
     assert [cell.strip() for cell in header.strip("|").split("|")] == [
-        "graph", "N", "order", "`dcr_to_globalmin1`", "`zero_forbidden_witness`",
-        "`orbit_min_one_perm`", "`solve`",
+        "graph", "N", "order", "`dcr_to_globalmin1`", "`local_min_one_perm`",
+        "`zero_forbidden_witness`", "`orbit_min_one_perm`", "`solve`",
     ]
-    assert rule == "| --- " * 7 + "|"
+    assert rule == "| --- " * 8 + "|"
     names = [row.strip("|").split("|")[0].strip() for row in rows]
     assert names == ["K4", "K5", "K6", "C6 + (1,3), (4,6)"]
-    assert all(len(row.strip("|").split("|")) == 7 for row in rows)
+    assert all(len(row.strip("|").split("|")) == 8 for row in rows)

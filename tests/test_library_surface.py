@@ -16,7 +16,8 @@ ORACLES = {
     "compare", "cost_integer", "complement", "LESS", "EQUAL", "GREATER",
     "eval_recursive", "enumerate_models", "condense", "assemble_well_behaved",
     "condensed_order", "OrbitCapExceeded", "WidthExceeded", "TwinViolation",
-    "is_proper_coloring", "format_graph", "orbit_lengths", "is_correct",
+    "is_proper_coloring", "format_graph", "orbit_lengths", "is_correct", "power",
+    "perm_order",
 }
 
 

@@ -13,18 +13,19 @@ from lexperm.perm import (
     GeneratorSet,
     Permutation,
     parse_cycles,
-    perm_order,
     permute_string,
-    power,
 )
 
 from reference_impl import (
     DensePermutation,
     cycle_decomposition,
     dense_power,
+    perm_order,
+    power,
     random_dcr_instance,
     random_permutation,
     reference_is_local_min,
+    reference_local_min_one_perm,
     reference_orbit_min,
 )
 
@@ -122,6 +123,55 @@ def test_local_min_under_the_identity_order_is_the_unordered_one(case):
     bits, image = case
     p = Permutation(image)
     assert local_min_one_perm(bits, p, order=bitlex.identity_order(len(bits))) == local_min_one_perm(bits, p)
+
+
+def _draw_permutation(draw, n: int) -> Permutation:
+    """A random permutation of degree n, or one that moves only a drawn
+    set of points and fixes the rest."""
+    image = list(range(1, n + 1))
+    if draw(st.booleans()):
+        moved = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    else:
+        moved = list(range(n))
+    for i, v in zip(moved, draw(st.permutations([image[i] for i in moved]))):
+        image[i] = v
+    return Permutation(tuple(image))
+
+
+@st.composite
+def local_min_cases(draw):
+    """(bits, p, order): a permutation of degree at most 40, with fixed
+    points or without; a string that is constant on some of its cycles,
+    0s or 1s; and no order, the identity order or a random one."""
+    n = draw(st.integers(1, 40))
+    p = _draw_permutation(draw, n)
+    bits = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    for cyc in cycle_decomposition(p):
+        fill = draw(st.sampled_from(["", "0", "1"]))
+        if fill:
+            for i in cyc:
+                bits[i - 1] = fill
+    kind = draw(st.sampled_from(["none", "identity", "random"]))
+    if kind == "none":
+        order = None
+    elif kind == "identity":
+        order = bitlex.identity_order(n)
+    else:
+        order = bitlex.PriorityOrder(tuple(draw(st.permutations(range(1, n + 1)))))
+    return "".join(bits), p, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(local_min_cases())
+@example(("00100001", parse_cycles("(1 2 5)(3 4)(7 8)", 8), None))
+@example(("0010", parse_cycles("(1 2)(3 4)", 4), bitlex.PriorityOrder((3, 4, 1, 2))))
+# the constant cycle (1 2) ranked first, then 5: the walk starts at 5,
+# which is not the smallest point of (4 5), on a cycle that does not come
+# first among the interesting ones by smallest point
+@example(("1100110", parse_cycles("(1 2)(3 6 7)(4 5)", 7), bitlex.PriorityOrder((1, 5, 7, 2, 3, 6, 4))))
+def test_local_min_agrees_with_the_relabelling_walk(case):
+    bits, p, order = case
+    assert local_min_one_perm(bits, p, order=order) == reference_local_min_one_perm(bits, p, order=order)
 
 
 def test_local_min_order_must_match_the_degree():
@@ -256,6 +306,14 @@ _RUNS_CYCLES = [list(range(1, 8)), list(range(8, 16)), list(range(16, 25)), list
     Permutation(_cycles_image(_RUNS_CYCLES, 29)),
     bitlex.PriorityOrder((1, *range(8, 17), 2, *range(17, 30), *range(3, 8))),
 ))
+# position 1 keeps t = 0 (mod 9); the run 10 11 of the 2-cycle is short
+# (2 <= bit_length(18 // 2)) and lifts to t in {0, 9} (mod 18, the order),
+# and position 10 settles t = 9 with position 11 of the run still to come
+@example((
+    "011111111" + "10",
+    Permutation(_cycles_image([list(range(1, 10)), [10, 11]], 11)),
+    bitlex.PriorityOrder((1, 10, 11, *range(2, 10))),
+))
 def test_orbit_min_agrees_with_reference_on_ranked_runs(case):
     bits, p, order = case
     assert orbit_min_one_perm(bits, p, order=order) == reference_orbit_min(bits, p, order=order)
@@ -274,14 +332,7 @@ def orbit_cases(draw):
     at most 14; a random, constant or one-1-per-cycle string; and no order
     or a random one."""
     n = draw(st.integers(1, 14))
-    image = list(range(1, n + 1))
-    if draw(st.booleans()):
-        moved = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-    else:
-        moved = list(range(n))
-    for i, v in zip(moved, draw(st.permutations([image[i] for i in moved]))):
-        image[i] = v
-    p = Permutation(tuple(image))
+    p = _draw_permutation(draw, n)
     kind = draw(st.sampled_from(["random", "constant", "one per cycle"]))
     if kind == "random":
         bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))

@@ -20,10 +20,11 @@ from lexperm.perm import (
     identity,
     membership,
     parse_cycles,
-    power,
 )
 from lexperm.reduction import Layout, ReductionGroup, build_instance
 from lexperm.search import standard_algorithm, verify_local_opt
+
+from reference_impl import power
 
 
 def rung(index: int):

@@ -34,8 +34,9 @@ that process alone) is reported as not fitting.
 A second table times the graph -> system -> one permutation pipeline on
 K4, K5, K6 and the 6-cycle with chords (1,3) and (4,6), each the fastest
 of ``REPEATS`` calls in milliseconds: ``dcr_to_globalmin1`` of the graph's
-system, ``zero_forbidden_witness`` and ``orbit_min_one_perm`` (under the
-instance's order) of its instance, and ``dcr.solve`` of the system.
+system, ``local_min_one_perm``, ``zero_forbidden_witness`` and
+``orbit_min_one_perm`` of its instance (both one-permutation routines
+under the instance's order), and ``dcr.solve`` of the system.
 
 The report is an ungated measurement: it prints two Markdown tables and
 checks nothing.
@@ -141,6 +142,7 @@ def one_perm_rows() -> list[str]:
         gm = dcr.dcr_to_globalmin1(system)
         times = [
             _fastest_ms(lambda: dcr.dcr_to_globalmin1(system)),
+            _fastest_ms(lambda: one_perm.local_min_one_perm(gm.start, gm.perm, order=gm.order)),
             _fastest_ms(lambda: dcr.zero_forbidden_witness(gm)),
             _fastest_ms(lambda: one_perm.orbit_min_one_perm(gm.start, gm.perm, order=gm.order)),
             _fastest_ms(lambda: dcr.solve(system)),
@@ -204,10 +206,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     print()
     print(
-        "| graph | N | order | `dcr_to_globalmin1` | `zero_forbidden_witness` "
-        "| `orbit_min_one_perm` | `solve` |"
+        "| graph | N | order | `dcr_to_globalmin1` | `local_min_one_perm` "
+        "| `zero_forbidden_witness` | `orbit_min_one_perm` | `solve` |"
     )
-    print("| --- " * 7 + "|")
+    print("| --- " * 8 + "|")
     for line in one_perm_rows():
         print(line, flush=True)
     return 0
