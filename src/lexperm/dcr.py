@@ -222,7 +222,11 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
     point is made.  Each constraint is written whole: its cycle's support
     as two ranges (m = 1 is a fixed point), its forbidden labels in label
     order and then the rest; the permutation and the order are permutations
-    of 1..N by construction and are wrapped unchecked.
+    of 1..N by construction and are wrapped unchecked.  The permutation is
+    handed its cycles as they are laid out, (first, first + m - 1, ...,
+    first + 1) for each constraint with m > 1 in constraint order, which
+    is the order of their smallest points, so the one-permutation routines
+    that read them decompose nothing.
     """
     _check_moduli(m for m, _ in inst.constraints)
     points = sum(m for m, _ in inst.constraints)
@@ -231,6 +235,7 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
     start: list[str] = []
     moved: list[int] = []
     moved_to: list[int] = []
+    cycles: list[tuple[int, ...]] = []
     ranked_first: list[int] = []
     ranked_rest: list[int] = []
     offset = 0
@@ -242,12 +247,13 @@ def dcr_to_globalmin1(inst: DcrInstance) -> GlobalMinOneInstance:
             moved += range(first, first + m)
             moved_to.append(offset + m)
             moved_to += range(first, offset + m)
+            cycles.append((first, *range(offset + m, first, -1)))
         ranked_first += map(first.__add__, sorted(forbidden))
         ranked_rest += map(first.__add__, filterfalse(forbidden.__contains__, range(m)))
         offset += m
     return GlobalMinOneInstance(
         start="".join(start),
-        perm=Permutation._unchecked(offset, tuple(moved), tuple(moved_to)),
+        perm=Permutation._unchecked(offset, tuple(moved), tuple(moved_to), tuple(cycles)),
         order=PriorityOrder._unchecked(tuple(ranked_first + ranked_rest)),
         forbidden=tuple(ranked_first),
     )
@@ -265,8 +271,11 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     forbidden point at index k of the cycle bar every t = o - k (mod L).
     ``_sieve`` ANDs each cycle's allowed residues into one bitset over
     the lcm of the lengths.  A forbidden fixed point that holds a 1 bars
-    every t.  The cost is a pass over the N points and bitsets of up to
-    the order's bits, not a step per exponent."""
+    every t.  The cycles are the ones p keeps, which ``dcr_to_globalmin1``
+    hands over, so an encoded instance is not decomposed again.  The cost
+    is a pass over the N points (the forbidden flags, and each cycle's
+    points read out of the start and the flags) and bitsets of up to the
+    order's bits, not a step per exponent."""
     n = gm.perm.degree
     start = gm.start
     if len(start) != n:
@@ -291,7 +300,7 @@ def zero_forbidden_witness(gm: GlobalMinOneInstance, cap: int = 10**6) -> int | 
     return _sieve(_cycle_residues(cycles, held, flags))
 
 
-def _cycle_residues(cycles: list[list[int]], held: str, flags: str) -> Iterator[tuple[int, int]]:
+def _cycle_residues(cycles: tuple[tuple[int, ...], ...], held: str, flags: str) -> Iterator[tuple[int, int]]:
     """(L, allowed) for each cycle whose 1s meet a forbidden point, as
     ``zero_forbidden_witness`` describes; held and flags are indexed by
     point."""

@@ -72,7 +72,9 @@ def local_min_one_perm(
     neighbor bits . p^(k+1).  The walk runs on p's own cycles under every
     order: l is the best-ranked point of any interesting cycle, which with
     no order is the first point of the first one (the cycles come in
-    order of their smallest point, each from it).  cycle_id is l.
+    order of their smallest point, each from it).  cycle_id is l.  The
+    cycles are the ones p keeps, read once for the walk and the witness
+    p^k alike.
     """
     if len(bits) != p.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {p.degree}")
@@ -80,8 +82,7 @@ def local_min_one_perm(
     if order is not None and order.degree != p.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
     held = "0" + bits  # held[i] is what bits holds at point i
-    cycles = _cycles(p)
-    mixed = (cyc for cyc in cycles if len(set(itemgetter(*cyc)(held))) > 1)
+    mixed = (cyc for cyc in _cycles(p) if len(set(itemgetter(*cyc)(held))) > 1)
     if order is None:
         level = None
         chosen = next(mixed, None)
@@ -96,7 +97,7 @@ def local_min_one_perm(
     first = chosen.index(min(chosen, key=level))  # l = chosen[first]
     walk = "".join(itemgetter(*chosen[first:], *chosen[:first])(held))
     k = (walk + walk[0]).find("01")
-    return OnePermResult(k, power_from_cycles(p, cycles, k), chosen[first])
+    return OnePermResult(k, power_from_cycles(p, k), chosen[first])
 
 
 def orbit_min_one_perm(
@@ -111,10 +112,12 @@ def orbit_min_one_perm(
     Refuses to run when the order of p exceeds the cap.
 
     (bits . p^t)(i) = bits[p^t(i)] depends only on t mod L, where L is
-    the length of the cycle through i.  So the positions are walked most
-    significant first, keeping the exponents that put a 0 at each one if
-    any does.  The candidates are one int, bit t set while t is still a
-    candidate modulo M, the lcm of the cycle lengths seen so far.  When a
+    the length of the cycle through i (p's kept cycles: a permutation
+    ``dcr_to_globalmin1`` built, or one read before, is not decomposed
+    again).  So the positions are walked most significant first, keeping
+    the exponents that put a 0 at each one if any does.  The candidates
+    are one int, bit t set while t is still a candidate modulo M, the
+    lcm of the cycle lengths seen so far.  When a
     cycle adds to M the bitset is copied to every multiple of the old M
     by doubling it out.  A position keeps the candidates its zero mask
     allows: its cycle's 0s, rotated to the position and repeated out to

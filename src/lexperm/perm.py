@@ -46,11 +46,19 @@ class Permutation:
     ``image`` is the dense view, ``image[i-1]`` being where point i is
     sent; it is built on each read, except that when every point moves it
     is ``moved_to`` itself.  ``Permutation(image)`` validates a dense
-    image.  Equality, hashing and ``repr`` mean "the same map on 1..N"."""
+    image.  Equality, hashing and ``repr`` mean "the same map on 1..N".
+
+    ``_kept_cycles`` holds the cycles that move points once ``_cycles``
+    has read them (or a builder that laid them out has handed them to
+    ``_unchecked``), and is kept for the permutation's lifetime, like
+    ``GeneratorSet._membership``.  It takes no part in equality,
+    hashing, ``repr`` or pickling, so an equal permutation built
+    elsewhere or unpickled decomposes afresh."""
 
     degree: int
     moved: tuple[int, ...]
     moved_to: tuple[int, ...]
+    _kept_cycles: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, image: Sequence[int]):
         image = tuple(image)
@@ -61,15 +69,22 @@ class Permutation:
         _set(self, "degree", n)
         _set(self, "moved", moved)
         _set(self, "moved_to", image if len(moved) == n else tuple([image[i - 1] for i in moved]))
+        _set(self, "_kept_cycles", None)
 
     @classmethod
     def _unchecked(
-        cls, degree: int, moved: tuple[int, ...], moved_to: tuple[int, ...]
+        cls,
+        degree: int,
+        moved: tuple[int, ...],
+        moved_to: tuple[int, ...],
+        cycles: tuple[tuple[int, ...], ...] | None = None,
     ) -> "Permutation":
         """Wrap a support without validating it; only for supports derived
         from permutations and ones a builder or parser has already
         checked.  ``moved`` must ascend, and ``moved_to`` must be a
-        rearrangement of it that leaves no point where it is.
+        rearrangement of it that leaves no point where it is.  A builder
+        that lays the cycles out may hand them over as ``cycles``, in the
+        form ``_cycles`` returns; they are kept unchecked too.
 
         Supports are built as lists and then made tuples, so that each
         tuple is allocated once at its final size: ``tuple()`` of an
@@ -80,6 +95,7 @@ class Permutation:
         _set(p, "degree", degree)
         _set(p, "moved", moved)
         _set(p, "moved_to", moved_to)
+        _set(p, "_kept_cycles", cycles)
         return p
 
     def __reduce__(self):
@@ -140,11 +156,11 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation._unchecked(p.degree, p.moved, tuple([back[i] for i in p.moved]))
 
 
-def power_from_cycles(p: Permutation, cycles: Iterable[Sequence[int]], k: int) -> Permutation:
-    """p^k, given the cycles of p that move points: every cycle turns k
-    places."""
+def power_from_cycles(p: Permutation, k: int) -> Permutation:
+    """p^k from the cycles of p that move points (its kept ones, read
+    once): every cycle turns k places."""
     to: dict[int, int] = {}
-    for cyc in cycles:
+    for cyc in _cycles(p):
         shift = k % len(cyc)
         if shift:
             to.update(zip(cyc, cyc[shift:] + cyc[:shift]))
@@ -152,20 +168,29 @@ def power_from_cycles(p: Permutation, cycles: Iterable[Sequence[int]], k: int) -
     return Permutation._unchecked(p.degree, moved, tuple([to[i] for i in moved]))
 
 
-def _cycles(p: Permutation) -> list[list[int]]:
+def _cycles(p: Permutation) -> tuple[tuple[int, ...], ...]:
     """The cycles of p that move points, each from its smallest member and
-    in the order of that member."""
-    nxt = dict(zip(p.moved, p.moved_to))
-    cycles = []
-    for start in p.moved:
-        b = nxt.pop(start, None)
-        if b is None:
-            continue
-        cyc = [start]
-        while b != start:
-            cyc.append(b)
-            b = nxt.pop(b)
-        cycles.append(cyc)
+    in the order of that member.
+
+    The first call walks the support and keeps the result on p; every
+    later call returns that same tuple of tuples, which no caller can
+    change.  Each cycle is a list made a tuple at its final size (see
+    ``Permutation._unchecked``)."""
+    cycles = p._kept_cycles
+    if cycles is None:
+        nxt = dict(zip(p.moved, p.moved_to))
+        found = []
+        for start in p.moved:
+            b = nxt.pop(start, None)
+            if b is None:
+                continue
+            cyc = [start]
+            while b != start:
+                cyc.append(b)
+                b = nxt.pop(b)
+            found.append(tuple(cyc))
+        cycles = tuple(found)
+        _set(p, "_kept_cycles", cycles)
     return cycles
 
 

@@ -434,7 +434,7 @@ def reference_is_local_min(
 
 def power(p: Permutation, k: int) -> Permutation:
     """p composed with itself k times (k may be negative)."""
-    return power_from_cycles(p, _cycles(p), k)
+    return power_from_cycles(p, k)
 
 
 def perm_order(p: Permutation) -> int:
@@ -453,9 +453,8 @@ def reference_local_min_one_perm(
     check_bits(bits)
     if order is not None and order.degree != p.degree:
         raise LengthMismatch(f"{len(bits)} bits vs order degree {order.degree}")
-    cycles = _cycles(p)
     if order is None:
-        scanned, key = cycles, bits
+        scanned, key = _cycles(p), bits
     else:
         # point order.rank[r] is relabelled r + 1; the relabelled p's
         # cycles come in order of their most significant member, each
@@ -475,7 +474,7 @@ def reference_local_min_one_perm(
         j = chosen[(k + 1) % length]
         if key[i - 1] == "0" and key[j - 1] == "1":
             first = chosen[0] if order is None else order.rank[chosen[0] - 1]
-            return OnePermResult(k, power_from_cycles(p, cycles, k), first)
+            return OnePermResult(k, power_from_cycles(p, k), first)
     raise AssertionError("non-constant cycle must contain a 0 -> 1 boundary")
 
 

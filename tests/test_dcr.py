@@ -30,7 +30,7 @@ from lexperm.errors import (
     OrderCapExceeded,
     PrimeCapExceeded,
 )
-from lexperm.perm import Permutation, permute_string
+from lexperm.perm import Permutation, _cycles, permute_string
 
 from reference_impl import (
     format_graph,
@@ -101,10 +101,13 @@ def test_solve_agrees_with_bruteforce_under_and_over_the_cap(inst, cap):
 
 
 def _same_globalmin(gm, ref):
-    """Field by field, and the permutation's support as a validated dense
-    image would give it."""
+    """Field by field, the permutation's support as a validated dense
+    image would give it, and the cycles the encoder handed over as a fresh
+    decomposition of that support gives them."""
     assert gm.start == ref.start
     assert gm.perm == ref.perm == Permutation(gm.perm.image)
+    fresh = Permutation._unchecked(gm.perm.degree, gm.perm.moved, gm.perm.moved_to)
+    assert gm.perm._kept_cycles == _cycles(fresh)
     assert gm.order == ref.order
     assert gm.forbidden == ref.forbidden
 

@@ -32,9 +32,9 @@ def test_first_rung_fills_its_row():
     header, rule, *rows = one_perm.splitlines()
     assert [cell.strip() for cell in header.strip("|").split("|")] == [
         "graph", "N", "order", "`dcr_to_globalmin1`", "`local_min_one_perm`",
-        "`zero_forbidden_witness`", "`orbit_min_one_perm`", "`solve`",
+        "`zero_forbidden_witness`", "`orbit_min_one_perm`", "pipeline", "`solve`",
     ]
-    assert rule == "| --- " * 8 + "|"
+    assert rule == "| --- " * 9 + "|"
     names = [row.strip("|").split("|")[0].strip() for row in rows]
     assert names == ["K4", "K5", "K6", "C6 + (1,3), (4,6)"]
-    assert all(len(row.strip("|").split("|")) == 8 for row in rows)
+    assert all(len(row.strip("|").split("|")) == 9 for row in rows)

@@ -125,11 +125,29 @@ def sparse_perms(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_perms())
-def test_support_cycles_are_the_moved_cycles_of_the_dense_walk(p):
+@given(sparse_perms(), st.data())
+def test_support_cycles_are_the_moved_cycles_of_the_dense_walk(p, data):
     """The support walk the one-permutation routines use lists exactly the
-    dense decomposition's cycles that move points, in the same order."""
-    assert [tuple(c) for c in perm._cycles(p)] == [c for c in cycle_decomposition(p) if len(c) > 1]
+    dense decomposition's cycles that move points, in the same order, as
+    tuples, for a permutation from every constructor; the first call keeps
+    them, and a second returns the same object."""
+    q = Permutation(tuple(data.draw(st.permutations(list(range(1, p.degree + 1))))))
+    k = data.draw(st.integers(-7, 7))
+    gens = GeneratorSet.from_pairs(p.degree, [("p", p), ("q", q)])
+    word = data.draw(st.lists(st.sampled_from(gens.names), max_size=6))
+    built = [
+        p,
+        Permutation(p.image),
+        parse_cycles(format_cycles(p), p.degree),
+        compose(p, q),
+        inverse(p),
+        apply_word(gens, word),
+        perm.power_from_cycles(p, k),
+    ]
+    for r in built:
+        cycles = perm._cycles(r)
+        assert cycles == tuple(c for c in cycle_decomposition(r) if len(c) > 1)
+        assert perm._cycles(r) is cycles
 
 
 def test_parse_figure_permutation():
@@ -419,6 +437,13 @@ def test_permutation_is_immutable_and_pickles():
         del p.degree
     assert p == parse_cycles("(2 1)", 3)
     assert pickle.loads(pickle.dumps(p)) == p
+    kept = perm._cycles(p)
+    with pytest.raises(AttributeError):
+        p._kept_cycles = ((1, 2, 3),)
+    assert perm._cycles(p) is kept == ((1, 2),)
+    unpickled = pickle.loads(pickle.dumps(p))
+    assert unpickled == p and unpickled._kept_cycles is None
+    assert perm._cycles(unpickled) == kept and perm._cycles(unpickled) is not kept
 
 
 @pytest.mark.parametrize(
@@ -438,9 +463,13 @@ def test_support_is_not_part_of_equality_hash_or_repr():
     read = Permutation((2, 1, 3))
     assert read.moved == (1, 2)
     parsed = parse_cycles("(1 2)", 3)
+    hashes, reprs = [hash(fresh), hash(parsed)], [repr(fresh), repr(parsed)]
+    perm._cycles(parsed)  # parsed keeps its cycles, fresh does not
+    assert parsed._kept_cycles is not None and fresh._kept_cycles is None
     assert fresh == read == parsed
     assert len({fresh, read, parsed}) == 1
-    assert repr(fresh) == repr(read) == "Permutation(image=(2, 1, 3))"
+    assert [hash(fresh), hash(parsed)] == hashes and [repr(fresh), repr(parsed)] == reprs
+    assert repr(fresh) == repr(read) == repr(parsed) == "Permutation(image=(2, 1, 3))"
 
 
 @given(perms)
