@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce_build)
     p = rsub.add_parser("search")
     p.add_argument("instance", nargs="?", default="-")
-    p.add_argument("--start-word", dest="start_word")
+    p.add_argument("--start-word", dest="start_word", metavar="FILE",
+                   help="file of generator names, space separated, to apply before the walk")
     p.add_argument("--max-steps", dest="max_steps", type=_decimal, default=10**6)
     p.add_argument("--trace", action="store_true")
     _add_format(p, default="json")

@@ -39,8 +39,8 @@ from .errors import (
 from .perm import (
     GeneratorSet,
     Permutation,
+    _cycles,
     apply_word_to_string,
-    generator_lines,
     permute_in_place,
 )
 
@@ -131,6 +131,9 @@ class Layout:
     from copy 0's slots by arithmetic: pair k = j * per + s is labelled
     ``C<j>.<suffix of slot s>``, and a copy's gadgets start at the same
     offsets as copy 0's.
+
+    ``generators`` keeps the copy-0 moves it builds from, for
+    ``ReductionGroup`` and the instance writer.
     """
 
     def __init__(self, c: FlipInstance, gate_var: bool = False):
@@ -157,16 +160,21 @@ class Layout:
         self.sources = tuple(
             tuple(i - 1 if kind == "x" else c.n + i - 1 for kind, i in gate) for gate in c.gates
         )
+        self._moves: tuple[list[Support], list[Support]] | None = None  # set by generators
 
     def pair(self, j: int, kind: str, index: int, quadrant: str = "") -> int:
         """Twin pair number of the slot in copy j."""
         return j * self.per + self.offset[(kind, index, quadrant)]
 
-    def labels(self) -> list[str]:
-        """Every twin pair's label, in pair order: ``C<j>.<suffix>``, the
-        suffix naming the slot (``x3``, ``g5.q01``, ``g5.w``, ``c2``)."""
+    def _suffixes(self) -> list[str]:
+        """Each template slot's name, in slot order: ``x3``, ``g5.q01``,
+        ``g5.w`` or ``c2``."""
         suffix = {"in": "x{}", "quad": "g{}.q{}", "w": "g{}.w", "out": "c{}"}
-        suffixes = [suffix[kind].format(index, q) for kind, index, q in self.template]
+        return [suffix[kind].format(index, q) for kind, index, q in self.template]
+
+    def labels(self) -> list[str]:
+        """Every twin pair's label, in pair order: ``C<j>.<suffix>``."""
+        suffixes = self._suffixes()
         return [f"C{j}.{s}" for j in range(self.circuit.n + 1) for s in suffixes]
 
     def priority(self, pairs: Iterable[int]) -> PriorityOrder:
@@ -234,13 +242,14 @@ class Layout:
     def generators(self) -> GeneratorSet:
         """``pi_<gate>_<copy>`` for every gadget, copy-major, then
         ``sigma_<i>`` for every input.  Each gate's ``pi`` and each input's
-        flip are built once, in copy 0, and shifted to the other copies.
+        flip are built once, in copy 0, and shifted to the other copies; the
+        layout keeps those copy-0 moves.
 
         The set decides ``membership`` with a ``ReductionGroup`` of this
         layout and its generators, not with a stabilizer chain."""
         n, total = self.circuit.n, self.points
         width = 2 * self.per  # points per copy
-        gate_moves, input_moves = self._copy0_moves()
+        gate_moves, input_moves = self._moves = self._copy0_moves()
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
             for gid, template in enumerate(gate_moves, start=1):
@@ -260,7 +269,7 @@ class Layout:
         gens = GeneratorSet.from_pairs(total, pairs)
         # the test holds the set's generator tuple, not the set, so the two
         # form no cycle
-        object.__setattr__(gens, "_membership", ReductionGroup(self, gens.perms, input_moves))
+        object.__setattr__(gens, "_membership", ReductionGroup(self, gens.perms))
         return gens
 
     def assemble(self, x: str, gate_outputs: str | None = None) -> str:
@@ -343,19 +352,18 @@ class ReductionGroup:
     no Schreier generators and no basis: it multiplies one image list in
     place by moves, each touching only its own support.
 
-    The test holds its layout, the set's generator tuple, whose
-    ``pi_g_j`` come first, copy-major, and strip the gate flips, and the
-    copy-0 input moves the generators were built from.  It builds its
-    tables, the input moves F_i of every copy and the pairs it reads, on
-    the first query, so a set that is never queried pays nothing, and it
-    never holds the set, so the two form no cycle."""
+    The test holds its layout, which keeps the copy-0 input moves the
+    generators were built from, and the set's generator tuple, whose
+    ``pi_g_j`` come first, copy-major, and strip the gate flips.  It
+    builds its tables, the input moves F_i of every copy and the pairs it
+    reads, on the first query, so a set that is never queried pays
+    nothing, and it never holds the set, so the two form no cycle."""
 
-    __slots__ = ("layout", "perms", "input_moves", "_tables")
+    __slots__ = ("layout", "perms", "_tables")
 
-    def __init__(self, layout: Layout, perms: Sequence[Permutation], input_moves: Sequence[Support]):
+    def __init__(self, layout: Layout, perms: Sequence[Permutation]):
         self.layout = layout
         self.perms = perms
-        self.input_moves = input_moves
         self._tables = None
 
     def _build(self):
@@ -365,7 +373,7 @@ class ReductionGroup:
         # every copy, in copy order
         inputs = [
             (2 * layout.pair(0, "in", i) - 1, [layout.shifted(t, j) for j in range(copies)])
-            for i, t in enumerate(self.input_moves, start=1)
+            for i, t in enumerate(layout._moves[1], start=1)
         ]
         # first point of each gadget's quadrant-00 pair, in the order of the pi
         gadgets = [
@@ -481,22 +489,47 @@ def embed_flip_solution(inst: ReducedInstance, target: str) -> list[str]:
     return [f"sigma_{i}" for i in range(1, inst.n + 1) if target[i - 1] == "1"]
 
 
-def _file_lines(inst: ReducedInstance) -> list[str]:
-    """Every line of the instance file, in file order: the ``N``/``K``
-    header, the netlist as ``net`` lines, the ``pos`` catalog (every point
-    in order), ``start``, ``order`` and the generators."""
-    lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
-    lines += [f"net {line}" for line in format_netlist(inst.circuit).splitlines()]
-    for k, label in enumerate(inst.layout.labels()):
-        lines += (f"pos {2 * k + 1} {label}.0", f"pos {2 * k + 2} {label}.1")
-    lines.append(f"start {inst.y_start}")
-    lines.append(f"order {format_order(inst.order)}")
-    lines += generator_lines(inst.gens)
-    return lines
+def _cycle_format(degree: int, move: Support) -> tuple[str, list[int]]:
+    """The cycle notation of a move as a ``%d`` format and the points it
+    takes, in ``format_cycles`` order."""
+    cycles = _cycles(Permutation._unchecked(degree, *move))
+    fmt = "".join(["(" + " ".join(["%d"] * len(cyc)) + ")" for cyc in cycles])
+    return fmt, [a for cyc in cycles for a in cyc]
 
 
 def format_instance(inst: ReducedInstance) -> str:
-    return "\n".join(_file_lines(inst)) + "\n"
+    """The instance file: the ``N``/``K`` header, the netlist as ``net``
+    lines, the ``pos`` catalog (every point in order), ``start``, ``order``
+    and the generators as ``generator_lines`` writes them.
+
+    Copy j is copy 0 moved up 2 * j * per points, so each copy's ``pos``
+    and ``pi`` lines are copy 0's templates filled with one ``%``, and a
+    ``sigma_i`` line is copy 0 <-> copy i as pairs followed by input i's
+    flip in each other copy."""
+    layout, n = inst.layout, inst.n
+    width = 2 * layout.per  # points per copy
+    gate_moves, input_moves = layout._moves
+    catalog = "".join([f"pos %d C{{0}}.{s}.0\npos %d C{{0}}.{s}.1\n" for s in layout._suffixes()])
+    gates = [_cycle_format(layout.points, move) for move in gate_moves]
+    gate_lines = "".join([f"pi_{gid}_{{0}} = {fmt}\n" for gid, (fmt, _) in enumerate(gates, start=1)])
+    gate_points = [a for _, points in gates for a in points]
+    parts = [f"N {layout.points} K {len(inst.gens)}\n"]
+    parts += [f"net {line}\n" for line in format_netlist(inst.circuit).splitlines()]
+    for j in range(n + 1):
+        parts.append(catalog.format(j) % tuple(range(j * width + 1, (j + 1) * width + 1)))
+    parts.append(f"start {inst.y_start}\norder {format_order(inst.order)}\n")
+    for j in range(n + 1):
+        d = j * width
+        parts.append(gate_lines.format(j) % tuple([a + d for a in gate_points]))
+    trade = "(%d %d)" * width
+    pairs = [0] * (2 * width)  # copy 0's points, each before its image in copy i
+    pairs[0::2] = range(1, width + 1)
+    for i, move in enumerate(input_moves, start=1):
+        fmt, points = _cycle_format(layout.points, move)
+        pairs[1::2] = range(i * width + 1, (i + 1) * width + 1)
+        flips = [a + j * width for j in range(1, n + 1) if j != i for a in points]
+        parts.append(f"sigma_{i} = {trade % tuple(pairs)}{(fmt * (n - 1)) % tuple(flips)}\n")
+    return "".join(parts)
 
 
 def parse_instance(text: str) -> ReducedInstance:
@@ -507,7 +540,10 @@ def parse_instance(text: str) -> ReducedInstance:
     writes, in the same order, up to runs of spacing: the ``N``/``K``
     header, the ``pos`` catalog, ``start``, ``order`` and the generator
     lines.  Blank lines and ``#`` comments are skipped.  Any difference is
-    a FormatError."""
+    a FormatError.
+
+    The whole text is compared with the rebuilt one first; only a file
+    that differs is compared line by line with its spacing normalised."""
     lines = text.splitlines()
     net: dict[int, str] = {}  # line number -> value of each 'net' line
     # only a line that holds "net" can be a 'net' line once normalised
@@ -520,9 +556,10 @@ def parse_instance(text: str) -> ReducedInstance:
     if not net:
         raise FormatError("instance file carries no 'net' lines")
     inst = build_instance(parse_netlist("\n".join(net.values())))
-    verified = [line for line in _file_lines(inst) if not line.startswith("net ")]
-    if [raw for lineno, raw in enumerate(lines, start=1) if lineno not in net] == verified:
-        return inst  # every line as format_instance writes it
+    rebuilt = format_instance(inst)
+    if text == rebuilt:
+        return inst  # the file as format_instance writes it
+    verified = [line for line in rebuilt.splitlines() if not line.startswith("net ")]
     normalised = ((k, " ".join(raw.split())) for k, raw in enumerate(lines, start=1) if k not in net)
     written = [(lineno, line) for lineno, line in normalised if line and not line.startswith("#")]
     for got, want in zip_longest(written, verified):

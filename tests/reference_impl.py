@@ -4,9 +4,9 @@ These are the straightforward versions the library used before its
 rank-space walk, count-table symmetry check, literal-set satisfaction
 check, incremental stabilizer chain, bitset orbit minimum, cycle walk on
 a permutation's own cycles under an order, 1s-only orbit witness and
-support-based string action and cycle formatting: every candidate is
-built as a whole string and compared through its whole sort key, every
-symmetry check renames and counts every clause, a satisfaction check
+support-based string action and cycle formatting, and the per-copy
+instance writer: every candidate is built as a whole string and
+compared through its whole sort key, every symmetry check renames and counts every clause, a satisfaction check
 looks up every literal's bit, the stabilizer chain rebuilds a level's
 orbit and re-sifts all of its Schreier generators whenever the level
 gains a generator, the well-behavedness check walks the gadget wiring by
@@ -20,8 +20,10 @@ one whole string per step, the graph and system encoders test every
 residue and place every point one by one, a word acts on a string
 through one whole-string join per letter and its product is a left fold
 of ``compose``, supports and cycle text come from a scan of every entry
-of the image, cycle notation is read cycle by cycle with each point
-checked as it is placed, and a formula's gadget clauses are built copy
+of the image, the instance file is written point by point, one ``pos``
+line per point and one ``generator_lines`` line per generator, cycle
+notation is read cycle by cycle with each point checked as it is
+placed, and a formula's gadget clauses are built copy
 by copy with a set union and a sort.  A permutation is its whole image
 (``DensePermutation``), and the reduction's generators are built copy by
 copy from transpositions on a full image.
@@ -48,8 +50,8 @@ from operator import ne
 from random import Random
 from typing import Sequence
 
-from lexperm.bitlex import PriorityOrder, check_bits, read_decimals, sort_key
-from lexperm.circuit import FlipInstance, Source
+from lexperm.bitlex import PriorityOrder, check_bits, format_order, read_decimals, sort_key
+from lexperm.circuit import FlipInstance, Source, format_netlist
 from lexperm.cnf import CnfFormula
 from lexperm.dcr import DcrInstance, GlobalMinOneInstance, Graph, first_odd_primes
 from lexperm.errors import (
@@ -69,6 +71,7 @@ from lexperm.perm import (
     StabilizerChain,
     _cycles,
     compose,
+    generator_lines,
     identity,
     inverse,
     permute_string,
@@ -346,6 +349,20 @@ def reference_format_cycles(p: Permutation) -> str:
             nxt = image[nxt - 1]
         parts.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(parts) if parts else "()"
+
+
+def reference_file_lines(inst: ReducedInstance) -> list[str]:
+    """Every line of the instance file, in file order: the ``N``/``K``
+    header, the netlist as ``net`` lines, the ``pos`` catalog (every point
+    in order), ``start``, ``order`` and the generators."""
+    lines = [f"N {inst.num_positions} K {len(inst.gens)}"]
+    lines += [f"net {line}" for line in format_netlist(inst.circuit).splitlines()]
+    for k, label in enumerate(inst.layout.labels()):
+        lines += (f"pos {2 * k + 1} {label}.0", f"pos {2 * k + 2} {label}.1")
+    lines.append(f"start {inst.y_start}")
+    lines.append(f"order {format_order(inst.order)}")
+    lines += generator_lines(inst.gens)
+    return lines
 
 
 def reference_parse_cycles(text: str, degree: int) -> Permutation:

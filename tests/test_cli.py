@@ -485,6 +485,15 @@ def test_search_command_text_output(tmp_path, capsys):
     assert "status local_opt" in out
 
 
+def test_search_help_names_the_start_word_a_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", "search", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # help wraps to the terminal width
+    assert "[--start-word FILE]" in out
+    assert "--start-word FILE file of generator names, space separated, to apply before the walk" in out
+
+
 def test_search_trace_flag_adds_only_trace_lines(tmp_path, capsys):
     net = tmp_path / "toy.net"
     net.write_text(STEP_NETLIST)

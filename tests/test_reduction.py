@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from lexperm.errors import (
 from lexperm.perm import (
     apply_word_to_string,
     compose,
+    parse_generator_lines,
     permute_string,
 )
 from lexperm.reduction import (
@@ -44,6 +46,7 @@ from reference_impl import (
     is_correct,
     orbit_of_string,
     reference_expand,
+    reference_file_lines,
     reference_is_well_behaved,
     reference_positions,
     reference_slot_is_well_behaved,
@@ -289,12 +292,24 @@ def test_instance_file_round_trip():
     assert format_instance(parsed) == text
 
 
+def _assert_written_like_the_reference(c):
+    """format_instance equals the per-point reference writer, and its
+    generator lines read back to the instance's generators."""
+    inst = build_instance(c)
+    text = format_instance(inst)
+    assert text == "\n".join(reference_file_lines(inst)) + "\n"
+    lines = text.splitlines()
+    first = len(lines) - len(inst.gens)
+    assert parse_generator_lines(enumerate(lines[first:], start=first + 1), inst.num_positions) == inst.gens
+
+
 @pytest.mark.filterwarnings("ignore:input x")
-@settings(max_examples=25)
-@given(small_circuits())
+@settings(max_examples=60)
+@given(small_circuits(max_inputs=4, max_gates=6))
 def test_instance_format_parse_round_trip(c):
     inst = build_instance(c)
     assert parse_instance(format_instance(inst)) == inst
+    _assert_written_like_the_reference(c)
 
 
 def test_parse_instance_rejects_non_bit_start():
@@ -442,6 +457,120 @@ def test_parse_instance_returns_the_rebuilt_instance():
     assert inst.layout.circuit is inst.circuit
     for _, g in inst.gens:
         assert g.moved == dense_moved(g)
+
+
+# one input; gates fed twice by one input and by one gate; outputs out of
+# order, every gate an output, and output gates that also feed gates
+WRITER_CIRCUITS = [
+    MINIMAL,
+    STEP_CIRCUIT,
+    FlipInstance(1, ((("x", 1), ("x", 1)), (("g", 1), ("g", 1)), (("x", 1), ("g", 2))), (3, 1, 2)),
+    FlipInstance(2, ((("x", 2), ("x", 2)), (("g", 1), ("x", 1)), (("g", 1), ("g", 2))), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("c", WRITER_CIRCUITS, ids=["minimal", "step", "n1-all-outputs", "fed-twice"])
+def test_per_copy_writer_equals_the_reference_on_fixed_circuits(c):
+    _assert_written_like_the_reference(c)
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+@pytest.mark.parametrize("shape", [(1, 3, 1), (1, 4, 4), (2, 3, 1), (3, 6, 2), (4, 8, 3), (6, 20, 4)])
+def test_per_copy_writer_equals_the_reference_on_seeded_circuits(shape):
+    rng = Random(6100 + sum(shape))
+    for _ in range(10):
+        _assert_written_like_the_reference(random_instance(rng, *shape))
+
+
+# files the reader takes as the canonical one: each differs from it, so
+# each is read by the line-wise comparison
+READ_ALIKE = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "trailing-spaces": lambda lines: "".join(f"{line} \t\n" for line in lines),
+    "comments": lambda lines: "".join(f"# line {k}\n{line}\n" for k, line in enumerate(lines)),
+    "blank-lines": lambda lines: "\n\n".join(lines) + "\n\n",
+    "net-respaced": lambda lines: "".join(
+        ("  " + "   ".join(line.split()) if line.startswith("net ") else line) + "\n" for line in lines
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(READ_ALIKE))
+def test_parse_instance_reads_a_reformatted_file_as_the_canonical_one(variant):
+    for c in (STEP_CIRCUIT, random_instance(Random(6200), 3, 6, 2)):
+        text = format_instance(build_instance(c))
+        edited = READ_ALIKE[variant](text.splitlines())
+        assert edited != text
+        inst = parse_instance(edited)
+        assert inst == parse_instance(text)
+        assert format_instance(inst) == text
+
+
+def test_parse_instance_compares_a_canonical_file_whole(monkeypatch):
+    """The canonical text is accepted by one comparison; any other text
+    goes on to the line-wise one."""
+    text = format_instance(build_instance(STEP_CIRCUIT))
+
+    def line_wise(*args):
+        raise AssertionError("compared line by line")
+
+    monkeypatch.setattr(reduction, "zip_longest", line_wise)
+    assert parse_instance(text) == build_instance(STEP_CIRCUIT)
+    with pytest.raises(AssertionError, match="line by line"):
+        parse_instance(text + "\n")
+
+
+def _shift_point(line, k, by):
+    """A generator line with the k-th point of its cycles moved by ``by``."""
+    name, cycles = line.split(" = ")
+    m = list(re.finditer(r"\d+", cycles))[k]
+    return f"{name} = {cycles[: m.start()]}{int(m.group()) + by}{cycles[m.end():]}"
+
+
+def _line_of(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _pi_of_a_later_copy(lines, inst, j):
+    # a point moved into copy j - 1, as if copy j were left unshifted
+    i = _line_of(lines, f"pi_1_{j} = ")
+    lines[i] = _shift_point(lines[i], 0, -2 * inst.layout.per)
+    return i
+
+
+def _sigma_trade(lines, inst, j):
+    # copy 0's last point traded with the next copy's last point
+    i = _line_of(lines, f"sigma_{j} = ")
+    lines[i] = _shift_point(lines[i], 4 * inst.layout.per - 1, 2 * inst.layout.per)
+    return i
+
+
+def _sigma_flip(lines, inst, j):
+    # input j's flip in the first other copy moved up one copy
+    i = _line_of(lines, f"sigma_{j} = ")
+    lines[i] = _shift_point(lines[i], 4 * inst.layout.per, 2 * inst.layout.per)
+    return i
+
+
+def _last_pos_of_copy(lines, inst, j):
+    # copy j's last point renumbered into the copy before it; at j = n
+    # this is the file's last pos line
+    i = max(k for k, line in enumerate(lines) if line.startswith("pos ") and f" C{j}." in line)
+    _, index, label = lines[i].split()
+    lines[i] = f"pos {int(index) - 2 * inst.layout.per} {label}"
+    return i
+
+
+@pytest.mark.parametrize("edit", [_pi_of_a_later_copy, _sigma_trade, _sigma_flip, _last_pos_of_copy])
+def test_parse_instance_names_the_line_of_a_one_point_edit(edit):
+    inst = build_instance(random_instance(Random(6300), 3, 6, 2))
+    text = format_instance(inst)
+    for j in range(1, inst.n + 1):
+        lines = text.splitlines()
+        i = edit(lines, inst, j)
+        assert lines[i] != text.splitlines()[i]
+        with pytest.raises(FormatError, match=f"^line {i + 1}: found "):
+            parse_instance("\n".join(lines) + "\n")
 
 
 def test_reduced_instance_is_built_from_its_circuit_alone():
