@@ -58,7 +58,8 @@ def parse_order(text: str, degree: int) -> PriorityOrder:
 
 
 def format_order(order: PriorityOrder) -> str:
-    return " ".join(map(str, order.rank))
+    """The ranks separated by single spaces, written by one ``%``."""
+    return " ".join(["%d"] * len(order.rank)) % order.rank
 
 
 def read_decimals(tokens: Sequence[str]) -> list[int] | None:

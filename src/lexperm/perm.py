@@ -158,14 +158,19 @@ def inverse(p: Permutation) -> Permutation:
 
 def power_from_cycles(p: Permutation, k: int) -> Permutation:
     """p^k from the cycles of p that move points (its kept ones, read
-    once): every cycle turns k places."""
-    to: dict[int, int] = {}
+    once): every cycle turns k places in one image list.  p^k moves what
+    p moves unless some cycle's length divides k."""
+    img = list(range(p.degree + 1))  # 1-based, entry 0 a pad
+    every = True
     for cyc in _cycles(p):
         shift = k % len(cyc)
         if shift:
-            to.update(zip(cyc, cyc[shift:] + cyc[:shift]))
-    moved = tuple([i for i in p.moved if i in to])
-    return Permutation._unchecked(p.degree, moved, tuple([to[i] for i in moved]))
+            for a, b in zip(cyc, cyc[shift:] + cyc[:shift]):
+                img[a] = b
+        else:
+            every = False
+    moved = p.moved if every else tuple([i for i in p.moved if img[i] != i])
+    return Permutation._unchecked(p.degree, moved, tuple(map(img.__getitem__, moved)))
 
 
 def _cycles(p: Permutation) -> tuple[tuple[int, ...], ...]:

@@ -25,6 +25,7 @@ ranks, which preserves local optimality between the one-position-per-bit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -78,12 +79,14 @@ class BehaviorReport:
 @dataclass(frozen=True)
 class ReducedInstance:
     """The instance built from a circuit: its positions (the circuit's
-    ``Layout``), generators, start string and priority order are derived
-    from the circuit when the instance is made."""
+    ``Layout``), start string and priority order are derived from the
+    circuit when the instance is made, and its generators when they are
+    first read.  Writing the instance file reads only the layout's
+    copy-0 moves, so an instance that is only written builds no
+    generator."""
 
     circuit: FlipInstance
     layout: Layout = field(init=False, compare=False, repr=False)
-    gens: GeneratorSet = field(init=False, compare=False, repr=False)
     y_start: str = field(init=False, compare=False, repr=False)
     order: PriorityOrder = field(init=False, compare=False, repr=False)
 
@@ -98,9 +101,12 @@ class ReducedInstance:
         first += [layout.pair(0, "in", i) for i in range(1, c.n + 1)]
         ranked = [k + j * layout.per for j in range(c.n + 1) for k in first]
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "gens", layout.generators())
         object.__setattr__(self, "y_start", expand(layout.assemble("0" * c.n)))
         object.__setattr__(self, "order", layout.priority(ranked))
+
+    @cached_property
+    def gens(self) -> GeneratorSet:
+        return self.layout.generators()
 
     @property
     def n(self) -> int:
@@ -132,8 +138,9 @@ class Layout:
     ``C<j>.<suffix of slot s>``, and a copy's gadgets start at the same
     offsets as copy 0's.
 
-    ``generators`` keeps the copy-0 moves it builds from, for
-    ``ReductionGroup`` and the instance writer.
+    ``_moves`` holds copy 0's part of every move, built on its first
+    read; ``generators``, ``ReductionGroup`` and the instance writer all
+    read it.
     """
 
     def __init__(self, c: FlipInstance, gate_var: bool = False):
@@ -160,7 +167,6 @@ class Layout:
         self.sources = tuple(
             tuple(i - 1 if kind == "x" else c.n + i - 1 for kind, i in gate) for gate in c.gates
         )
-        self._moves: tuple[list[Support], list[Support]] | None = None  # set by generators
 
     def pair(self, j: int, kind: str, index: int, quadrant: str = "") -> int:
         """Twin pair number of the slot in copy j."""
@@ -182,11 +188,13 @@ class Layout:
         pair's two points at adjacent ranks."""
         return PriorityOrder(tuple(r for k in pairs for r in (2 * k - 1, 2 * k)))
 
-    def _copy0_moves(self) -> tuple[list[Support], list[Support]]:
+    @cached_property
+    def _moves(self) -> tuple[list[Support], list[Support]]:
         """Copy 0's part of every move, each as the ``moved`` and
         ``moved_to`` of a ``Permutation``: a gate's pi for every gate, in
         gate order, and for every input the flip of that input with its
-        successor swaps, which sigma makes in the copies it does not trade."""
+        successor swaps, which sigma makes in the copies it does not trade.
+        Built on the first read and kept for the layout's lifetime."""
         c = self.circuit
 
         def flip(k: int) -> list[tuple[int, int]]:
@@ -242,14 +250,14 @@ class Layout:
     def generators(self) -> GeneratorSet:
         """``pi_<gate>_<copy>`` for every gadget, copy-major, then
         ``sigma_<i>`` for every input.  Each gate's ``pi`` and each input's
-        flip are built once, in copy 0, and shifted to the other copies; the
-        layout keeps those copy-0 moves.
+        flip are built once per layout, in copy 0 (``_moves``), and
+        shifted to the other copies.
 
         The set decides ``membership`` with a ``ReductionGroup`` of this
         layout and its generators, not with a stabilizer chain."""
         n, total = self.circuit.n, self.points
         width = 2 * self.per  # points per copy
-        gate_moves, input_moves = self._moves = self._copy0_moves()
+        gate_moves, input_moves = self._moves
         pairs: list[tuple[str, Permutation]] = []
         for j in range(n + 1):
             for gid, template in enumerate(gate_moves, start=1):
@@ -513,7 +521,7 @@ def format_instance(inst: ReducedInstance) -> str:
     gates = [_cycle_format(layout.points, move) for move in gate_moves]
     gate_lines = "".join([f"pi_{gid}_{{0}} = {fmt}\n" for gid, (fmt, _) in enumerate(gates, start=1)])
     gate_points = [a for _, points in gates for a in points]
-    parts = [f"N {layout.points} K {len(inst.gens)}\n"]
+    parts = [f"N {layout.points} K {(n + 1) * len(gate_moves) + len(input_moves)}\n"]
     parts += [f"net {line}\n" for line in format_netlist(inst.circuit).splitlines()]
     for j in range(n + 1):
         parts.append(catalog.format(j) % tuple(range(j * width + 1, (j + 1) * width + 1)))

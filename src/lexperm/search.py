@@ -13,7 +13,8 @@ building any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .bitlex import PriorityOrder, check_bits
@@ -112,12 +113,22 @@ def is_local_min(
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A walk's word, final string, steps, stop status and trace.
+
+    ``permutation`` is the word replayed on the generators by
+    ``apply_word`` on its first read, and kept; a caller that reads only
+    the word and the string never pays for it."""
+
     word: tuple[str, ...]
-    permutation: Permutation
     string: str
     steps: int
     status: str
     trace: tuple[str, ...]
+    gens: GeneratorSet = field(compare=False, repr=False)
+
+    @cached_property
+    def permutation(self) -> Permutation:
+        return apply_word(self.gens, self.word)
 
 
 def standard_algorithm(
@@ -131,8 +142,8 @@ def standard_algorithm(
     """Run the greedy walk from the permutation named by ``start``.
 
     The walk carries only its string by position and its word; the
-    permutation is the word replayed once at the end.  Without
-    ``keep_trace`` the trace holds only the final string."""
+    result replays the word into a permutation only if that is read.
+    Without ``keep_trace`` the trace holds only the final string."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
     check_bits(bits)
@@ -156,12 +167,7 @@ def standard_algorithm(
             trace.append("".join(chars))
     string = "".join(chars)
     return SearchResult(
-        tuple(word),
-        apply_word(gens, word),
-        string,
-        steps,
-        status,
-        tuple(trace) if keep_trace else (string,),
+        tuple(word), string, steps, status, tuple(trace) if keep_trace else (string,), gens
     )
 
 

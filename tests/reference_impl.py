@@ -85,7 +85,7 @@ from lexperm.reduction import (
     ReducedInstance,
     expand,
 )
-from lexperm.search import LOCAL_OPT, STEP_CAP, SearchResult
+from lexperm.search import LOCAL_OPT, STEP_CAP
 
 
 @dataclass(frozen=True)
@@ -404,13 +404,26 @@ def reference_apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[st
     return x
 
 
+@dataclass(frozen=True)
+class ReferenceWalk:
+    """What ``reference_walk`` found: the fields of a ``SearchResult``,
+    with the permutation composed one step at a time as the walk went."""
+
+    word: tuple[str, ...]
+    permutation: Permutation
+    string: str
+    steps: int
+    status: str
+    trace: tuple[str, ...]
+
+
 def reference_walk(
     bits: str,
     order: PriorityOrder | None,
     gens: GeneratorSet,
     start: Sequence[str] = (),
     max_steps: int = 10**6,
-) -> SearchResult:
+) -> ReferenceWalk:
     """Greedy best-improvement walk with two O(N) joins per candidate."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
@@ -429,13 +442,13 @@ def reference_walk(
                 best = (name, g, cand)
                 best_key = key
         if best is None:
-            return SearchResult(tuple(word), current, cur_str, steps, LOCAL_OPT, tuple(trace))
+            return ReferenceWalk(tuple(word), current, cur_str, steps, LOCAL_OPT, tuple(trace))
         name, g, cur_str = best
         current = compose(current, g)
         word.append(name)
         steps += 1
         trace.append(cur_str)
-    return SearchResult(tuple(word), current, cur_str, steps, STEP_CAP, tuple(trace))
+    return ReferenceWalk(tuple(word), current, cur_str, steps, STEP_CAP, tuple(trace))
 
 
 def reference_is_local_min(
@@ -450,8 +463,15 @@ def reference_is_local_min(
 
 
 def power(p: Permutation, k: int) -> Permutation:
-    """p composed with itself k times (k may be negative)."""
-    return power_from_cycles(p, k)
+    """p composed with itself k times (k may be negative), by repeated
+    squaring with ``compose``; no cycle is read."""
+    base, out = (inverse(p) if k < 0 else p), identity(p.degree)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = compose(out, base)
+        base, k = compose(base, base), k >> 1
+    return out
 
 
 def perm_order(p: Permutation) -> int:

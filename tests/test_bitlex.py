@@ -209,4 +209,5 @@ def test_parse_order_fuzz_yields_order_or_lexperm_error(text, degree):
     except LexpermError:
         return
     assert isinstance(order, PriorityOrder)
+    assert bitlex.format_order(order) == " ".join(str(r) for r in order.rank)
     assert bitlex.parse_order(bitlex.format_order(order), degree) == order

@@ -422,6 +422,21 @@ def test_reduce_pipeline_files(tmp_path, capsys):
     assert out.strip() == "LOCALMIN"
 
 
+def test_reduce_build_builds_no_generator(tmp_path, capsys, monkeypatch):
+    """``reduce build`` writes the instance file without building the
+    generator set."""
+    net = tmp_path / "toy.net"
+    net.write_text(STEP_NETLIST)
+    expected = reduction.format_instance(reduction.build_instance(circuit.parse_netlist(STEP_NETLIST)))
+
+    def refuse(layout):
+        raise AssertionError("generators built")
+
+    monkeypatch.setattr(reduction.Layout, "generators", refuse)
+    code, out, _ = run(capsys, ["reduce", "build", str(net)])
+    assert code == 0 and out == expected
+
+
 def test_reduce_pipeline_stdin_chain(tmp_path, capsys, monkeypatch):
     from lexperm import reduction
 

@@ -284,6 +284,27 @@ def test_power_and_order():
     assert power(p, -1) == inverse(p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_perms(), st.data())
+def test_power_from_cycles_is_the_repeated_product(p, data):
+    """p^k from p's turned cycles equals p multiplied by itself |k| times,
+    for k that is a multiple of some cycle lengths (those cycles stay
+    fixed) as well as for k that turns every cycle."""
+    lengths = sorted({len(c) for c in cycle_decomposition(p)})
+    multiple = st.sampled_from(lengths).flatmap(lambda m: st.integers(-3, 3).map(m.__mul__))
+    k = data.draw(st.integers(-30, 1000) | multiple | st.sampled_from([0, 1, 7, 15, 35, 1000]))
+    assert perm.power_from_cycles(p, k) == power(p, k)
+
+
+def test_power_from_cycles_of_cycles_that_move_every_point():
+    """Cycles of lengths 3, 5 and 7 over all 15 points, as the DCR encoder
+    lays one out: each k below fixes some of them, all of them or none."""
+    p = parse_cycles("(1 2 3)(4 5 6 7 8)(9 10 11 12 13 14 15)", 15)
+    for k in (0, 1, 3, 7, 15, 35, 105, 1000, -1, -35):
+        assert perm.power_from_cycles(p, k) == power(p, k)
+        assert perm.power_from_cycles(p, k).image == dense_power(DensePermutation(p.image), k).image
+
+
 @given(perms, st.data())
 @settings(max_examples=100)
 def test_action_is_associative_with_composition(p, data):

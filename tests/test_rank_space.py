@@ -37,6 +37,7 @@ def assert_same_walk(res, ref):
 
 def check_walk(bits, order, gens, **kw):
     res = standard_algorithm(bits, order, gens, **kw)
+    assert res.gens is gens
     assert_same_walk(res, reference_walk(bits, order, gens, **kw))
     assert is_local_min(bits, order, gens, res.permutation) == reference_is_local_min(
         bits, order, gens, res.permutation

@@ -23,6 +23,7 @@ from lexperm.perm import (
     permute_string,
 )
 from lexperm.reduction import (
+    Layout,
     build_instance,
     embed_flip_solution,
     expand,
@@ -480,6 +481,26 @@ def test_per_copy_writer_equals_the_reference_on_seeded_circuits(shape):
     rng = Random(6100 + sum(shape))
     for _ in range(10):
         _assert_written_like_the_reference(random_instance(rng, *shape))
+
+
+@pytest.mark.filterwarnings("ignore:input x")
+def test_building_and_writing_an_instance_builds_no_generator(monkeypatch):
+    """``format_instance`` reads the layout's copy-0 moves, not the
+    generators, and neither does ``parse_instance``: an instance builds
+    its generator set on the first read of ``gens``."""
+    circuits = [*WRITER_CIRCUITS, random_instance(Random(6300), 4, 8, 3)]
+    texts = [format_instance(build_instance(c)) for c in circuits]
+
+    def refuse(layout):
+        raise AssertionError("generators built")
+
+    monkeypatch.setattr(Layout, "generators", refuse)
+    for c, text in zip(circuits, texts):
+        inst = build_instance(c)
+        assert format_instance(inst) == text
+        assert parse_instance(text) == inst
+        with pytest.raises(AssertionError, match="generators built"):
+            inst.gens
 
 
 # files the reader takes as the canonical one: each differs from it, so

@@ -4,6 +4,7 @@ identity k_ij = F_i * F_j its proof uses, and agreement on seeded probe
 corpora for the reduction's and the CNF's layouts."""
 
 import gc
+from functools import cached_property
 from math import factorial
 from random import Random
 
@@ -220,15 +221,19 @@ def test_dropped_values_leave_no_reference_cycles():
 
 
 @pytest.mark.parametrize("gate_var", [False, True], ids=["reduction", "cnf"])
-def test_copy0_moves_are_built_once_per_generators_call(monkeypatch, gate_var):
+def test_copy0_moves_are_built_once_per_layout(monkeypatch, gate_var):
+    """Generators, membership queries and a second generator set all read
+    the layout's one set of copy-0 moves."""
     calls = []
-    build = Layout._copy0_moves
+    build = Layout._moves.func
 
     def counted(layout):
         calls.append(layout)
         return build(layout)
 
-    monkeypatch.setattr(Layout, "_copy0_moves", counted)
+    moves = cached_property(counted)
+    moves.__set_name__(Layout, "_moves")
+    monkeypatch.setattr(Layout, "_moves", moves)
     layout = Layout(rung(1), gate_var=gate_var)
     gens = layout.generators()
     assert len(calls) == 1
@@ -236,6 +241,7 @@ def test_copy0_moves_are_built_once_per_generators_call(monkeypatch, gate_var):
     member = apply_word(gens, [gens.names[i % len(gens)] for i in range(0, 7 * len(gens), 7)])
     # a word, the identity and a twin-breaking transposition
     assert [membership(gens, p) for p in (member, identity(N), parse_cycles("(1 3)", N))] == [True, True, False]
+    assert layout.generators() == gens
     assert len(calls) == 1
-    layout.generators()
+    Layout(rung(1), gate_var=gate_var).generators()
     assert len(calls) == 2

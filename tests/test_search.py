@@ -139,3 +139,28 @@ def test_result_permutation_is_the_word_replayed():
             for res in results:
                 assert res.permutation == apply_word(gens, res.word) == reference_apply_word(gens, res.word)
                 assert permute_string(bits, res.permutation) == res.string
+
+
+def test_the_walk_replays_its_word_only_when_the_permutation_is_read(monkeypatch):
+    """Neither the reduction's walk nor the CNF's descent replays its word;
+    the first read of ``permutation`` does, once, and a second read
+    returns the same permutation."""
+    calls = []
+
+    def counted(gens, word):
+        calls.append(word)
+        return apply_word(gens, word)
+
+    monkeypatch.setattr(search, "apply_word", counted)
+    c = random_instance(Random(3100), 4, 8, 3)
+    inst = build_instance(c)
+    for res, gens in (
+        (standard_algorithm(inst.y_start, inst.order, inst.gens), inst.gens),
+        (local_min_solution(build_formula(c)), None),
+    ):
+        assert res.steps > 0 and calls == []
+        first = res.permutation
+        assert res.permutation is first and calls == [res.word]
+        assert first == apply_word(res.gens, res.word)
+        assert gens is None or res.gens is gens
+        calls.clear()

@@ -11,7 +11,8 @@ called once per rung in ladder order, so a rung's circuit does not depend
 on how many rungs are run.  Each rung runs in a fresh process, so the RSS
 columns are that rung's own peak (``ru_maxrss``):
 
-- ``build_instance`` and the RSS after it;
+- ``build_instance`` with its generator set, which the instance builds
+  on the first read of ``gens``, and the RSS after it;
 - the RSS after ``build_formula`` as well, with the instance still held;
 - ``check_symmetry`` of that formula with each of its K generators (its
   ``c sym`` lines), the first call building the formula's clause index;
@@ -22,7 +23,8 @@ columns are that rung's own peak (``ru_maxrss``):
   the fastest of ``REPEATS`` calls, since a call at the first rungs takes
   about a millisecond;
 - the walk (``standard_algorithm`` from ``y_start``) and its steps;
-- ``apply_word`` of the walk's word: the word replayed into a permutation;
+- ``apply_word`` of the walk's word: the word replayed into a permutation,
+  which the walk's result does on the first read of its ``permutation``;
 - the first ``membership`` query of the walk endpoint on the instance's
   generators, which the reduction's structural test answers;
 - on the first ``CHAIN_RUNGS`` rungs only, the same query on an equal
@@ -90,7 +92,8 @@ def measure(index: int) -> dict:
     row: dict = {"rung": RUNGS[index]}
     t = perf_counter()
     inst = reduction.build_instance(c)
-    row.update(N=inst.num_positions, K=len(inst.gens), build_s=perf_counter() - t, rss_build_mb=_rss_mb())
+    gens = inst.gens
+    row.update(N=inst.num_positions, K=len(gens), build_s=perf_counter() - t, rss_build_mb=_rss_mb())
     f = cnf.build_formula(c)
     row["rss_formula_mb"] = _rss_mb()
     t = perf_counter()
@@ -110,19 +113,18 @@ def measure(index: int) -> dict:
     row["parse_ms"] = _fastest_ms(reduction.parse_instance, lambda: text)
     del text
     t = perf_counter()
-    res = search.standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+    res = search.standard_algorithm(inst.y_start, inst.order, gens, keep_trace=False)
     row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
-    gens = inst.gens
     t = perf_counter()
-    perm.apply_word(gens, res.word)
+    endpoint = res.permutation  # apply_word of the word, on this first read
     row["apply_word_s"] = perf_counter() - t
     t = perf_counter()
-    perm.membership(gens, res.permutation)
+    perm.membership(gens, endpoint)
     row["membership_s"] = perf_counter() - t
     if index < CHAIN_RUNGS:
         rebuilt = perm.GeneratorSet(gens.degree, gens.names, gens.perms)
         t = perf_counter()
-        perm.membership(rebuilt, res.permutation)
+        perm.membership(rebuilt, endpoint)
         row["chain_membership_s"] = perf_counter() - t
     return row
 
