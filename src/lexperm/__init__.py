@@ -5,7 +5,7 @@ hard: a circuit-based move-set reduction and its CNF realization."""
 from .bitlex import PriorityOrder, identity_order
 from .circuit import FlipInstance, eval_circuit, flip_greedy, flip_local_check, parse_netlist
 from .cnf import CnfFormula, build_formula, check_symmetry, local_min_solution
-from .dcr import DcrInstance, Graph, coloring_to_dcr, dcr_to_globalmin1, decode_coloring, solve, solve_bruteforce
+from .dcr import DcrInstance, Graph, coloring_to_dcr, dcr_to_globalmin1, decode_coloring, solve
 from .one_perm import OnePermResult, local_min_one_perm, orbit_min_one_perm
 from .perm import (
     GeneratorSet,

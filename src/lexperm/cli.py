@@ -85,12 +85,7 @@ def _cmd_reduce_search(args) -> int:
     inst = reduction.parse_instance(_read(args.instance))
     start = tuple(_read(args.start_word).split()) if args.start_word is not None else ()
     res = search.standard_algorithm(
-        inst.y_start,
-        inst.order,
-        inst.gens,
-        start=start,
-        max_steps=args.max_steps,
-        keep_trace=args.trace,
+        inst.y_start, inst.order, inst.gens, start=start, max_steps=args.max_steps
     )
     if args.format == "json":
         print(json.dumps({"type": "instance", "text": reduction.format_instance(inst)}))

@@ -331,13 +331,13 @@ class GeneratorSet:
             raise UnknownGenerator(f"no generator named {name!r}") from None
 
 
-def _replay(gens: GeneratorSet, values: list, word: Sequence[str]) -> list:
+def _replay(by_name: dict[str, Permutation], values: list, word: Sequence[str]) -> list:
     """A list indexed by 1-based points (entry 0 a pad) acted on by the
     word in place, one generator at a time, each letter rewriting only
-    its generator's support; ``UnknownGenerator`` at the first letter
-    that names none, ``DegreeMismatch`` at the first whose generator's
-    degree is not the list's."""
-    by_name = dict(zip(gens.names, gens.perms))
+    its generator's support; ``by_name`` is a generator set as a dict,
+    ``dict(gens)``.  ``UnknownGenerator`` at the first letter that names
+    none, ``DegreeMismatch`` at the first whose generator's degree is not
+    the list's."""
     for letter in word:
         g = by_name.get(letter)
         if g is None:
@@ -351,14 +351,14 @@ def _replay(gens: GeneratorSet, values: list, word: Sequence[str]) -> list:
 def apply_word(gens: GeneratorSet, word: Sequence[str]) -> Permutation:
     """Left-to-right product of the named generators (empty word =
     identity): the word replayed on the identity's image list."""
-    img = _replay(gens, list(range(gens.degree + 1)), word)
+    img = _replay(dict(gens), list(range(gens.degree + 1)), word)
     moved = tuple([i for i, v in enumerate(img) if i != v])
     return Permutation._unchecked(gens.degree, moved, tuple([img[i] for i in moved]))
 
 
 def apply_word_to_string(gens: GeneratorSet, x: str, word: Sequence[str]) -> str:
     """x acted on by the word: the word replayed on its characters."""
-    return "".join(_replay(gens, ["", *x], word))
+    return "".join(_replay(dict(gens), ["", *x], word))
 
 
 def permute_in_place(values: list, moved: Sequence[int], moved_to: Sequence[int]) -> None:

@@ -22,6 +22,7 @@ from .errors import DegreeMismatch, LengthMismatch, NotInGroup
 from .perm import (
     GeneratorSet,
     Permutation,
+    _replay,
     apply_word,
     apply_word_to_string,
     membership,
@@ -113,18 +114,28 @@ def is_local_min(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """A walk's word, final string, steps, stop status and trace.
+    """What a walk did: its word, final string, steps and stop status,
+    and ``origin``, the string it started from after any start word.
 
-    ``permutation`` is the word replayed on the generators by
-    ``apply_word`` on its first read, and kept; a caller that reads only
-    the word and the string never pays for it."""
+    Both ``trace`` and ``permutation`` are read off the word the first
+    time they are read, and kept; a caller that reads only the word and
+    the string pays for neither.  ``trace`` is ``origin``, then the
+    string after each of the last ``steps`` letters of the word, each
+    letter replayed on one character list.  ``permutation`` is the word
+    replayed on the generators by ``apply_word``."""
 
     word: tuple[str, ...]
     string: str
     steps: int
     status: str
-    trace: tuple[str, ...]
+    origin: str
     gens: GeneratorSet = field(compare=False, repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[str, ...]:
+        by_name, chars = dict(self.gens), ["", *self.origin]
+        walked = self.word[len(self.word) - self.steps :]
+        return (self.origin, *["".join(_replay(by_name, chars, (letter,))) for letter in walked])
 
     @cached_property
     def permutation(self) -> Permutation:
@@ -142,16 +153,16 @@ def standard_algorithm(
     """Run the greedy walk from the permutation named by ``start``.
 
     The walk carries only its string by position and its word; the
-    result replays the word into a permutation only if that is read.
-    Without ``keep_trace`` the trace holds only the final string."""
+    result derives its trace and its permutation from the word only if
+    they are read.  ``keep_trace`` selects nothing: it is accepted for
+    callers that still pass it, and either value gives the same result."""
     if len(bits) != gens.degree:
         raise DegreeMismatch(f"string length {len(bits)} vs degree {gens.degree}")
     check_bits(bits)
-    cur_str = apply_word_to_string(gens, bits, start)
+    origin = apply_word_to_string(gens, bits, start)
     space = RankSpace(order, gens)
     word = list(start)
-    trace = [cur_str]
-    chars = ["", *cur_str]  # the current string by position, entry 0 a pad
+    chars = ["", *origin]  # the current string by position, entry 0 a pad
     steps = 0
     status = STEP_CAP
     while steps < max_steps:
@@ -163,12 +174,7 @@ def standard_algorithm(
         permute_in_place(chars, g.moved, g.moved_to)
         word.append(gens.names[best])
         steps += 1
-        if keep_trace:
-            trace.append("".join(chars))
-    string = "".join(chars)
-    return SearchResult(
-        tuple(word), string, steps, status, tuple(trace) if keep_trace else (string,), gens
-    )
+    return SearchResult(tuple(word), "".join(chars), steps, status, origin, gens)
 
 
 def verify_local_opt(

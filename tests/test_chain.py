@@ -71,7 +71,7 @@ def twin_breakers(rng: Random, inst: reduction.ReducedInstance, count: int) -> l
 
 def members(rng: Random, inst: reduction.ReducedInstance, count: int) -> list[Permutation]:
     """The walk endpoint and random words in the generators."""
-    walk = standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+    walk = standard_algorithm(inst.y_start, inst.order, inst.gens)
     out = [walk.permutation]
     for _ in range(count):
         word = [rng.choice(inst.gens.names) for _ in range(rng.randint(0, 30))]
@@ -158,7 +158,7 @@ def test_chain_is_deterministic():
 
 def test_verify_local_opt_with_raw_permutation_at_rung_4_8_3():
     inst = rung_4_8_3()
-    walk = standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+    walk = standard_algorithm(inst.y_start, inst.order, inst.gens)
     assert verify_local_opt(inst.y_start, inst.order, inst.gens, perm=walk.permutation)
     probe = twin_breakers(Random(4404), inst, 1)[0]
     assert not membership(inst.gens, probe)
@@ -208,7 +208,7 @@ def test_reduced_set_builds_no_chain_and_a_rebuilt_set_builds_one(monkeypatch):
     monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(counting))
     inst = reduced_instance(3)
     gens = inst.gens
-    walk = standard_algorithm(inst.y_start, inst.order, gens, keep_trace=False)
+    walk = standard_algorithm(inst.y_start, inst.order, gens)
     rng = Random(4406)
     probes = [walk.permutation, *twin_breakers(rng, inst, 3), *members(rng, inst, 3)[1:]]
     rebuilt = GeneratorSet(gens.degree, gens.names, gens.perms)

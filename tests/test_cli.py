@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import lexperm
 from lexperm import circuit, cli, cnf, reduction, search
 
+from reference_impl import reference_apply_word_to_string, reference_walk
+
 STEP_NETLIST = """inputs 3
 gate 1 NAND x2 x1
 gate 2 NAND x3 g1
@@ -523,6 +525,42 @@ def test_search_trace_flag_adds_only_trace_lines(tmp_path, capsys):
     steps = int(plain.split("steps ")[1].split()[0])
     assert steps > 0 and len(trace) == steps + 1
     assert trace[-1] == "trace " + plain.split("string ")[1].split()[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("capped", [False, True], ids=["whole-walk", "start-word-and-cap"])
+def test_search_trace_bytes(tmp_path, capsys, fmt, capped):
+    """The whole stdout of ``reduce search --trace``: trace line k is the
+    start string acted on by the start word and the walk's first k
+    letters, each prefix replayed by the reference."""
+    rng = Random(32)
+    inst = reduction.build_instance(circuit.random_instance(rng, 3, 6, 2))
+    inst_file = tmp_path / "walk.inst"
+    inst_file.write_text(reduction.format_instance(inst))
+    argv = ["reduce", "search", str(inst_file), "--trace", "--format", fmt]
+    start, cap = (), 10**6
+    if capped:
+        start = tuple(rng.choice(inst.gens.names) for _ in range(3))
+        cap = reference_walk(inst.y_start, inst.order, inst.gens, start=start).steps // 2
+        (tmp_path / "start.word").write_text(" ".join(start) + "\n")
+        argv += ["--start-word", str(tmp_path / "start.word"), "--max-steps", str(cap)]
+    ref = reference_walk(inst.y_start, inst.order, inst.gens, start=start, max_steps=cap)
+    assert ref.steps > 1 and ref.status == (search.STEP_CAP if capped else search.LOCAL_OPT)
+    trace = [
+        reference_apply_word_to_string(inst.gens, inst.y_start, ref.word[: len(start) + k])
+        for k in range(ref.steps + 1)
+    ]
+    if fmt == "text":
+        lines = [f"word {' '.join(ref.word)}", f"string {ref.string}", f"status {ref.status}",
+                 f"steps {ref.steps}", *(f"trace {s}" for s in trace)]
+    else:
+        lines = [
+            json.dumps({"type": "instance", "text": inst_file.read_text()}),
+            *(json.dumps({"type": "step", "index": i, "string": s}) for i, s in enumerate(trace)),
+            json.dumps({"type": "result", "word": list(ref.word), "string": ref.string,
+                        "status": ref.status, "steps": ref.steps}),
+        ]
+    assert run(capsys, argv) == (0, "".join(line + "\n" for line in lines), "")
 
 
 def test_cnf_pipeline(tmp_path, capsys):

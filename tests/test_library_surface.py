@@ -55,3 +55,10 @@ def test_bitlex_is_a_leaf_and_the_walk_engine_lives_in_search():
     for name in ("RankSpace", "is_local_min"):
         homes = {vars(m)[name].__module__ for m in _modules() if name in vars(m)}
         assert homes == {"lexperm.search"}, name
+
+
+def test_the_package_does_not_export_the_brute_forces():
+    """``dcr`` keeps its brute-force solvers as oracles for the tests and
+    the benchmark; the package's top level does not export them."""
+    assert "solve_bruteforce" in vars(lexperm.dcr)
+    assert not {"solve_bruteforce", "three_colorable_bruteforce"} & set(vars(lexperm))

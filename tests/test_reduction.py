@@ -652,7 +652,7 @@ def _judged_strings(rng, inst):
     from each: one or two twin pairs swapped, one twin pair broken, and one
     gadget re-encoded as a random gate state."""
     layout, pairs = inst.layout, inst.num_positions // 2
-    behaved = list(standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=True).trace)
+    behaved = list(standard_algorithm(inst.y_start, inst.order, inst.gens).trace)
     for _ in range(10):
         word = [rng.choice(inst.gens.names) for _ in range(rng.randint(0, 8))]
         behaved.append(apply_word_to_string(inst.gens, inst.y_start, word))

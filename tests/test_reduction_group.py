@@ -194,7 +194,7 @@ def test_walk_endpoints_verify_without_a_chain(monkeypatch):
     monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(refuse))
     for c in chain_verify_shapes(4540):
         inst = build_instance(c)
-        walk = standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=False)
+        walk = standard_algorithm(inst.y_start, inst.order, inst.gens)
         assert verify_local_opt(inst.y_start, inst.order, inst.gens, perm=walk.permutation)
         f = build_formula(c)
         res = local_min_solution(f)

@@ -71,6 +71,19 @@ def test_deterministic_runs():
     assert first == second
 
 
+def test_keep_trace_selects_nothing():
+    rng = Random(11)
+    inst = build_instance(random_instance(rng, 3, 6, 2))
+    start = [rng.choice(inst.gens.names) for _ in range(3)]
+    for kw in ({}, {"start": start}, {"start": start, "max_steps": 4}):
+        bare, kept = (
+            standard_algorithm(inst.y_start, inst.order, inst.gens, keep_trace=keep, **kw)
+            for keep in (False, True)
+        )
+        assert bare == kept
+        assert bare.steps > 0 and bare.trace == kept.trace
+
+
 def test_step_cap_status():
     p = parse_cycles("(1 2)", 2)
     res = standard_algorithm("10", None, _gens(("p", p)), max_steps=0)

@@ -113,7 +113,7 @@ def measure(index: int) -> dict:
     row["parse_ms"] = _fastest_ms(reduction.parse_instance, lambda: text)
     del text
     t = perf_counter()
-    res = search.standard_algorithm(inst.y_start, inst.order, gens, keep_trace=False)
+    res = search.standard_algorithm(inst.y_start, inst.order, gens)
     row.update(walk_s=perf_counter() - t, steps=res.steps, status=res.status)
     t = perf_counter()
     endpoint = res.permutation  # apply_word of the word, on this first read
