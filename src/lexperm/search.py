@@ -112,7 +112,7 @@ def is_local_min(
     return RankSpace(order, gens).best_move(["", *permute_string(bits, current)]) is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SearchResult:
     """What a walk did: its word, final string, steps and stop status,
     and ``origin``, the string it started from after any start word.
@@ -122,7 +122,12 @@ class SearchResult:
     the string pays for neither.  ``trace`` is ``origin``, then the
     string after each of the last ``steps`` letters of the word, each
     letter replayed on one character list.  ``permutation`` is the word
-    replayed on the generators by ``apply_word``."""
+    replayed on the generators by ``apply_word``.
+
+    A ``trace`` given to the constructor is kept as the read value, so
+    ``dataclasses.replace(res, word=..., trace=...)`` rebuilds a result
+    with the trace it is handed, as when ``trace`` was a field; the walk
+    never gives one."""
 
     word: tuple[str, ...]
     string: str
@@ -130,6 +135,11 @@ class SearchResult:
     status: str
     origin: str
     gens: GeneratorSet = field(compare=False, repr=False)
+
+    def __init__(self, word, string, steps, status, origin, gens, trace=None):
+        vars(self).update(word=word, string=string, steps=steps, status=status, origin=origin, gens=gens)
+        if trace is not None:
+            vars(self)["trace"] = tuple(trace)
 
     @cached_property
     def trace(self) -> tuple[str, ...]:

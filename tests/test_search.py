@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -82,6 +83,23 @@ def test_keep_trace_selects_nothing():
         )
         assert bare == kept
         assert bare.steps > 0 and bare.trace == kept.trace
+
+
+def test_replace_keeps_a_given_trace():
+    # Rebuilding a result with dataclasses.replace, as a caller that
+    # truncates a walk does, still accepts ``trace`` and keeps it.
+    inst = build_instance(random_instance(Random(12), 3, 6, 2))
+    res = standard_algorithm(inst.y_start, inst.order, inst.gens)
+    assert res.steps > 1
+    full = res.trace
+    shorter = dataclasses.replace(
+        res, word=res.word[:-1], steps=res.steps - 1, trace=full[:-1], string=full[-2]
+    )
+    assert vars(shorter)["trace"] == full[:-1] and shorter.gens is res.gens
+    assert dataclasses.replace(shorter, trace=None).trace == full[:-1]
+    assert shorter != res
+    assert dataclasses.replace(shorter, word=res.word, steps=res.steps, string=res.string) == res
+    assert dataclasses.replace(res, trace=("x",)).trace == ("x",)
 
 
 def test_step_cap_status():
